@@ -25,7 +25,8 @@ from .quantum import (
     PureState,
     Refinement,
     SpectralDecomposition,
-    _spread_constant,
+    collapse,
+    spread_labels,
 )
 
 
@@ -124,22 +125,7 @@ class MeasurementApparatus:
         """
         if state.dim != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        amps = self._basis.conj().T @ state.vector
-        weights = np.add.reduceat(np.abs(amps) ** 2, self._starts)
-        total = float(weights.sum())
-        if total <= DEFAULT_TOL:
-            raise ValueError("state is numerically orthogonal to every block")
-        u = rng.random() * total
-        acc = 0.0
-        chosen = len(weights) - 1
-        for i, w in enumerate(weights):
-            acc += float(w)
-            if u < acc:
-                chosen = i
-                break
-        lo, hi = self._spans[chosen]
-        post = self._basis[:, lo:hi] @ amps[lo:hi]
-        post = post / np.linalg.norm(post)
+        chosen, post = collapse(self._basis, self._starts, state.vector, rng)
         return self._outputs[chosen], PureState(post)
 
     def channel_exact(
@@ -174,37 +160,18 @@ class MeasurementApparatus:
         return out
 
 
-def _default_labels(base: SpectralDecomposition, blocks) -> tuple[tuple[float, ...], ...]:
-    spread = _spread_constant(base.eigenvalues)
-    for _ in range(200):
-        labels = tuple(
-            tuple(a * spread + b for b in range(1, len(cells) + 1))
-            for a, cells in zip(base.eigenvalues, blocks)
-        )
-        flat = [x for group in labels for x in group]
-        gap = (
-            min(abs(x - y) for i, x in enumerate(flat) for y in flat[i + 1 :])
-            if len(flat) > 1
-            else 1.0
-        )
-        if gap > 1e-9 * (1.0 + max(abs(x) for x in flat)):
-            return labels
-        spread *= 2.0
-    raise ValueError("could not separate refined labels; spectrum too dense")
+def _device(base: SpectralDecomposition, basis, blocks) -> MeasurementApparatus:
+    """An apparatus over ``basis`` and ``blocks`` with spread refined labels."""
+    labels = spread_labels(base.eigenvalues, [len(cells) for cells in blocks])
+    return MeasurementApparatus(
+        Refinement(base=base, basis=basis, blocks=blocks, labels=labels)
+    )
 
 
 def make_luders(base: SpectralDecomposition) -> MeasurementApparatus:
     """An apparatus that reduces by the Lüders rule: one block per eigenspace."""
-    blocks = tuple(
-        (tuple(range(n)),) for n in base.multiplicities
-    )
-    refinement = Refinement(
-        base=base,
-        basis=base.eigenbasis,
-        blocks=blocks,
-        labels=_default_labels(base, blocks),
-    )
-    return MeasurementApparatus(refinement)
+    blocks = tuple((tuple(range(n)),) for n in base.multiplicities)
+    return _device(base, base.eigenbasis, blocks)
 
 
 def make_full_von_neumann(
@@ -228,16 +195,8 @@ def make_full_von_neumann(
             basis.append(group)
         else:
             basis.append(tuple(linalg.as_vector(v).copy() for v in choice))
-    blocks = tuple(
-        tuple((i,) for i in range(n)) for n in base.multiplicities
-    )
-    refinement = Refinement(
-        base=base,
-        basis=tuple(basis),
-        blocks=blocks,
-        labels=_default_labels(base, blocks),
-    )
-    return MeasurementApparatus(refinement)
+    blocks = tuple(tuple((i,) for i in range(n)) for n in base.multiplicities)
+    return _device(base, tuple(basis), blocks)
 
 
 def make_partial(
@@ -253,10 +212,4 @@ def make_partial(
     cells = tuple(
         tuple(tuple(int(i) for i in cell) for cell in group) for group in blocks
     )
-    refinement = Refinement(
-        base=base,
-        basis=base.eigenbasis,
-        blocks=cells,
-        labels=_default_labels(base, cells),
-    )
-    return MeasurementApparatus(refinement)
+    return _device(base, base.eigenbasis, cells)

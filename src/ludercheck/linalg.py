@@ -2,15 +2,12 @@
 
 Operators and states are plain numpy arrays: square complex matrices for
 observables, projectors and density matrices, 1-d complex arrays for state
-vectors.  The eigensolver is a cyclic Jacobi iteration specialised to
-Hermitian input; at these sizes it is unconditionally stable and lets us
-impose a deterministic phase convention on the eigenvectors, which keeps
-every downstream construction reproducible bit for bit.
+vectors.  Eigendecompositions come from LAPACK through ``np.linalg.eigh``,
+with a deterministic order and phase convention imposed on the result.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,15 +17,6 @@ DEFAULT_TOL = 1e-9
 
 #: Largest accepted Hilbert-space dimension (six spin-1/2 sites).
 MAX_DIM = 64
-
-# Jacobi iteration limits: sweep cap and the off-diagonal Frobenius-norm
-# target, relative to the scale of the input matrix.
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFFDIAG = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweep cap was reached before the off-diagonal norm target."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -55,28 +43,6 @@ def as_vector(v) -> np.ndarray:
     return w
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
-    return ma @ mb
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor carries the slow index."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    dim = ma.shape[0] * mb.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"tensor-product dimension {dim} exceeds the cap of {MAX_DIM}")
-    return np.kron(ma, mb)
-
-
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(a)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
@@ -85,66 +51,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 def is_projector(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(a)
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
-
-
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(a)
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalise a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Returns the (unsorted) real diagonal and the accumulated unitary whose
-    columns are eigenvectors.  Each rotation zeroes one off-diagonal pair
-    (p, q) with a phased Givens rotation; sweeps repeat until the
-    off-diagonal Frobenius norm falls below the target.
-    """
-    n = a.shape[0]
-    m = a.copy()
-    v = np.eye(n, dtype=complex)
-    target = _JACOBI_OFFDIAG * max(1.0, float(np.linalg.norm(a)))
-    if _offdiag_norm(m) <= target:
-        return np.diag(m).real.copy(), v
-    # Rotations below this size cannot move the off-diagonal norm past the
-    # target and would divide by a vanishing modulus.
-    skip = target / max(1, n * n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = abs(m[p, q])
-                if g <= skip:
-                    continue
-                phase = m[p, q] / g
-                theta = 0.5 * math.atan2(2.0 * g, (m[p, p] - m[q, q]).real)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                # Columns of m @ U, with U the rotation in the (p, q) plane.
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p + s * np.conj(phase) * col_q
-                m[:, q] = -s * phase * col_p + c * col_q
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p + s * phase * row_q
-                m[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                vc_p = v[:, p].copy()
-                vc_q = v[:, q].copy()
-                v[:, p] = c * vc_p + s * np.conj(phase) * vc_q
-                v[:, q] = -s * phase * vc_p + c * vc_q
-        if _offdiag_norm(m) <= target:
-            return np.diag(m).real.copy(), v
-    raise ConvergenceError(
-        f"Jacobi iteration did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
-    )
 
 
 def _fix_phase(vec: np.ndarray, tol: float) -> np.ndarray:
@@ -163,23 +69,21 @@ def hermitian_eig(
     Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and the
     columns of ``v`` the matching orthonormal eigenvectors.  Each
     eigenvector's global phase is fixed so that its first component with
-    modulus above ``tol`` is real and positive, making repeated runs
-    bit-identical.
+    modulus above ``tol`` is real and positive.  Inside a degenerate
+    eigenspace the vectors are whatever LAPACK returns; callers that need a
+    canonical basis there derive it from the eigenprojector
+    (see :func:`ludercheck.quantum.spectral_decompose`).
 
-    Raises ValueError on non-Hermitian input and ConvergenceError if the
-    Jacobi iteration stalls (it does not at dimension <= 64).
+    Raises ValueError on non-Hermitian input.
     """
     m = as_matrix(a)
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    m = 0.5 * (m + m.conj().T)
-    w, v = _jacobi(m)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    v = v[:, ::-1].copy()
     for i in range(v.shape[1]):
         v[:, i] = _fix_phase(v[:, i], tol)
-    return w, v
+    return w[::-1], v
 
 
 def apply_spectral_function(

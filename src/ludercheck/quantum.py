@@ -25,6 +25,10 @@ from .linalg import DEFAULT_TOL
 #: as one degenerate group.
 GROUPING_RELATIVE = 1e-6
 
+#: Gram-Schmidt residual below which a projector column adds no new
+#: direction to the canonical eigenbasis; well under 1/sqrt(MAX_DIM).
+BASIS_RESIDUAL = 1e-3
+
 _PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -264,6 +268,29 @@ def _group_sorted_eigenvalues(w: np.ndarray, threshold: float) -> list[list[int]
     return groups
 
 
+def _canonical_basis(projector: np.ndarray, rank: int) -> tuple[np.ndarray, ...]:
+    """Gram-Schmidt over the columns P e_i of a projector, in index order.
+
+    Columns whose residual falls below BASIS_RESIDUAL are skipped.  The
+    squared residuals of all columns sum to the rank still missing and each
+    skipped column holds less than BASIS_RESIDUAL**2 of it, so with dimension
+    <= 64 some later column always clears the threshold and ``rank`` vectors
+    are found.  The result depends on the
+    projector alone, not on the eigenvectors it was assembled from.
+    """
+    basis: list[np.ndarray] = []
+    for i in range(projector.shape[0]):
+        r = projector[:, i].copy()
+        for q in basis:
+            r -= (q.conj() @ r) * q
+        norm = float(np.linalg.norm(r))
+        if norm > BASIS_RESIDUAL:
+            basis.append(r / norm)
+            if len(basis) == rank:
+                break
+    return tuple(basis)
+
+
 def spectral_decompose(
     observable: np.ndarray,
     grouping_threshold: float | None = None,
@@ -274,7 +301,10 @@ def spectral_decompose(
     Eigenvalues whose spacing stays within ``grouping_threshold`` merge into a
     single degenerate group; the default threshold is GROUPING_RELATIVE of the
     spectral range.  Each group's eigenvalue is the mean of its members, its
-    projector the sum of the members' rank-1 projectors.
+    projector the sum of the members' rank-1 projectors, and its canonical
+    basis the Gram-Schmidt basis of the projector's columns, so that the basis
+    inside a degenerate eigenspace does not depend on eigensolver rounding.
+    On a diagonal observable it is the standard basis vectors in index order.
     """
     w, v = linalg.hermitian_eig(observable, tol)
     if grouping_threshold is None:
@@ -286,11 +316,11 @@ def spectral_decompose(
     multiplicities = []
     eigenbasis = []
     for idx in groups:
-        vectors = tuple(v[:, i].copy() for i in idx)
+        proj = linalg.projector_from_vectors([v[:, i] for i in idx], tol)
         eigenvalues.append(float(np.mean(w[idx])))
-        projectors.append(linalg.projector_from_vectors(vectors, tol))
+        projectors.append(proj)
         multiplicities.append(len(idx))
-        eigenbasis.append(vectors)
+        eigenbasis.append(_canonical_basis(proj, len(idx)))
     return SpectralDecomposition(
         eigenvalues=tuple(eigenvalues),
         projectors=tuple(projectors),
@@ -350,14 +380,20 @@ def sample_outcome(dist: OutcomeDistribution, rng: np.random.Generator) -> float
     return dist.outcomes[-1][0]
 
 
-def measure_pure(
-    decomp: SpectralDecomposition, state: PureState, rng: np.random.Generator
-) -> tuple[float, PureState]:
-    """Sample one projective measurement on a pure state and collapse it."""
-    basis, starts = decomp._stacked
-    if state.dim != decomp.dim:
-        raise ValueError("state dimension does not match the observable")
-    amps = basis.conj().T @ state.vector
+def collapse(
+    basis: np.ndarray,
+    starts: np.ndarray,
+    vector: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[int, np.ndarray]:
+    """Sample one block of an orthonormal basis by the Born rule and project.
+
+    ``basis`` holds the basis vectors as columns, grouped into consecutive
+    blocks that begin at the column indices ``starts``.  One ``rng.random()``
+    draw picks the block by inverse CDF over the block weights.  Returns the
+    block index and the renormalised projection of ``vector`` onto it.
+    """
+    amps = basis.conj().T @ vector
     weights = np.add.reduceat(np.abs(amps) ** 2, starts)
     total = float(weights.sum())
     if total <= DEFAULT_TOL:
@@ -365,15 +401,24 @@ def measure_pure(
     u = rng.random() * total
     acc = 0.0
     k = len(weights) - 1
-    for i, w in enumerate(weights):
-        acc += float(w)
+    for i, w in enumerate(weights.tolist()):
+        acc += w
         if u < acc:
             k = i
             break
     lo = int(starts[k])
-    hi = lo + decomp.multiplicities[k]
+    hi = int(starts[k + 1]) if k + 1 < len(starts) else basis.shape[1]
     post = basis[:, lo:hi] @ amps[lo:hi]
-    post = post / np.linalg.norm(post)
+    return k, post / np.linalg.norm(post)
+
+
+def measure_pure(
+    decomp: SpectralDecomposition, state: PureState, rng: np.random.Generator
+) -> tuple[float, PureState]:
+    """Sample one projective measurement on a pure state and collapse it."""
+    if state.dim != decomp.dim:
+        raise ValueError("state dimension does not match the observable")
+    k, post = collapse(*decomp._stacked, state.vector, rng)
     return decomp.eigenvalues[k], PureState(post)
 
 
@@ -453,8 +498,31 @@ def _rank_one_decomposition(
     return matrix, decomp
 
 
-def _spread_constant(eigenvalues: Sequence[float]) -> float:
-    return 4.0 * (1.0 + max(abs(a) for a in eigenvalues))
+def spread_labels(
+    eigenvalues: Sequence[float], counts: Sequence[int]
+) -> tuple[tuple[float, ...], ...]:
+    """Distinct refined labels, ``counts[k]`` of them per eigenvalue ``a_k``.
+
+    Label ``j`` (1-based) of eigenvalue ``a_k`` is ``a_k * S + j`` for a
+    spread constant S large enough that all labels stay pairwise separated;
+    S doubles from its default until they do.
+    """
+    spread = 4.0 * (1.0 + max(abs(a) for a in eigenvalues))
+    for _ in range(200):
+        labels = tuple(
+            tuple(a * spread + j for j in range(1, n + 1))
+            for a, n in zip(eigenvalues, counts)
+        )
+        flat = [x for group in labels for x in group]
+        gap = (
+            min(abs(x - y) for i, x in enumerate(flat) for y in flat[i + 1 :])
+            if len(flat) > 1
+            else 1.0
+        )
+        if gap > 1e-9 * (1.0 + max(abs(x) for x in flat)):
+            return labels
+        spread *= 2.0
+    raise ValueError("could not separate refined labels; spectrum too dense")
 
 
 def build_sigma(
@@ -463,27 +531,15 @@ def build_sigma(
     """A non-degenerate observable diagonal in the canonical eigenbasis.
 
     The vector at position ``alpha`` (1-based) of eigenspace ``k`` gets the
-    label ``a_k * S + alpha`` for a spread constant S large enough that all
-    labels stay pairwise separated; S doubles from its default until they do.
-    The result commutes with the base observable and refines it maximally.
+    label ``a_k * S + alpha`` from :func:`spread_labels`.  The result
+    commutes with the base observable and refines it maximally.
     """
-    spread = _spread_constant(decomp.eigenvalues)
-    for _ in range(200):
-        labels = []
-        for a, n in zip(decomp.eigenvalues, decomp.multiplicities):
-            labels.extend(a * spread + alpha for alpha in range(1, n + 1))
-        gap = min(
-            abs(x - y) for i, x in enumerate(labels) for y in labels[i + 1 :]
-        ) if len(labels) > 1 else 1.0
-        if gap > 1e-9 * (1.0 + max(abs(x) for x in labels)):
-            break
-        spread *= 2.0
-    else:
-        raise ValueError("could not separate auxiliary labels; spectrum too dense")
-    pairs = []
-    for k, (a, group) in enumerate(zip(decomp.eigenvalues, decomp.eigenbasis)):
-        for alpha, vec in enumerate(group, start=1):
-            pairs.append((a * spread + alpha, vec))
+    labels = spread_labels(decomp.eigenvalues, decomp.multiplicities)
+    pairs = [
+        (label, vec)
+        for group_labels, group in zip(labels, decomp.eigenbasis)
+        for label, vec in zip(group_labels, group)
+    ]
     return _rank_one_decomposition(pairs)
 
 

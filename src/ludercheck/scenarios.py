@@ -23,7 +23,6 @@ from .apparatus import (
     make_full_von_neumann,
     make_luders,
     make_partial,
-    _default_labels,
 )
 from .protocol import StageKind, Verdict
 from .quantum import (
@@ -32,6 +31,7 @@ from .quantum import (
     SpectralDecomposition,
     build_spin_operator,
     spectral_decompose,
+    spread_labels,
 )
 
 TermList = tuple[tuple[float, str], ...]
@@ -156,15 +156,10 @@ def build_consecutive(
         for m in mats:
             refined = []
             for cell in cells:
-                restricted = cell.conj().T @ m @ cell
-                w, u = linalg.hermitian_eig(restricted, tol)
-                spread = float(w[0] - w[-1])
-                threshold = 1e-6 * max(1.0, spread)
-                start = 0
-                for i in range(1, len(w) + 1):
-                    if i == len(w) or w[start] - w[i] > threshold:
-                        refined.append(cell @ u[:, start:i])
-                        start = i
+                restricted = spectral_decompose(cell.conj().T @ m @ cell, tol=tol)
+                refined.extend(
+                    cell @ np.column_stack(sub) for sub in restricted.eigenbasis
+                )
             cells = refined
         vectors = []
         index_cells = []
@@ -180,7 +175,7 @@ def build_consecutive(
         base=base,
         basis=tuple(basis),
         blocks=tuple(blocks),
-        labels=_default_labels(base, tuple(blocks)),
+        labels=spread_labels(base.eigenvalues, [len(b) for b in blocks]),
     )
     return MeasurementApparatus(refinement)
 

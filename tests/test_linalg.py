@@ -6,18 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ludercheck.linalg import (
-    ConvergenceError,
-    adjoint,
     apply_spectral_function,
     as_matrix,
     as_vector,
     hermitian_eig,
     is_hermitian,
     is_projector,
-    is_unitary,
-    matmul,
     projector_from_vectors,
-    tensor,
 )
 
 from conftest import random_unitary
@@ -38,27 +33,6 @@ def test_as_vector_rejects_matrix_input():
         as_vector(np.zeros((2, 2)))
 
 
-def test_adjoint_is_conjugate_transpose():
-    a = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.array_equal(adjoint(a), a.conj().T)
-
-
-def test_matmul_requires_matching_dimensions():
-    with pytest.raises(ValueError):
-        matmul(np.eye(2), np.eye(3))
-
-
-def test_tensor_of_paulis():
-    z = np.diag([1.0, -1.0]).astype(complex)
-    zi = tensor(z, np.eye(2, dtype=complex))
-    assert np.allclose(np.diag(zi), [1, 1, -1, -1])
-
-
-def test_tensor_rejects_oversized_product():
-    with pytest.raises(ValueError):
-        tensor(np.eye(16), np.eye(8))
-
-
 def test_predicates_on_simple_matrices():
     h = np.array([[1, 1j], [-1j, 0]], dtype=complex)
     assert is_hermitian(h)
@@ -66,8 +40,6 @@ def test_predicates_on_simple_matrices():
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
     assert is_projector(p)
     assert not is_projector(2 * p)
-    assert is_unitary(np.diag([1j, -1j]))
-    assert not is_unitary(np.diag([1.0, 2.0]))
 
 
 def test_hermitian_eig_diagonal_matrix():
@@ -185,13 +157,3 @@ def test_apply_spectral_function_composes():
         chained = apply_spectral_function(apply_spectral_function(a, g), f)
         assert np.max(np.abs(composed - chained)) <= 1e-11
 
-
-def test_tensor_is_associative():
-    rng = np.random.default_rng(78)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
-    assert left.shape == (12, 12)
-    assert np.allclose(left, right, atol=1e-12)

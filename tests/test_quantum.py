@@ -92,6 +92,47 @@ def test_spectral_decompose_resolution_completeness():
     assert np.allclose(recon, a, atol=1e-8)
 
 
+def test_canonical_basis_of_diagonal_observable_is_index_ordered():
+    d = spectral_decompose(np.diag([3.0, -1.0, 3.0, 0.0]))
+    assert d.eigenvalues[0] == pytest.approx(3.0)
+    e = np.eye(4)
+    assert len(d.eigenbasis[0]) == 2
+    assert np.allclose(d.eigenbasis[0][0], e[0], atol=1e-12)
+    assert np.allclose(d.eigenbasis[0][1], e[2], atol=1e-12)
+
+
+@pytest.mark.parametrize("spectrum", [
+    [3.0, 3.0, 3.0, -1.0],
+    [2.0, 2.0, 2.0, -1.0, -1.0, 5.0],
+    [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, -2.0],
+])
+def test_canonical_basis_depends_on_the_eigenprojectors_only(spectrum):
+    # V and V @ W give the same observable when W is unitary inside each
+    # degenerate block; the eigensolver sees two different roundings of it.
+    dim = len(spectrum)
+    rng = np.random.default_rng(5)
+    v = random_unitary(dim, rng)
+    w = np.zeros((dim, dim), dtype=complex)
+    for value in set(spectrum):
+        idx = [i for i, x in enumerate(spectrum) if x == value]
+        w[np.ix_(idx, idx)] = random_unitary(len(idx), rng)
+    decomps = []
+    for basis in (v, v @ w):
+        a = (basis * np.array(spectrum)) @ basis.conj().T
+        decomps.append(spectral_decompose((a + a.conj().T) / 2))
+    d1, d2 = decomps
+    assert d1.multiplicities == d2.multiplicities
+    for g1, g2 in zip(d1.eigenbasis, d2.eigenbasis):
+        assert np.max(np.abs(np.array(g1) - np.array(g2))) <= 1e-9
+    sigma1, sd1 = build_sigma(d1)
+    sigma2, sd2 = build_sigma(d2)
+    assert np.max(np.abs(sigma1 - sigma2)) <= 1e-9
+    k = next(i for i, n in enumerate(d1.multiplicities) if n >= 2)
+    prime1, _ = build_sigma_prime(d1, sd1, k)
+    prime2, _ = build_sigma_prime(d2, sd2, k)
+    assert np.max(np.abs(prime1 - prime2)) <= 1e-9
+
+
 def test_group_index_lookup():
     d = spectral_decompose(total_z())
     assert d.group_index(0.0) == 1
