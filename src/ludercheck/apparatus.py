@@ -22,7 +22,6 @@ from . import linalg
 from .linalg import DEFAULT_TOL
 from .quantum import (
     DensityMatrix,
-    PureState,
     Refinement,
     SpectralDecomposition,
     collapse,
@@ -83,10 +82,9 @@ class MeasurementApparatus:
                             f"{expected}"
                         )
         # Flat block layout: columns of one unitary matrix, block spans as
-        # (start, stop) slices, and the coarse output label per block.
+        # (start, stop) slices, and the eigenspace index per block.
         cols = []
         spans = []
-        outputs = []
         groups = []
         offset = 0
         for k, cells in enumerate(refinement.blocks):
@@ -94,12 +92,10 @@ class MeasurementApparatus:
                 for i in cell:
                     cols.append(refinement.basis[k][i])
                 spans.append((offset, offset + len(cell)))
-                outputs.append(base.eigenvalues[k])
                 groups.append(k)
                 offset += len(cell)
         self._basis = np.column_stack(cols)
         self._spans = tuple(spans)
-        self._outputs = tuple(outputs)
         self._groups = tuple(groups)
         self._starts = np.array([s for s, _ in spans])
 
@@ -117,16 +113,20 @@ class MeasurementApparatus:
         return self._refinement
 
     def measure_sampled(
-        self, state: PureState, rng: np.random.Generator
-    ) -> tuple[float, PureState]:
-        """Measure one system: sample a block, project, renormalise.
+        self, states: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Measure every row of ``states``: sample a block, project, renormalise.
 
-        Returns the coarse outcome label and the reduced pure state.
+        One ``rng.random(len(states))`` draw picks the blocks.  Returns the
+        coarse outcome of each row, as an index into :attr:`outcome_labels`,
+        and the reduced rows.
         """
-        if state.dim != self.dim:
+        if states.shape[1] != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        chosen, post = collapse(self._basis, self._starts, state.vector, rng)
-        return self._outputs[chosen], PureState(post)
+        blocks, post = collapse(
+            self._basis, self._starts, states, rng.random(len(states))
+        )
+        return np.take(self._groups, blocks), post
 
     def channel_exact(
         self, rho: DensityMatrix

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .apparatus import MeasurementRecord
+from .apparatus import Stage
 from .protocol import (
     Classification,
     EmptySelectionError,
@@ -309,15 +309,6 @@ def scenario_to_document(scenario: Scenario,
     return doc
 
 
-def _record_doc(record: MeasurementRecord) -> dict:
-    return {
-        "system_id": record.system_id,
-        "stage": record.stage.value,
-        "label": record.label,
-        "timestamp_index": record.timestamp_index,
-    }
-
-
 def build_report(result: Classification, config: ProtocolConfig,
                  scenario_name: str, wall_time_s: float,
                  include_transcript: bool) -> dict:
@@ -358,7 +349,16 @@ def build_report(result: Classification, config: ProtocolConfig,
         "wall_time_s": wall_time_s,
     }
     if include_transcript:
-        report["transcript"] = [_record_doc(r) for r in result.transcript]
+        records = result.transcript
+        stage_names = [stage.value for stage in Stage]
+        report["transcript"] = [
+            {"system_id": sid, "stage": stage_names[stage], "label": label,
+             "timestamp_index": i}
+            for i, (sid, stage, label) in enumerate(zip(
+                records.system_ids.tolist(), records.stages.tolist(),
+                records.labels.tolist(),
+            ))
+        ]
     return report
 
 

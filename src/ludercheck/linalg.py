@@ -53,14 +53,6 @@ def is_projector(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
 
 
-def _fix_phase(vec: np.ndarray, tol: float) -> np.ndarray:
-    """Rotate the global phase so the first significant component is real > 0."""
-    for x in vec:
-        if abs(x) > tol:
-            return vec * (np.conj(x) / abs(x))
-    return vec
-
-
 def hermitian_eig(
     a: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,10 +72,15 @@ def hermitian_eig(
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    v = v[:, ::-1].copy()
-    for i in range(v.shape[1]):
-        v[:, i] = _fix_phase(v[:, i], tol)
-    return w[::-1], v
+    v = v[:, ::-1]
+    # Per column, rotate the global phase so that the first component with
+    # modulus above tol becomes real and positive.
+    significant = np.abs(v) > tol
+    cols = np.flatnonzero(significant.any(axis=0))
+    lead = v[significant[:, cols].argmax(axis=0), cols]
+    phase = np.ones(v.shape[1], dtype=complex)
+    phase[cols] = np.conj(lead) / np.abs(lead)
+    return w[::-1], v * phase
 
 
 def apply_spectral_function(

@@ -12,11 +12,15 @@ eigenvector of the eigenspace, which catches the remaining case where the
 hidden blocks happen to be diagonal in the ``sigma`` basis.  Consistency
 in both passes identifies the Lüders rule: exactly, in the exact channel
 mode, and up to a quantified false-acceptance bound in sampled mode.
+
+Sampled mode runs the ensemble as arrays: each measurement layer (the
+selection, each auxiliary measurement, each apparatus use) acts on every
+system at once through :func:`ludercheck.quantum.collapse`, and outcomes
+stay integer indices until they reach the transcript and the evidence.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -97,15 +101,64 @@ class ProtocolConfig:
             raise ValueError("tol must be positive")
 
 
+_STAGES = tuple(Stage)
+
+
+@dataclass(frozen=True, eq=False)
+class Transcript:
+    """The measurement records of a sampled run, held as parallel arrays.
+
+    Record ``i`` is system ``system_ids[i]`` measured at stage
+    ``tuple(Stage)[stages[i]]`` with outcome ``labels[i]``; its timestamp is
+    its position ``i``.  Iterating yields :class:`MeasurementRecord` objects.
+    """
+
+    system_ids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
+    stages: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    labels: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @classmethod
+    def concatenate(cls, parts: list[Transcript]) -> Transcript:
+        if not parts:
+            return cls()
+        return cls(
+            np.concatenate([t.system_ids for t in parts]),
+            np.concatenate([t.stages for t in parts]),
+            np.concatenate([t.labels for t in parts]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.system_ids)
+
+    def __iter__(self):
+        for i, (sid, stage, label) in enumerate(zip(
+            self.system_ids.tolist(), self.stages.tolist(), self.labels.tolist()
+        )):
+            yield MeasurementRecord(sid, _STAGES[stage], label, i)
+
+    def __eq__(self, other):
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return (
+            np.array_equal(self.system_ids, other.system_ids)
+            and np.array_equal(self.stages, other.stages)
+            and np.array_equal(self.labels, other.labels)
+        )
+
+
 @dataclass(frozen=True)
 class StageResult:
     """Evidence gathered by one auxiliary-observable pass.
 
     Sampled mode counts per-system mismatches between the two auxiliary
-    measurements.  Exact mode records, per reachable first outcome, the
-    full second-measurement distribution (``branch_support``); outcomes of
-    the eigenspace that the ensemble state cannot reach are listed in
-    ``unprobed_labels`` rather than silently skipped.
+    measurements.  In both modes ``branch_support`` gives, per reached first
+    outcome in label order, the distribution of the second outcome: exact
+    Born weights in exact mode, empirical first-to-second frequencies over
+    the systems in sampled mode.  Outcomes of the eigenspace that an
+    exact-mode ensemble state cannot reach are listed in ``unprobed_labels``
+    rather than silently skipped.
     """
 
     stage: StageKind
@@ -125,26 +178,29 @@ class Classification:
     detected_at: StageKind | None
     evidence: tuple[StageResult, ...]
     false_acceptance_bound: float | None
-    transcript: tuple[MeasurementRecord, ...]
+    transcript: Transcript
     target_eigenvalue: float | None = None
     reference_label: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Systems selected for one protocol pass.
 
-    Sampled mode carries individually tracked pure systems; exact mode
-    carries the one branch density matrix the selection produces.
+    Sampled mode carries the selected systems as arrays: ``ids`` holds each
+    system's id in the unselected ensemble and row ``i`` of ``states`` its
+    normalised pure state.  Exact mode carries the one branch density matrix
+    the selection produces.
     """
 
     provenance: str
-    systems: tuple[tuple[int, PureState], ...] | None = None
+    ids: np.ndarray | None = None
+    states: np.ndarray | None = None
     state: DensityMatrix | None = None
 
     @property
     def size(self) -> int:
-        return len(self.systems) if self.systems is not None else 0
+        return len(self.ids) if self.ids is not None else 0
 
 
 def required_ensemble_size(min_disturbance: float, confidence: float) -> int:
@@ -171,20 +227,29 @@ def classify_refinement_oracle(refinement: Refinement, k: int) -> Verdict:
 
 def _as_pure_mixture(
     initial: PureState | DensityMatrix, tol: float
-) -> list[tuple[float, PureState]]:
-    """Resolve an initial state into a pure-state mixture for sampling."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve an initial state into a pure-state mixture for sampling.
+
+    Returns the cumulative mixture weights, ending at exactly 1, and the
+    component state vectors as rows.
+    """
     if isinstance(initial, PureState):
-        return [(1.0, initial)]
+        return np.ones(1), initial.vector[None, :]
     # Mixture weights are the eigenvalues of the density matrix.
     w, v = hermitian_eig(initial.matrix, tol)
-    mixture = []
-    for i, weight in enumerate(w):
-        if weight > tol:
-            mixture.append((float(weight), PureState(v[:, i])))
-    if not mixture:
+    keep = w > tol
+    if not keep.any():
         raise ValueError("initial density matrix has no positive-weight component")
-    total = sum(p for p, _ in mixture)
-    return [(p / total, s) for p, s in mixture]
+    cdf = np.cumsum(w[keep])
+    return cdf / cdf[-1], v[:, keep].T
+
+
+def _coarse_index(app: MeasurementApparatus, label: float) -> int:
+    """The index of ``label`` among the apparatus outcomes, or -1 if absent."""
+    for i, lab in enumerate(app.outcome_labels):
+        if _labels_close(lab, label):
+            return i
+    return -1
 
 
 def prepare_ensemble(
@@ -202,24 +267,12 @@ def prepare_ensemble(
     the matching branch of the exact channel.
     """
     if config.mode is Mode.SAMPLED:
-        mixture = _as_pure_mixture(initial, config.tol)
-        kept = []
-        for sid in range(config.ensemble_size):
-            state = mixture[0][1]
-            if len(mixture) > 1:
-                u = rng.random()
-                acc = 0.0
-                for p, s in mixture:
-                    acc += p
-                    if u < acc:
-                        state = s
-                        break
-                else:
-                    state = mixture[-1][1]
-            label, post = app.measure_sampled(state, rng)
-            if _labels_close(label, target_label):
-                kept.append((sid, post))
-        if not kept:
+        cdf, components = _as_pure_mixture(initial, config.tol)
+        # One draw per system picks its mixture component.
+        pick = np.searchsorted(cdf, rng.random(config.ensemble_size), side="right")
+        coarse, post = app.measure_sampled(components[pick], rng)
+        ids = np.flatnonzero(coarse == _coarse_index(app, target_label))
+        if len(ids) == 0:
             raise EmptySelectionError(
                 f"no system returned eigenvalue {target_label}; the initial "
                 "state may be orthogonal to its eigenspace, or the ensemble "
@@ -228,7 +281,8 @@ def prepare_ensemble(
         return Ensemble(
             provenance=f"selected label {target_label} from "
             f"{config.ensemble_size} systems",
-            systems=tuple(kept),
+            ids=ids,
+            states=post[ids],
         )
     rho = initial.density() if isinstance(initial, PureState) else initial
     for label, prob, branch in app.channel_exact(rho):
@@ -262,76 +316,77 @@ def run_stage(
     kind: StageKind,
     config: ProtocolConfig,
     rng: np.random.Generator,
-    transcript: list[MeasurementRecord] | None = None,
-    clock: "itertools.count | None" = None,
+    transcript: list[Transcript] | None = None,
 ) -> tuple[StageResult, dict[float, Ensemble]]:
     """One pass: auxiliary measurement, apparatus, auxiliary measurement again.
 
     Returns the stage evidence and, keyed by first auxiliary outcome, the
-    subensembles available for a follow-up pass.  Raises
-    :class:`RepeatabilityError` if the apparatus ever fails to reproduce the
-    target eigenvalue on a selected system.
+    subensembles available for a follow-up pass.  In sampled mode the pass's
+    measurement records are appended to ``transcript`` when it is given.
+    Raises :class:`RepeatabilityError` if the apparatus ever fails to
+    reproduce the target eigenvalue on a selected system.
     """
     target_label = base.eigenvalues[target_group]
     if config.mode is Mode.SAMPLED:
         return _run_stage_sampled(
-            ensemble, aux, app, target_label, kind, config, rng, transcript, clock
+            ensemble, aux, app, target_label, kind, rng, transcript
         )
     return _run_stage_exact(ensemble, aux, app, base, target_group, kind, config)
 
 
-def _run_stage_sampled(
-    ensemble, aux, app, target_label, kind, config, rng, transcript, clock
-):
-    first_stage, app_stage, second_stage = _STAGE_RECORDS[kind]
-    if ensemble.systems is None:
+def _run_stage_sampled(ensemble, aux, app, target_label, kind, rng, transcript):
+    if ensemble.states is None:
         raise ValueError("sampled mode needs an ensemble of tracked systems")
-    if clock is None:
-        clock = itertools.count()
-    mismatches = 0
-    observed: list[float] = []
-    sub: dict[float, list[tuple[int, PureState]]] = {}
-
-    def record(sid, stage, label):
-        if transcript is not None:
-            transcript.append(
-                MeasurementRecord(sid, stage, float(label), next(clock))
-            )
-        else:
-            next(clock)
-
-    for sid, state in ensemble.systems:
-        first, state = measure_pure(aux, state, rng)
-        record(sid, first_stage, first)
-        coarse, state = app.measure_sampled(state, rng)
-        record(sid, app_stage, coarse)
-        if not _labels_close(coarse, target_label):
-            raise RepeatabilityError(
-                f"apparatus returned {coarse} on a system selected for "
-                f"{target_label}; it does not measure the base observable"
-            )
-        second, state = measure_pure(aux, state, rng)
-        record(sid, second_stage, second)
-        if first not in observed:
-            observed.append(first)
-        if second != first:
-            mismatches += 1
-        sub.setdefault(first, []).append((sid, state))
+    first, states = measure_pure(aux, ensemble.states, rng)
+    coarse, states = app.measure_sampled(states, rng)
+    wrong = np.flatnonzero(coarse != _coarse_index(app, target_label))
+    if len(wrong):
+        raise RepeatabilityError(
+            f"apparatus returned {app.outcome_labels[coarse[wrong[0]]]} on a "
+            f"system selected for {target_label}; it does not measure the "
+            "base observable"
+        )
+    second, states = measure_pure(aux, states, rng)
+    if transcript is not None:
+        labels = np.array(aux.eigenvalues)
+        # Per system, its three records in measurement order.
+        transcript.append(Transcript(
+            np.repeat(ensemble.ids, 3),
+            np.tile([_STAGES.index(s) for s in _STAGE_RECORDS[kind]], len(first)),
+            np.column_stack([
+                labels[first], np.take(app.outcome_labels, coarse), labels[second]
+            ]).ravel(),
+        ))
+    n = aux.group_count
+    table = np.bincount(first * n + second, minlength=n * n).reshape(n, n)
+    reached = table.sum(axis=1)
+    support = tuple(
+        (aux.eigenvalues[a], tuple(
+            (aux.eigenvalues[b], float(table[a, b] / reached[a]))
+            for b in np.flatnonzero(table[a])
+        ))
+        for a in np.flatnonzero(reached)
+    )
+    _, first_seen = np.unique(first, return_index=True)
+    observed = first[np.sort(first_seen)]
+    mismatches = int(np.count_nonzero(first != second))
     result = StageResult(
         stage=kind,
         consistent=mismatches == 0,
-        observed_first_labels=tuple(observed),
+        observed_first_labels=tuple(aux.eigenvalues[a] for a in observed),
         mismatch_count=mismatches,
-        trials=len(ensemble.systems),
-        branch_support=(),
+        trials=len(first),
+        branch_support=support,
     )
-    subensembles = {
-        label: Ensemble(
-            provenance=f"{ensemble.provenance} -> {kind.value} outcome {label}",
-            systems=tuple(members),
+    subensembles = {}
+    for a in observed:
+        members = first == a
+        subensembles[aux.eigenvalues[a]] = Ensemble(
+            provenance=f"{ensemble.provenance} -> {kind.value} outcome "
+            f"{aux.eigenvalues[a]}",
+            ids=ensemble.ids[members],
+            states=states[members],
         )
-        for label, members in sub.items()
-    }
     return result, subensembles
 
 
@@ -448,18 +503,17 @@ def discriminate(
             detected_at=None,
             evidence=(),
             false_acceptance_bound=None,
-            transcript=(),
+            transcript=Transcript(),
         )
     target_label = decomp.eigenvalues[target_group]
     rng = np.random.default_rng(config.seed)
-    transcript: list[MeasurementRecord] = []
-    clock = itertools.count()
+    transcript: list[Transcript] = []
 
     ensemble = prepare_ensemble(initial, app, target_label, config, rng)
     _, sigma = build_sigma(decomp)
     first, subensembles = run_stage(
         ensemble, sigma, app, decomp, target_group, StageKind.SIGMA,
-        config, rng, transcript, clock,
+        config, rng, transcript,
     )
     if not first.consistent:
         return Classification(
@@ -467,7 +521,7 @@ def discriminate(
             detected_at=StageKind.SIGMA,
             evidence=(first,),
             false_acceptance_bound=None,
-            transcript=tuple(transcript),
+            transcript=Transcript.concatenate(transcript),
             target_eigenvalue=target_label,
         )
 
@@ -489,7 +543,7 @@ def discriminate(
         )
     second, _ = run_stage(
         subensembles[reference], sigma_prime, app, decomp, target_group,
-        StageKind.SIGMA_PRIME, config, rng, transcript, clock,
+        StageKind.SIGMA_PRIME, config, rng, transcript,
     )
     if not second.consistent:
         return Classification(
@@ -497,7 +551,7 @@ def discriminate(
             detected_at=StageKind.SIGMA_PRIME,
             evidence=(first, second),
             false_acceptance_bound=None,
-            transcript=tuple(transcript),
+            transcript=Transcript.concatenate(transcript),
             target_eigenvalue=target_label,
             reference_label=reference,
         )
@@ -509,7 +563,7 @@ def discriminate(
         detected_at=None,
         evidence=(first, second),
         false_acceptance_bound=bound,
-        transcript=tuple(transcript),
+        transcript=Transcript.concatenate(transcript),
         target_eigenvalue=target_label,
         reference_label=reference,
     )

@@ -383,43 +383,48 @@ def sample_outcome(dist: OutcomeDistribution, rng: np.random.Generator) -> float
 def collapse(
     basis: np.ndarray,
     starts: np.ndarray,
-    vector: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    """Sample one block of an orthonormal basis by the Born rule and project.
+    states: np.ndarray,
+    u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure every row of ``states`` in blocks of an orthonormal basis.
 
     ``basis`` holds the basis vectors as columns, grouped into consecutive
-    blocks that begin at the column indices ``starts``.  One ``rng.random()``
-    draw picks the block by inverse CDF over the block weights.  Returns the
-    block index and the renormalised projection of ``vector`` onto it.
+    blocks that begin at the column indices ``starts``; ``states`` holds one
+    normalised state vector per row.  Row ``i`` picks its block by inverse
+    CDF of ``u[i]`` in [0, 1) over its Born block weights.  Returns the block
+    index of each row and the rows' renormalised projections onto their
+    blocks.  Raises ValueError if some row is numerically orthogonal to
+    every block.
     """
-    amps = basis.conj().T @ vector
-    weights = np.add.reduceat(np.abs(amps) ** 2, starts)
-    total = float(weights.sum())
-    if total <= DEFAULT_TOL:
+    amps = states @ basis.conj()
+    weights = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
+    cdf = np.cumsum(weights, axis=1)
+    total = cdf[:, -1]
+    if np.any(total <= DEFAULT_TOL):
         raise ValueError("state is numerically orthogonal to every outcome")
-    u = rng.random() * total
-    acc = 0.0
-    k = len(weights) - 1
-    for i, w in enumerate(weights.tolist()):
-        acc += w
-        if u < acc:
-            k = i
-            break
-    lo = int(starts[k])
-    hi = int(starts[k + 1]) if k + 1 < len(starts) else basis.shape[1]
-    post = basis[:, lo:hi] @ amps[lo:hi]
-    return k, post / np.linalg.norm(post)
+    # Block k is chosen when cdf[k-1] <= u * total < cdf[k]; blocks of zero
+    # weight are never chosen.
+    k = np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
+    block_of_column = np.repeat(
+        np.arange(len(starts)), np.diff(starts, append=basis.shape[1])
+    )
+    post = np.where(block_of_column == k[:, None], amps, 0.0) @ basis.T
+    # The basis is orthonormal, so the chosen block's weight is |post|^2.
+    return k, post / np.sqrt(np.take_along_axis(weights, k[:, None], axis=1))
 
 
 def measure_pure(
-    decomp: SpectralDecomposition, state: PureState, rng: np.random.Generator
-) -> tuple[float, PureState]:
-    """Sample one projective measurement on a pure state and collapse it."""
-    if state.dim != decomp.dim:
+    decomp: SpectralDecomposition, states: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure every row of ``states`` projectively and collapse it.
+
+    One ``rng.random(len(states))`` draw picks the outcomes.  Returns the
+    outcome index of each row into ``decomp.eigenvalues`` and the
+    post-measurement rows.
+    """
+    if states.shape[1] != decomp.dim:
         raise ValueError("state dimension does not match the observable")
-    k, post = collapse(*decomp._stacked, state.vector, rng)
-    return decomp.eigenvalues[k], PureState(post)
+    return collapse(*decomp._stacked, states, rng.random(len(states)))
 
 
 def build_spin_operator(

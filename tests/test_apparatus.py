@@ -109,24 +109,21 @@ def test_channel_exact_branches_sum_to_identity_action(rng):
 
 def test_measure_sampled_is_repeatable(rng):
     app = phi_apparatus()
-    state = PureState((PLUS_MINUS + PLUS_PLUS) / np.sqrt(2))
-    for _ in range(50):
-        label, post = app.measure_sampled(state, rng)
-        label2, post2 = app.measure_sampled(post, rng)
-        assert label2 == label
-        assert abs(np.vdot(post.vector, post2.vector)) == pytest.approx(1.0)
+    states = np.tile((PLUS_MINUS + PLUS_PLUS) / np.sqrt(2), (50, 1))
+    label, post = app.measure_sampled(states, rng)
+    label2, post2 = app.measure_sampled(post, rng)
+    assert np.array_equal(label2, label)
+    overlaps = np.abs(np.sum(post.conj() * post2, axis=1))
+    assert overlaps == pytest.approx(np.ones(50))
 
 
 def test_measure_sampled_statistics_match_channel(rng):
     app = phi_apparatus()
-    state = PureState(PLUS_MINUS)
-    counts = {}
-    overlaps = []
-    for _ in range(3000):
-        label, post = app.measure_sampled(state, rng)
-        counts[label] = counts.get(label, 0) + 1
-        if label == 0.0:
-            overlaps.append(abs(np.vdot(PHI_PLUS, post.vector)) ** 2)
+    states = np.tile(PLUS_MINUS, (3000, 1))
+    index, post = app.measure_sampled(states, rng)
+    labels = np.take(app.outcome_labels, index)
+    counts = dict(zip(*np.unique(labels, return_counts=True)))
+    overlaps = np.abs(post[labels == 0.0] @ PHI_PLUS.conj()) ** 2
     assert counts == {0.0: 3000}
     # half the collapses land on |phi+>, half on |phi->
     assert np.mean(overlaps) == pytest.approx(0.5, abs=0.05)
@@ -185,10 +182,10 @@ def test_sampled_frequencies_match_exact_channel():
                     np.outer(state.vector, state.vector.conj())))}
     rng = np.random.default_rng(2024)
     n = 10_000
-    counts = {}
-    for _ in range(n):
-        label, _ = app.measure_sampled(state, rng)
-        counts[label] = counts.get(label, 0) + 1
+    index, _ = app.measure_sampled(np.tile(state.vector, (n, 1)), rng)
+    labels, tallies = np.unique(np.take(app.outcome_labels, index),
+                                return_counts=True)
+    counts = dict(zip(labels.tolist(), tallies.tolist()))
     assert set(counts) == set(expected)
     for lab, p in expected.items():
         bound = 5 * np.sqrt(n * p * (1 - p))

@@ -95,6 +95,35 @@ def test_hermitian_eig_phase_convention_is_deterministic():
         assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
+def per_column_phase_reference(a, tol=1e-9):
+    """Eigenvectors with the phase convention applied one column at a time."""
+    m = np.asarray(a, dtype=complex)
+    _, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    v = v[:, ::-1].copy()
+    for i in range(v.shape[1]):
+        for x in v[:, i]:
+            if abs(x) > tol:
+                v[:, i] = v[:, i] * (np.conj(x) / abs(x))
+                break
+    return v
+
+
+def test_hermitian_eig_phase_matches_per_column_reference():
+    rng = np.random.default_rng(2718)
+    matrices = []
+    for dim in (4, 8, 64):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        matrices.append(z + z.conj().T)
+    # the first significant component sits in a different row in each column
+    diagonal = np.diag([1.0, 3.0, -2.0, 0.5, 2.0])
+    matrices.append(diagonal)
+    for a in matrices:
+        _, v = hermitian_eig(a)
+        assert np.array_equal(v, per_column_phase_reference(a))
+    _, v = hermitian_eig(diagonal)
+    assert np.array_equal(v, np.eye(5)[:, [1, 4, 0, 3, 2]])
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=2, max_value=10))

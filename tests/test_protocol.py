@@ -11,8 +11,10 @@ from ludercheck.apparatus import make_full_von_neumann, make_luders, make_partia
 from ludercheck.protocol import (
     EmptySelectionError,
     Mode,
+    RepeatabilityError,
     ProtocolConfig,
     StageKind,
+    Transcript,
     Verdict,
     classify_refinement_oracle,
     discriminate,
@@ -107,8 +109,8 @@ def test_prepare_ensemble_sampled_keeps_matching_systems():
     assert 0 < ens.size < 300
     # around two thirds of preparations land in the target eigenspace
     assert ens.size == pytest.approx(200, abs=40)
-    for _, state in ens.systems:
-        assert abs(np.vdot(PHI_PLUS, state.vector)) == pytest.approx(1.0)
+    for state in ens.states:
+        assert abs(np.vdot(PHI_PLUS, state)) == pytest.approx(1.0)
 
 
 def test_prepare_ensemble_raises_when_nothing_matches():
@@ -118,6 +120,19 @@ def test_prepare_ensemble_raises_when_nothing_matches():
     rng = np.random.default_rng(3)
     with pytest.raises(EmptySelectionError):
         prepare_ensemble(PureState(PLUS_PLUS), app, 0.0, cfg, rng)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SAMPLED])
+def test_apparatus_for_another_observable_fails_repeatability(mode):
+    # same spectrum as total z, different eigenspaces: the device keeps
+    # (|+-> - |-+>)/sqrt(2) from |+->, and a sigma outcome on that state
+    # leaves the device's 0 eigenspace with probability one half
+    other = build_spin_operator(2, ((1.0, "XI"), (1.0, "IX")))
+    app = make_luders(spectral_decompose(other))
+    cfg = ProtocolConfig(mode=mode, ensemble_size=200, seed=4,
+                         target_eigenvalue=0.0)
+    with pytest.raises(RepeatabilityError):
+        discriminate(PureState(PLUS_MINUS), app, total_z(), cfg)
 
 
 def test_exact_luders_two_spins():
@@ -131,7 +146,7 @@ def test_exact_luders_two_spins():
     assert [s.stage for s in result.evidence] == [StageKind.SIGMA,
                                                   StageKind.SIGMA_PRIME]
     assert all(s.consistent for s in result.evidence)
-    assert result.transcript == ()
+    assert result.transcript == Transcript()
 
 
 def test_exact_von_neumann_detected_at_first_pass():

@@ -15,6 +15,7 @@ from ludercheck.quantum import (
     build_sigma,
     build_sigma_prime,
     build_spin_operator,
+    collapse,
     luders_channel,
     luders_update,
     measure_pure,
@@ -192,19 +193,60 @@ def test_sample_outcome_follows_distribution():
 
 def test_measure_pure_collapses_and_renormalizes(rng):
     d = spectral_decompose(total_z())
-    psi = PureState((PLUS_MINUS + PLUS_PLUS) / SQ2)
-    label, post = measure_pure(d, psi, rng)
+    psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
+    index, post = measure_pure(d, psi[None, :], rng)
+    label = d.eigenvalues[index[0]]
     assert label in (2.0, 0.0)
-    assert np.isclose(np.linalg.norm(post.vector), 1.0)
+    assert np.isclose(np.linalg.norm(post[0]), 1.0)
     if label == 0.0:
-        assert abs(np.vdot(PLUS_MINUS, post.vector)) == pytest.approx(1.0)
+        assert abs(np.vdot(PLUS_MINUS, post[0])) == pytest.approx(1.0)
 
 
 def test_measure_pure_statistics(rng):
     d = spectral_decompose(total_z())
-    psi = PureState((PLUS_MINUS + PLUS_PLUS) / SQ2)
-    labels = [measure_pure(d, psi, rng)[0] for _ in range(2000)]
-    assert np.mean([x == 2.0 for x in labels]) == pytest.approx(0.5, abs=0.05)
+    psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
+    index, _ = measure_pure(d, np.tile(psi, (2000, 1)), rng)
+    labels = np.take(d.eigenvalues, index)
+    assert np.mean(labels == 2.0) == pytest.approx(0.5, abs=0.05)
+
+
+# collapse kernel: a random orthonormal basis of C^6 in blocks of 2, 1 and 3
+KERNEL_STARTS = np.array([0, 2, 3])
+KERNEL_SPANS = ((0, 2), (2, 3), (3, 6))
+
+
+def test_collapse_block_frequencies_match_born_weights():
+    rng = np.random.default_rng(31)
+    basis = random_unitary(6, rng)
+    psi = random_state(6, rng)
+    born = [np.linalg.norm(basis[:, lo:hi].conj().T @ psi) ** 2
+            for lo, hi in KERNEL_SPANS]
+    n = 10_000
+    k, _ = collapse(basis, KERNEL_STARTS, np.tile(psi, (n, 1)), rng.random(n))
+    counts = np.bincount(k, minlength=3)
+    for count, p in zip(counts, born):
+        assert abs(count - n * p) <= 5 * np.sqrt(n * p * (1 - p))
+
+
+def test_collapse_rows_are_unit_and_lie_in_their_block():
+    rng = np.random.default_rng(32)
+    basis = random_unitary(6, rng)
+    states = np.array([random_state(6, rng) for _ in range(500)])
+    k, post = collapse(basis, KERNEL_STARTS, states, rng.random(500))
+    assert np.allclose(np.linalg.norm(post, axis=1), 1.0, atol=1e-12)
+    for block, (lo, hi) in enumerate(KERNEL_SPANS):
+        rows = post[k == block]
+        assert len(rows) > 0
+        projector = basis[:, lo:hi] @ basis[:, lo:hi].conj().T
+        assert np.allclose(rows @ projector.T, rows, atol=1e-12)
+
+
+def test_collapse_rejects_a_row_orthogonal_to_every_block():
+    rng = np.random.default_rng(33)
+    basis = random_unitary(6, rng)
+    states = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
+    with pytest.raises(ValueError):
+        collapse(basis, KERNEL_STARTS, states, rng.random(3))
 
 
 def test_build_spin_operator_two_site_sum():
