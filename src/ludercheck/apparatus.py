@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +51,8 @@ class MeasurementRecord:
     timestamp_index: int
 
 
-def _labels_close(a: float, b: float) -> bool:
+def labels_close(a: float, b: float) -> bool:
+    """Whether two outcome labels agree within a relative tolerance of 1e-6."""
     return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-6 * (1.0 + abs(b)))
 
 
@@ -75,29 +77,33 @@ class MeasurementApparatus:
                 expected = base.eigenvalues[k]
                 for lab in group_labels:
                     got = float(output_map(lab))
-                    if not _labels_close(got, expected):
+                    if not labels_close(got, expected):
                         raise ValueError(
                             f"output map sends refined label {lab} to {got}, "
                             f"but every block of eigenspace {k} must map to "
                             f"{expected}"
                         )
-        # Flat block layout: columns of one unitary matrix, block spans as
-        # (start, stop) slices, and the eigenspace index per block.
+        # Flat block layout: the columns of one unitary matrix, eigenspace
+        # after eigenspace and block after block inside each; the first
+        # column and the eigenspace of each block, the column bounds of each
+        # eigenspace, and a mask that is True where row and column lie in
+        # the same block.
         cols = []
-        spans = []
+        starts = []
         groups = []
-        offset = 0
+        block_of = []
         for k, cells in enumerate(refinement.blocks):
             for cell in cells:
-                for i in cell:
-                    cols.append(refinement.basis[k][i])
-                spans.append((offset, offset + len(cell)))
+                block_of += [len(starts)] * len(cell)
+                starts.append(len(cols))
                 groups.append(k)
-                offset += len(cell)
+                cols += [refinement.basis[k][i] for i in cell]
         self._basis = np.column_stack(cols)
-        self._spans = tuple(spans)
+        self._starts = np.array(starts)
         self._groups = tuple(groups)
-        self._starts = np.array([s for s, _ in spans])
+        self._bounds = tuple(accumulate(base.multiplicities, initial=0))
+        block_of = np.array(block_of)
+        self._same_block = block_of[:, None] == block_of
 
     @property
     def dim(self) -> int:
@@ -135,28 +141,26 @@ class MeasurementApparatus:
 
         Returns ``(label, probability, branch_state)`` per coarse outcome in
         descending label order, omitting outcomes of numerically zero
-        probability.  Probabilities sum to one.
+        probability.  Probabilities sum to one.  One pass: with B the block
+        basis, R = B^H rho B gives the outcome probabilities as sums of its
+        diagonal over each eigenspace's columns, and the branch of outcome
+        k is B (R o M_k) B^H, where the mask M_k keeps the entries of R
+        whose row and column lie in the same block of eigenspace k.
         """
         if rho.dim != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        per_group: dict[int, np.ndarray] = {}
-        for (lo, hi), k in zip(self._spans, self._groups):
-            block = self._basis[:, lo:hi]
-            inner = block.conj().T @ rho.matrix @ block
-            branch = block @ inner @ block.conj().T
-            if k in per_group:
-                per_group[k] = per_group[k] + branch
-            else:
-                per_group[k] = branch
+        b = self._basis
+        r = b.conj().T @ rho.matrix @ b
+        probs = np.add.reduceat(r.diagonal().real, self._bounds[:-1])
+        r = np.where(self._same_block, r, 0.0)
         out = []
-        for k in sorted(per_group):
-            acc = per_group[k]
-            prob = float(np.trace(acc).real)
+        for k, prob in enumerate(probs.tolist()):
             if prob <= DEFAULT_TOL:
                 continue
-            out.append(
-                (self._refinement.base.eigenvalues[k], prob, DensityMatrix(acc / prob))
-            )
+            lo, hi = self._bounds[k], self._bounds[k + 1]
+            block = b[:, lo:hi]
+            branch = block @ r[lo:hi, lo:hi] @ block.conj().T
+            out.append((self.outcome_labels[k], prob, DensityMatrix(branch / prob)))
         return out
 
 

@@ -27,7 +27,7 @@ from .protocol import (
     Verdict,
     classify_refinement_oracle,
     discriminate,
-    _resolve_target,
+    resolve_target,
 )
 from .quantum import spectral_decompose
 from .scenarios import (
@@ -505,7 +505,7 @@ def _cmd_validate(args) -> int:
     print(f"apparatus: {type(scenario.apparatus_spec).__name__}")
     print(f"protocol mode: {config.mode.value}")
     if args.reveal:
-        target = _resolve_target(decomp, config)
+        target = resolve_target(decomp, config)
         if target is None:
             print("ground truth: INDETERMINATE (no degenerate target eigenvalue)")
         else:

@@ -31,7 +31,7 @@ from .apparatus import (
     MeasurementApparatus,
     MeasurementRecord,
     Stage,
-    _labels_close,
+    labels_close,
 )
 from .linalg import DEFAULT_TOL, hermitian_eig
 from .quantum import (
@@ -42,8 +42,8 @@ from .quantum import (
     build_sigma,
     build_sigma_prime,
     measure_pure,
+    sigma_entries_in_group,
     spectral_decompose,
-    _sigma_entries_in_group,
 )
 
 
@@ -247,7 +247,7 @@ def _as_pure_mixture(
 def _coarse_index(app: MeasurementApparatus, label: float) -> int:
     """The index of ``label`` among the apparatus outcomes, or -1 if absent."""
     for i, lab in enumerate(app.outcome_labels):
-        if _labels_close(lab, label):
+        if labels_close(lab, label):
             return i
     return -1
 
@@ -286,7 +286,7 @@ def prepare_ensemble(
         )
     rho = initial.density() if isinstance(initial, PureState) else initial
     for label, prob, branch in app.channel_exact(rho):
-        if _labels_close(label, target_label):
+        if labels_close(label, target_label):
             return Ensemble(
                 provenance=f"exact branch for label {target_label} "
                 f"(weight {prob})",
@@ -390,22 +390,22 @@ def _run_stage_sampled(ensemble, aux, app, target_label, kind, rng, transcript):
     return result, subensembles
 
 
+def _diagonal_weights(vectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The weights <v|rho|v> of every column v of ``vectors``."""
+    return (vectors.conj() * (rho @ vectors)).sum(axis=0).real
+
+
 def _run_stage_exact(ensemble, aux, app, base, target_group, kind, config):
     if ensemble.state is None:
         raise ValueError("exact mode needs an ensemble density matrix")
     tol = config.tol
-    rho = ensemble.state.matrix
     target_label = base.eigenvalues[target_group]
-    entries = _sigma_entries_in_group(base, aux, target_group)
-    probed = []
-    unprobed = []
-    for label, vec in entries:
-        weight = float((vec.conj() @ rho @ vec).real)
-        if weight > tol:
-            probed.append((label, vec, weight))
-        else:
-            unprobed.append(label)
-    if not probed:
+    entries = sigma_entries_in_group(base, aux, target_group)
+    labels = [label for label, _ in entries]
+    vectors = np.column_stack([vec for _, vec in entries])
+    weights = _diagonal_weights(vectors, ensemble.state.matrix)
+    probed = np.flatnonzero(weights > tol)
+    if not len(probed):
         raise EmptySelectionError(
             "the ensemble state is orthogonal to every auxiliary outcome of "
             "the target eigenspace"
@@ -413,47 +413,43 @@ def _run_stage_exact(ensemble, aux, app, base, target_group, kind, config):
     mismatches = 0
     supports = []
     subensembles = {}
-    for label, vec, _ in probed:
-        branches = app.channel_exact(PureState(vec).density())
+    for i in probed:
+        label = labels[i]
+        # One density serves as the channel input and the subensemble state.
+        state = PureState(vectors[:, i]).density()
         branch = None
-        for coarse, prob, state in branches:
-            if _labels_close(coarse, target_label):
-                branch = (prob, state)
+        for coarse, prob, post in app.channel_exact(state):
+            if labels_close(coarse, target_label):
+                branch = (prob, post)
                 break
         if branch is None or branch[0] < 1.0 - 1e-6:
             raise RepeatabilityError(
                 f"apparatus failed to reproduce eigenvalue {target_label} on "
                 "an eigenspace state; it does not measure the base observable"
             )
-        second = branch[1].matrix
-        dist = []
-        point_mass = False
-        for lab2, vec2 in entries:
-            q = float((vec2.conj() @ second @ vec2).real)
-            if q > tol:
-                dist.append((lab2, q))
-            if lab2 == label and q >= 1.0 - tol:
-                point_mass = True
-        if not point_mass:
+        second = _diagonal_weights(vectors, branch[1].matrix)
+        if second[i] < 1.0 - tol:
             mismatches += 1
-        supports.append((label, tuple(dist)))
+        supports.append((label, tuple(
+            (labels[j], float(second[j])) for j in np.flatnonzero(second > tol)
+        )))
         subensembles[label] = Ensemble(
             provenance=f"{ensemble.provenance} -> {kind.value} outcome {label}",
-            state=PureState(vec).density(),
+            state=state,
         )
     result = StageResult(
         stage=kind,
         consistent=mismatches == 0,
-        observed_first_labels=tuple(label for label, _, _ in probed),
+        observed_first_labels=tuple(labels[i] for i in probed),
         mismatch_count=mismatches,
         trials=len(probed),
         branch_support=tuple(supports),
-        unprobed_labels=tuple(unprobed),
+        unprobed_labels=tuple(labels[i] for i in np.flatnonzero(weights <= tol)),
     )
     return result, subensembles
 
 
-def _resolve_target(decomp: SpectralDecomposition, config: ProtocolConfig) -> int | None:
+def resolve_target(decomp: SpectralDecomposition, config: ProtocolConfig) -> int | None:
     """The eigenspace to interrogate, or None when the verdict is indeterminate."""
     if config.target_eigenvalue is not None:
         k = decomp.group_index(config.target_eigenvalue)
@@ -466,12 +462,14 @@ def _resolve_target(decomp: SpectralDecomposition, config: ProtocolConfig) -> in
 
 def _exact_reference(ensemble: Ensemble, probed_labels, base, aux, target_group):
     """Highest-probability first outcome; ties go to the earliest label."""
-    rho = ensemble.state.matrix
+    entries = sigma_entries_in_group(base, aux, target_group)
+    weights = _diagonal_weights(
+        np.column_stack([vec for _, vec in entries]), ensemble.state.matrix
+    )
     best = None
-    for label, vec in _sigma_entries_in_group(base, aux, target_group):
+    for (label, _), weight in zip(entries, weights.tolist()):
         if label not in probed_labels:
             continue
-        weight = float((vec.conj() @ rho @ vec).real)
         if best is None or weight > best[1] + 1e-12:
             best = (label, weight)
     return best[0]
@@ -496,7 +494,7 @@ def discriminate(
     decomp = spectral_decompose(
         observable, config.grouping_threshold, tol=config.tol
     )
-    target_group = _resolve_target(decomp, config)
+    target_group = resolve_target(decomp, config)
     if target_group is None:
         return Classification(
             verdict=Verdict.INDETERMINATE,
@@ -531,7 +529,7 @@ def discriminate(
         reference = _exact_reference(
             ensemble, set(first.observed_first_labels), decomp, sigma, target_group
         )
-    in_group = [lab for lab, _ in _sigma_entries_in_group(decomp, sigma, target_group)]
+    in_group = [lab for lab, _ in sigma_entries_in_group(decomp, sigma, target_group)]
     reference_index = in_group.index(reference)
     _, sigma_prime = build_sigma_prime(decomp, sigma, target_group, reference_index)
     if reference not in subensembles or (

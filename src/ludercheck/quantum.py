@@ -77,9 +77,12 @@ class DensityMatrix:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > 1e-6:
             raise ValueError(f"density matrix trace {trace} is not 1")
-        # Positivity check only; spectral data always comes from hermitian_eig.
-        if float(np.linalg.eigvalsh(m)[0]) < -DEFAULT_TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+        # m + tol*I has a Cholesky factor exactly when every eigenvalue of m
+        # exceeds -tol; spectral data always comes from hermitian_eig.
+        try:
+            np.linalg.cholesky(m + DEFAULT_TOL * np.eye(m.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix has a negative eigenvalue") from None
         m = 0.5 * (m + m.conj().T)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -548,29 +551,27 @@ def build_sigma(
     return _rank_one_decomposition(pairs)
 
 
-def _sigma_entries_in_group(
+def sigma_entries_in_group(
     decomp: SpectralDecomposition, sigma: SpectralDecomposition, k: int
 ) -> list[tuple[float, np.ndarray]]:
-    """The (label, vector) entries of a non-degenerate sigma inside eigenspace k."""
+    """The (label, vector) entries of a non-degenerate sigma inside eigenspace k.
+
+    Raises ValueError if some sigma eigenvector straddles eigenspace ``k``,
+    whether it lies mostly inside it or mostly outside.
+    """
     if any(m != 1 for m in sigma.multiplicities):
         raise ValueError("auxiliary observable must be non-degenerate")
-    proj = decomp.projectors[k]
-    inside = []
-    for label, (vec,) in zip(sigma.eigenvalues, sigma.eigenbasis):
-        weight = float(np.linalg.norm(proj @ vec) ** 2)
-        if weight > 0.5:
-            if weight < 1.0 - 1e-8:
-                raise ValueError(
-                    "auxiliary eigenvector straddles eigenspaces; "
-                    "the auxiliary observable must commute with the base"
-                )
-            inside.append((label, vec))
-        elif weight > 1e-8:
-            raise ValueError(
-                "auxiliary eigenvector straddles eigenspaces; "
-                "the auxiliary observable must commute with the base"
-            )
-    return inside
+    amps = decomp.projectors[k] @ sigma._stacked[0]
+    weights = (amps.real**2 + amps.imag**2).sum(axis=0)
+    if np.any((weights > 1e-8) & (weights < 1.0 - 1e-8)):
+        raise ValueError(
+            "auxiliary eigenvector straddles eigenspaces; "
+            "the auxiliary observable must commute with the base"
+        )
+    return [
+        (sigma.eigenvalues[i], sigma.eigenbasis[i][0])
+        for i in np.flatnonzero(weights > 0.5)
+    ]
 
 
 def build_sigma_prime(
@@ -588,7 +589,7 @@ def build_sigma_prime(
     observable coincides with sigma.  For n_k = 2 the mixtures are the
     familiar pair (|s1> +- |s2>)/sqrt(2).
     """
-    inside = _sigma_entries_in_group(decomp, sigma, k)
+    inside = sigma_entries_in_group(decomp, sigma, k)
     n = len(inside)
     if n < 2:
         raise ValueError(

@@ -13,9 +13,13 @@ from ludercheck.apparatus import (
 from ludercheck.quantum import (
     DensityMatrix,
     PureState,
+    Refinement,
     luders_channel,
     spectral_decompose,
+    spread_labels,
 )
+
+from conftest import random_density, random_unitary
 
 from test_quantum import (
     MINUS_MINUS,
@@ -221,3 +225,65 @@ def test_channel_exact_on_maximally_mixed_weights_by_degeneracy():
         assert probs[2.0] == pytest.approx(0.25, abs=1e-12)
         assert probs[0.0] == pytest.approx(0.5, abs=1e-12)
         assert probs[-2.0] == pytest.approx(0.25, abs=1e-12)
+
+
+def rotated_partial_apparatus(spectrum, rng):
+    """A Haar-rotated observable and an apparatus over random blocks.
+
+    Each eigenspace's canonical basis is rotated by a Haar unitary and cut
+    into a random number of consecutive cells of a random permutation.
+    """
+    u = random_unitary(len(spectrum), rng)
+    base = spectral_decompose((u * np.asarray(spectrum, float)) @ u.conj().T)
+    basis = []
+    blocks = []
+    for group in base.eigenbasis:
+        n = len(group)
+        rotated = np.column_stack(group) @ random_unitary(n, rng)
+        basis.append(tuple(rotated.T))
+        cells = np.array_split(rng.permutation(n), rng.integers(1, n + 1))
+        blocks.append(tuple(tuple(int(i) for i in cell) for cell in cells))
+    labels = spread_labels(base.eigenvalues, [len(cells) for cells in blocks])
+    refinement = Refinement(
+        base=base, basis=tuple(basis), blocks=tuple(blocks), labels=labels
+    )
+    return MeasurementApparatus(refinement)
+
+
+def per_block_channel(app, rho):
+    """Reference: sum over the blocks of P_b rho P_b, grouped by coarse label."""
+    ref = app.reveal_refinement()
+    out = []
+    for k, label in enumerate(app.outcome_labels):
+        acc = sum(
+            ref.sub_projector(k, b) @ rho @ ref.sub_projector(k, b)
+            for b in range(ref.block_count(k))
+        )
+        prob = float(np.trace(acc).real)
+        if prob > 1e-9:
+            out.append((label, prob, acc / prob))
+    return out
+
+
+@pytest.mark.parametrize("spectrum", [
+    [1, 1, 1, 0],
+    [3, 3, 3, 3, 1, 1, 1, -2],
+    np.repeat([6, 4, 2, 0, -2, -4, -6], [1, 6, 15, 20, 15, 6, 1]),
+], ids=["d4", "d8", "d64"])
+def test_channel_exact_matches_per_block_reference(spectrum):
+    rng = np.random.default_rng(len(spectrum))
+    for _ in range(3):
+        app = rotated_partial_apparatus(spectrum, rng)
+        mixed = random_density(app.dim, rng)
+        # The same state with eigenspace 1 projected out: that outcome has
+        # zero probability and must be left out.
+        q = np.eye(app.dim) - app.reveal_refinement().base.projectors[1]
+        off = q @ mixed @ q
+        for rho in (mixed, off / np.trace(off).real):
+            got = app.channel_exact(DensityMatrix(rho))
+            want = per_block_channel(app, rho)
+            assert [lab for lab, _, _ in got] == [lab for lab, _, _ in want]
+            for (_, p, post), (_, p_ref, post_ref) in zip(got, want):
+                assert abs(p - p_ref) <= 1e-12
+                assert np.max(np.abs(post.matrix - post_ref)) <= 1e-12
+        assert app.outcome_labels[1] not in [lab for lab, _, _ in got]

@@ -20,6 +20,7 @@ from ludercheck.quantum import (
     luders_update,
     measure_pure,
     sample_outcome,
+    sigma_entries_in_group,
     spectral_decompose,
 )
 
@@ -58,6 +59,21 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("dim", [2, 64])
+def test_density_matrix_positivity_boundary(dim):
+    """Every eigenvalue must be >= -1e-9: -2e-9 is rejected, -5e-10 accepted."""
+    u = np.eye(dim) if dim == 2 else random_unitary(dim, np.random.default_rng(7))
+    for smallest, accepted in ((-2e-9, False), (-5e-10, True)):
+        w = np.full(dim, (1.0 - smallest) / (dim - 1))
+        w[-1] = smallest
+        m = (u * w) @ u.conj().T
+        if accepted:
+            assert DensityMatrix(m).dim == dim
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(m)
 
 
 def test_outcome_distribution_drops_zero_entries():
@@ -349,6 +365,29 @@ def test_build_sigma_eigenvectors_refine_base():
     sigma, sd = build_sigma(d)
     assert np.allclose(sigma @ a, a @ sigma, atol=1e-9)
     assert sd.group_count == 4
+
+
+def test_sigma_entries_in_group_and_straddling_vectors():
+    d = spectral_decompose(total_z())
+    _, sigma = build_sigma(d)
+    inside = sigma_entries_in_group(d, sigma, 1)
+    assert [label for label, _ in inside] == list(sigma.eigenvalues[1:3])
+    for (_, vec), (expected,) in zip(inside, sigma.eigenbasis[1:3]):
+        assert np.array_equal(vec, expected)
+    # Fourier mixtures of |++>, |+->, |-+> have weight 2/3 in eigenspace 1
+    # and 1/3 in eigenspace 0: mostly inside and mostly outside straddle.
+    omega = np.exp(2j * np.pi / 3)
+    mixed = [
+        (PLUS_PLUS + omega**j * PLUS_MINUS + omega ** (2 * j) * MINUS_PLUS)
+        / np.sqrt(3)
+        for j in range(3)
+    ]
+    _, bad = build_sigma(spectral_decompose(
+        sum((j + 1) * np.outer(v, v.conj()) for j, v in enumerate(mixed))
+    ))
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="straddles eigenspaces"):
+            sigma_entries_in_group(d, bad, k)
 
 
 def test_build_sigma_prime_mixes_within_target_group():
