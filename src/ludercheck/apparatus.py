@@ -23,6 +23,7 @@ from . import linalg
 from .linalg import DEFAULT_TOL
 from .quantum import (
     DensityMatrix,
+    PureState,
     Refinement,
     SpectralDecomposition,
     collapse,
@@ -135,9 +136,9 @@ class MeasurementApparatus:
         return np.take(self._groups, blocks), post
 
     def channel_exact(
-        self, rho: DensityMatrix
+        self, state: PureState | DensityMatrix
     ) -> list[tuple[float, float, DensityMatrix]]:
-        """The exact outcome-labelled channel on a density matrix.
+        """The exact outcome-labelled channel on a pure or mixed state.
 
         Returns ``(label, probability, branch_state)`` per coarse outcome in
         descending label order, omitting outcomes of numerically zero
@@ -145,12 +146,17 @@ class MeasurementApparatus:
         basis, R = B^H rho B gives the outcome probabilities as sums of its
         diagonal over each eigenspace's columns, and the branch of outcome
         k is B (R o M_k) B^H, where the mask M_k keeps the entries of R
-        whose row and column lie in the same block of eigenspace k.
+        whose row and column lie in the same block of eigenspace k.  A pure
+        state v stays a vector: R = a a^H with a = B^H v.
         """
-        if rho.dim != self.dim:
+        if state.dim != self.dim:
             raise ValueError("state dimension does not match the apparatus")
         b = self._basis
-        r = b.conj().T @ rho.matrix @ b
+        if isinstance(state, PureState):
+            a = b.conj().T @ state.vector
+            r = np.outer(a, a.conj())
+        else:
+            r = b.conj().T @ state.matrix @ b
         probs = np.add.reduceat(r.diagonal().real, self._bounds[:-1])
         r = np.where(self._same_block, r, 0.0)
         out = []

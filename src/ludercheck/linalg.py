@@ -69,9 +69,10 @@ def hermitian_eig(
     Raises ValueError on non-Hermitian input.
     """
     m = as_matrix(a)
-    if not is_hermitian(m, tol):
+    mh = m.conj().T
+    if not np.max(np.abs(m - mh)) <= tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    w, v = np.linalg.eigh(0.5 * (m + mh))
     v = v[:, ::-1]
     # Per column, rotate the global phase so that the first component with
     # modulus above tol becomes real and positive.

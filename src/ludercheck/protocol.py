@@ -189,14 +189,15 @@ class Ensemble:
 
     Sampled mode carries the selected systems as arrays: ``ids`` holds each
     system's id in the unselected ensemble and row ``i`` of ``states`` its
-    normalised pure state.  Exact mode carries the one branch density matrix
-    the selection produces.
+    normalised pure state.  Exact mode carries one state: the branch density
+    matrix the selection produces, or a probed auxiliary eigenvector, which
+    stays a :class:`~ludercheck.quantum.PureState` vector.
     """
 
     provenance: str
     ids: np.ndarray | None = None
     states: np.ndarray | None = None
-    state: DensityMatrix | None = None
+    state: PureState | DensityMatrix | None = None
 
     @property
     def size(self) -> int:
@@ -284,8 +285,7 @@ def prepare_ensemble(
             ids=ids,
             states=post[ids],
         )
-    rho = initial.density() if isinstance(initial, PureState) else initial
-    for label, prob, branch in app.channel_exact(rho):
+    for label, prob, branch in app.channel_exact(initial):
         if labels_close(label, target_label):
             return Ensemble(
                 provenance=f"exact branch for label {target_label} "
@@ -390,20 +390,25 @@ def _run_stage_sampled(ensemble, aux, app, target_label, kind, rng, transcript):
     return result, subensembles
 
 
-def _diagonal_weights(vectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _diagonal_weights(
+    vectors: np.ndarray, state: PureState | DensityMatrix
+) -> np.ndarray:
     """The weights <v|rho|v> of every column v of ``vectors``."""
-    return (vectors.conj() * (rho @ vectors)).sum(axis=0).real
+    if isinstance(state, PureState):
+        amps = state.vector @ vectors.conj()
+        return amps.real**2 + amps.imag**2
+    return (vectors.conj() * (state.matrix @ vectors)).sum(axis=0).real
 
 
 def _run_stage_exact(ensemble, aux, app, base, target_group, kind, config):
     if ensemble.state is None:
-        raise ValueError("exact mode needs an ensemble density matrix")
+        raise ValueError("exact mode needs an ensemble state")
     tol = config.tol
     target_label = base.eigenvalues[target_group]
     entries = sigma_entries_in_group(base, aux, target_group)
     labels = [label for label, _ in entries]
     vectors = np.column_stack([vec for _, vec in entries])
-    weights = _diagonal_weights(vectors, ensemble.state.matrix)
+    weights = _diagonal_weights(vectors, ensemble.state)
     probed = np.flatnonzero(weights > tol)
     if not len(probed):
         raise EmptySelectionError(
@@ -415,8 +420,8 @@ def _run_stage_exact(ensemble, aux, app, base, target_group, kind, config):
     subensembles = {}
     for i in probed:
         label = labels[i]
-        # One density serves as the channel input and the subensemble state.
-        state = PureState(vectors[:, i]).density()
+        # One pure state serves as the channel input and the subensemble state.
+        state = PureState(vectors[:, i])
         branch = None
         for coarse, prob, post in app.channel_exact(state):
             if labels_close(coarse, target_label):
@@ -427,7 +432,7 @@ def _run_stage_exact(ensemble, aux, app, base, target_group, kind, config):
                 f"apparatus failed to reproduce eigenvalue {target_label} on "
                 "an eigenspace state; it does not measure the base observable"
             )
-        second = _diagonal_weights(vectors, branch[1].matrix)
+        second = _diagonal_weights(vectors, branch[1])
         if second[i] < 1.0 - tol:
             mismatches += 1
         supports.append((label, tuple(
@@ -464,7 +469,7 @@ def _exact_reference(ensemble: Ensemble, probed_labels, base, aux, target_group)
     """Highest-probability first outcome; ties go to the earliest label."""
     entries = sigma_entries_in_group(base, aux, target_group)
     weights = _diagonal_weights(
-        np.column_stack([vec for _, vec in entries]), ensemble.state.matrix
+        np.column_stack([vec for _, vec in entries]), ensemble.state
     )
     best = None
     for (label, _), weight in zip(entries, weights.tolist()):

@@ -78,7 +78,7 @@ class DensityMatrix:
         if abs(trace - 1.0) > 1e-6:
             raise ValueError(f"density matrix trace {trace} is not 1")
         # m + tol*I has a Cholesky factor exactly when every eigenvalue of m
-        # exceeds -tol; spectral data always comes from hermitian_eig.
+        # exceeds -tol.
         try:
             np.linalg.cholesky(m + DEFAULT_TOL * np.eye(m.shape[0]))
         except np.linalg.LinAlgError:
@@ -122,25 +122,35 @@ class SpectralDecomposition:
     """Distinct eigenvalues, eigenprojectors, and a canonical eigenbasis.
 
     Eigenvalues are sorted descending; ``eigenbasis[k]`` is an orthonormal
-    family spanning the range of ``projectors[k]``, in a fixed order that
-    every construction downstream treats as canonical.
+    family spanning eigenspace ``k``, in a fixed order that every
+    construction downstream treats as canonical.  The projectors are
+    derived from it on first use.
     """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
     multiplicities: tuple[int, ...]
     eigenbasis: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
-        for p in self.projectors:
-            p.setflags(write=False)
         for group in self.eigenbasis:
             for v in group:
                 v.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.eigenbasis[0][0].shape[0]
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """The read-only eigenprojectors P_k = B_k B_k^H, symmetrised."""
+        out = []
+        for group in self.eigenbasis:
+            b = np.column_stack(group)
+            p = b @ b.conj().T
+            p = 0.5 * (p + p.conj().T)
+            p.setflags(write=False)
+            out.append(p)
+        return tuple(out)
 
     @property
     def group_count(self) -> int:
@@ -279,17 +289,21 @@ def _canonical_basis(projector: np.ndarray, rank: int) -> tuple[np.ndarray, ...]
     skipped column holds less than BASIS_RESIDUAL**2 of it, so with dimension
     <= 64 some later column always clears the threshold and ``rank`` vectors
     are found.  The result depends on the
-    projector alone, not on the eigenvectors it was assembled from.
+    projector alone, not on the eigenvectors it was assembled from.  Each
+    column is projected against all accepted vectors at once, twice (CGS2).
     """
-    basis: list[np.ndarray] = []
+    basis = np.empty((rank, projector.shape[0]), dtype=complex)
+    found = 0
     for i in range(projector.shape[0]):
-        r = projector[:, i].copy()
-        for q in basis:
-            r -= (q.conj() @ r) * q
+        r = projector[:, i]
+        q = basis[:found]
+        r = r - (q.conj() @ r) @ q
+        r = r - (q.conj() @ r) @ q
         norm = float(np.linalg.norm(r))
         if norm > BASIS_RESIDUAL:
-            basis.append(r / norm)
-            if len(basis) == rank:
+            basis[found] = r / norm
+            found += 1
+            if found == rank:
                 break
     return tuple(basis)
 
@@ -304,30 +318,25 @@ def spectral_decompose(
     Eigenvalues whose spacing stays within ``grouping_threshold`` merge into a
     single degenerate group; the default threshold is GROUPING_RELATIVE of the
     spectral range.  Each group's eigenvalue is the mean of its members, its
-    projector the sum of the members' rank-1 projectors, and its canonical
+    projector V_g V_g^H over the members' eigenvectors, and its canonical
     basis the Gram-Schmidt basis of the projector's columns, so that the basis
     inside a degenerate eigenspace does not depend on eigensolver rounding.
     On a diagonal observable it is the standard basis vectors in index order.
     """
     w, v = linalg.hermitian_eig(observable, tol)
+    if np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) > tol:
+        raise ValueError("eigenvectors are not orthonormal within tolerance")
     if grouping_threshold is None:
         spread = float(w[0] - w[-1])
         grouping_threshold = GROUPING_RELATIVE * max(1.0, spread)
     groups = _group_sorted_eigenvalues(w, grouping_threshold)
-    eigenvalues = []
-    projectors = []
-    multiplicities = []
     eigenbasis = []
     for idx in groups:
-        proj = linalg.projector_from_vectors([v[:, i] for i in idx], tol)
-        eigenvalues.append(float(np.mean(w[idx])))
-        projectors.append(proj)
-        multiplicities.append(len(idx))
-        eigenbasis.append(_canonical_basis(proj, len(idx)))
+        vg = v[:, idx[0] : idx[-1] + 1]
+        eigenbasis.append(_canonical_basis(vg @ vg.conj().T, len(idx)))
     return SpectralDecomposition(
-        eigenvalues=tuple(eigenvalues),
-        projectors=tuple(projectors),
-        multiplicities=tuple(multiplicities),
+        eigenvalues=tuple(float(np.mean(w[idx])) for idx in groups),
+        multiplicities=tuple(len(idx) for idx in groups),
         eigenbasis=tuple(eigenbasis),
     )
 
@@ -370,17 +379,6 @@ def luders_channel(decomp: SpectralDecomposition, rho: DensityMatrix) -> Density
     for p in decomp.projectors:
         total += p @ rho.matrix @ p
     return DensityMatrix(total)
-
-
-def sample_outcome(dist: OutcomeDistribution, rng: np.random.Generator) -> float:
-    """Draw one outcome label; deterministic given the generator state."""
-    u = rng.random() * sum(p for _, p in dist.outcomes)
-    acc = 0.0
-    for label, p in dist.outcomes:
-        acc += p
-        if u < acc:
-            return label
-    return dist.outcomes[-1][0]
 
 
 def collapse(
@@ -486,24 +484,14 @@ def _rank_one_decomposition(
 ) -> tuple[np.ndarray, SpectralDecomposition]:
     """Assemble a non-degenerate observable from (label, unit vector) pairs."""
     ordered = sorted(pairs, key=lambda lv: -lv[0])
-    dim = ordered[0][1].shape[0]
-    matrix = np.zeros((dim, dim), dtype=complex)
-    eigenvalues = []
-    projectors = []
-    eigenbasis = []
-    for label, vec in ordered:
-        proj = np.outer(vec, vec.conj())
-        matrix += label * proj
-        eigenvalues.append(float(label))
-        projectors.append(0.5 * (proj + proj.conj().T))
-        eigenbasis.append((vec.copy(),))
+    labels = np.array([float(label) for label, _ in ordered])
+    v = np.column_stack([vec for _, vec in ordered])
     decomp = SpectralDecomposition(
-        eigenvalues=tuple(eigenvalues),
-        projectors=tuple(projectors),
+        eigenvalues=tuple(labels.tolist()),
         multiplicities=(1,) * len(ordered),
-        eigenbasis=tuple(eigenbasis),
+        eigenbasis=tuple((col,) for col in v.T.copy()),
     )
-    return matrix, decomp
+    return (v * labels) @ v.conj().T, decomp
 
 
 def spread_labels(
@@ -521,13 +509,10 @@ def spread_labels(
             tuple(a * spread + j for j in range(1, n + 1))
             for a, n in zip(eigenvalues, counts)
         )
-        flat = [x for group in labels for x in group]
-        gap = (
-            min(abs(x - y) for i, x in enumerate(flat) for y in flat[i + 1 :])
-            if len(flat) > 1
-            else 1.0
-        )
-        if gap > 1e-9 * (1.0 + max(abs(x) for x in flat)):
+        flat = np.sort([x for group in labels for x in group])
+        # Rounding is monotone, so the smallest pairwise gap is adjacent.
+        gap = np.diff(flat).min() if len(flat) > 1 else 1.0
+        if gap > 1e-9 * (1.0 + np.abs(flat).max()):
             return labels
         spread *= 2.0
     raise ValueError("could not separate refined labels; spectrum too dense")
@@ -561,7 +546,7 @@ def sigma_entries_in_group(
     """
     if any(m != 1 for m in sigma.multiplicities):
         raise ValueError("auxiliary observable must be non-degenerate")
-    amps = decomp.projectors[k] @ sigma._stacked[0]
+    amps = np.column_stack(decomp.eigenbasis[k]).conj().T @ sigma._stacked[0]
     weights = (amps.real**2 + amps.imag**2).sum(axis=0)
     if np.any((weights > 1e-8) & (weights < 1.0 - 1e-8)):
         raise ValueError(
@@ -598,16 +583,12 @@ def build_sigma_prime(
         )
     if not 0 <= reference_index < n:
         raise ValueError(f"reference index {reference_index} out of range 0..{n - 1}")
-    inside_labels = {label for label, _ in inside}
+    inside_labels = [label for label, _ in inside]
     omega = np.exp(2j * np.pi / n)
-    pairs = []
-    for j, (label, _) in enumerate(inside):
-        mixed = np.zeros(decomp.dim, dtype=complex)
-        for m, (_, vec) in enumerate(inside):
-            mixed += omega ** (m * j) * vec
-        mixed /= np.sqrt(n)
-        pairs.append((label, mixed))
+    dft = omega ** np.outer(np.arange(n), np.arange(n))
+    mixed = (np.column_stack([vec for _, vec in inside]) @ dft) / np.sqrt(n)
+    pairs = list(zip(inside_labels, mixed.T))
     for label, (vec,) in zip(sigma.eigenvalues, sigma.eigenbasis):
         if label not in inside_labels:
-            pairs.append((label, vec.copy()))
+            pairs.append((label, vec))
     return _rank_one_decomposition(pairs)

@@ -287,3 +287,34 @@ def test_channel_exact_matches_per_block_reference(spectrum):
                 assert abs(p - p_ref) <= 1e-12
                 assert np.max(np.abs(post.matrix - post_ref)) <= 1e-12
         assert app.outcome_labels[1] not in [lab for lab, _, _ in got]
+
+
+@pytest.mark.parametrize("spectrum", [
+    [1, 1, 1, 0],
+    [3, 3, 3, 3, 1, 1, 1, -2],
+    np.repeat([6, 4, 2, 0, -2, -4, -6], [1, 6, 15, 20, 15, 6, 1]),
+], ids=["d4", "d8", "d64"])
+def test_channel_exact_on_pure_state_matches_its_density(spectrum):
+    rng = np.random.default_rng(100 + len(spectrum))
+    u = random_unitary(len(spectrum), rng)
+    base = spectral_decompose((u * np.asarray(spectrum, float)) @ u.conj().T)
+    halves = tuple(
+        (tuple(range(n // 2)), tuple(range(n // 2, n))) if n > 1 else ((0,),)
+        for n in base.multiplicities
+    )
+    devices = (make_luders(base), make_partial(base, halves),
+               make_full_von_neumann(base))
+    v = rng.normal(size=len(spectrum)) + 1j * rng.normal(size=len(spectrum))
+    # The same vector with eigenspace 1 projected out: that outcome has zero
+    # probability.
+    off = v - base.projectors[1] @ v
+    for app in devices:
+        for vec in (v, off):
+            pure = PureState(vec / np.linalg.norm(vec))
+            got = app.channel_exact(pure)
+            want = app.channel_exact(pure.density())
+            assert [lab for lab, _, _ in got] == [lab for lab, _, _ in want]
+            for (_, p, post), (_, p_ref, post_ref) in zip(got, want):
+                assert abs(p - p_ref) <= 1e-12
+                assert np.max(np.abs(post.matrix - post_ref.matrix)) <= 1e-12
+        assert base.eigenvalues[1] not in [lab for lab, _, _ in got]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ludercheck.quantum import (
@@ -16,12 +16,13 @@ from ludercheck.quantum import (
     build_sigma_prime,
     build_spin_operator,
     collapse,
+    _canonical_basis,
     luders_channel,
     luders_update,
     measure_pure,
-    sample_outcome,
     sigma_entries_in_group,
     spectral_decompose,
+    spread_labels,
 )
 
 from conftest import random_density, random_state, random_unitary
@@ -150,6 +151,129 @@ def test_canonical_basis_depends_on_the_eigenprojectors_only(spectrum):
     assert np.max(np.abs(prime1 - prime2)) <= 1e-9
 
 
+SIX_SPIN_SPECTRUM = np.repeat([6.0, 4, 2, 0, -2, -4, -6], [1, 6, 15, 20, 15, 6, 1])
+
+
+def rotated_six_spin_total_z(seed):
+    u = random_unitary(64, np.random.default_rng(seed))
+    a = (u * SIX_SPIN_SPECTRUM) @ u.conj().T
+    return (a + a.conj().T) / 2
+
+
+def test_derived_projectors_at_d64_with_degeneracies():
+    a = rotated_six_spin_total_z(31)
+    d = spectral_decompose(a)
+    assert d.multiplicities == (1, 6, 15, 20, 15, 6, 1)
+    ps = d.projectors
+    assert d.projectors is ps
+    for p in ps:
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.0
+    assert np.max(np.abs(sum(ps) - np.eye(64))) <= 1e-12
+    for i, p in enumerate(ps):
+        for j, q in enumerate(ps):
+            want = p if i == j else np.zeros_like(p)
+            assert np.max(np.abs(p @ q - want)) <= 1e-12
+    rebuilt = sum(lam * p for lam, p in zip(d.eigenvalues, ps))
+    assert np.max(np.abs(rebuilt - a)) <= 1e-9
+
+
+def test_build_sigma_matrix_is_its_labelled_rank_one_sum():
+    d = spectral_decompose(rotated_six_spin_total_z(32))
+    sigma, sd = build_sigma(d)
+    want = sum(
+        label * np.outer(v, v.conj())
+        for label, (v,) in zip(sd.eigenvalues, sd.eigenbasis)
+    )
+    assert np.max(np.abs(sigma - want)) <= 1e-12
+    assert list(sd.eigenvalues) == sorted(sd.eigenvalues, reverse=True)
+
+
+def mgs_canonical_basis(projector, rank):
+    """Reference: modified Gram-Schmidt over P e_i, one vector at a time."""
+    basis = []
+    for i in range(projector.shape[0]):
+        r = projector[:, i].copy()
+        for q in basis:
+            r -= (q.conj() @ r) * q
+        norm = float(np.linalg.norm(r))
+        if norm > 1e-3:
+            basis.append(r / norm)
+            if len(basis) == rank:
+                break
+    return basis
+
+
+def test_canonical_basis_matches_per_column_gram_schmidt():
+    rng = np.random.default_rng(33)
+    projectors = [np.diag([0.0, 1, 0, 1, 1, 0, 0, 1]).astype(complex)]
+    for dim, rank in ((4, 2), (8, 5), (64, 20), (64, 1)):
+        v = random_unitary(dim, rng)[:, :rank]
+        projectors.append(v @ v.conj().T)
+    for p in projectors:
+        rank = round(np.trace(p).real)
+        got = _canonical_basis(p, rank)
+        want = mgs_canonical_basis(p, rank)
+        assert len(got) == len(want) == rank
+        assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+    e = np.eye(8)
+    assert np.array_equal(np.array(_canonical_basis(projectors[0], 4)),
+                          e[[1, 3, 4, 7]])
+
+
+def pairwise_spread_labels(eigenvalues, counts):
+    """Reference: the smallest gap found by comparing every pair of labels."""
+    spread = 4.0 * (1.0 + max(abs(a) for a in eigenvalues))
+    for _ in range(200):
+        labels = tuple(
+            tuple(a * spread + j for j in range(1, n + 1))
+            for a, n in zip(eigenvalues, counts)
+        )
+        flat = [x for group in labels for x in group]
+        gap = (
+            min(abs(x - y) for i, x in enumerate(flat) for y in flat[i + 1:])
+            if len(flat) > 1
+            else 1.0
+        )
+        if gap > 1e-9 * (1.0 + max(abs(x) for x in flat)):
+            return labels
+        spread *= 2.0
+    raise ValueError("could not separate refined labels")
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(-6, 6).map(lambda n: n / 4),
+            st.floats(-50, 50, allow_nan=False),
+        ),
+        st.integers(1, 12),
+    ),
+    min_size=1, max_size=6, unique_by=lambda t: t[0],
+))
+# Labels 1..9 of eigenvalue 0 meet label 1 * 8 + 1 of eigenvalue 1 at the
+# default spread 8, which forces one doubling (two for the second example).
+@example([(1.0, 1), (0.0, 9)])
+@example([(0.5, 3), (0.0, 12), (-0.5, 3)])
+def test_spread_labels_matches_pairwise_minimum(spectrum):
+    eigenvalues = [a for a, _ in spectrum]
+    counts = [n for _, n in spectrum]
+    try:
+        want = pairwise_spread_labels(eigenvalues, counts)
+    except ValueError:
+        with pytest.raises(ValueError, match="could not separate"):
+            spread_labels(eigenvalues, counts)
+        return
+    assert spread_labels(eigenvalues, counts) == want
+
+
+def test_spread_labels_doubles_until_labels_separate():
+    assert spread_labels([1.0, 0.0], [1, 9])[0] == (17.0,)
+    assert spread_labels([1.0, 0.0], [1, 8])[0] == (9.0,)
+
+
 def test_group_index_lookup():
     d = spectral_decompose(total_z())
     assert d.group_index(0.0) == 1
@@ -198,13 +322,6 @@ def test_luders_channel_equals_branch_sum():
     # coherence between eigenspaces is erased, coherence inside survives
     assert mixed.matrix[0, 1] == pytest.approx(0.0)
     assert mixed.matrix[1, 2] == pytest.approx(0.25)
-
-
-def test_sample_outcome_follows_distribution():
-    rng = np.random.default_rng(0)
-    dist = OutcomeDistribution(((1.0, 0.75), (-1.0, 0.25)))
-    draws = [sample_outcome(dist, rng) for _ in range(4000)]
-    assert np.mean([x == 1.0 for x in draws]) == pytest.approx(0.75, abs=0.03)
 
 
 def test_measure_pure_collapses_and_renormalizes(rng):
