@@ -3,10 +3,11 @@
 An apparatus measures a base observable, but internally it may resolve each
 degenerate eigenspace into finer blocks before reporting the coarse
 eigenvalue.  The refinement is construct-time data: the public surface
-exposes only sampled outcomes and the exact outcome-labelled channel, never
-the block structure.  :meth:`MeasurementApparatus.reveal_refinement` exists
-solely for ground-truth oracles and gated diagnostics; the discrimination
-protocol must never call it.
+exposes sampled outcomes, enumerated branches labelled by coarse outcome and
+the exact outcome-labelled channel, never the block structure.
+:meth:`MeasurementApparatus.reveal_refinement` exists solely for
+ground-truth oracles and gated diagnostics; the discrimination protocol
+must never call it.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from . import linalg
 from .linalg import DEFAULT_TOL
 from .quantum import (
     DensityMatrix,
-    PureState,
     Refinement,
     SpectralDecomposition,
+    branches,
     collapse,
     spread_labels,
 )
@@ -135,10 +136,24 @@ class MeasurementApparatus:
         )
         return np.take(self._groups, blocks), post
 
+    def branches(
+        self, states: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every reduction of every weighted row of ``states``, enumerated.
+
+        Returns each reached branch's source row, coarse outcome (an index
+        into :attr:`outcome_labels`), weight and reduced row, as
+        :func:`~ludercheck.quantum.branches` does.
+        """
+        if states.shape[1] != self.dim:
+            raise ValueError("state dimension does not match the apparatus")
+        rows, blocks, w, post = branches(self._basis, self._starts, states, weights)
+        return rows, np.take(self._groups, blocks), w, post
+
     def channel_exact(
-        self, state: PureState | DensityMatrix
+        self, state: DensityMatrix
     ) -> list[tuple[float, float, DensityMatrix]]:
-        """The exact outcome-labelled channel on a pure or mixed state.
+        """The exact outcome-labelled channel: :meth:`branches` as densities.
 
         Returns ``(label, probability, branch_state)`` per coarse outcome in
         descending label order, omitting outcomes of numerically zero
@@ -146,17 +161,12 @@ class MeasurementApparatus:
         basis, R = B^H rho B gives the outcome probabilities as sums of its
         diagonal over each eigenspace's columns, and the branch of outcome
         k is B (R o M_k) B^H, where the mask M_k keeps the entries of R
-        whose row and column lie in the same block of eigenspace k.  A pure
-        state v stays a vector: R = a a^H with a = B^H v.
+        whose row and column lie in the same block of eigenspace k.
         """
         if state.dim != self.dim:
             raise ValueError("state dimension does not match the apparatus")
         b = self._basis
-        if isinstance(state, PureState):
-            a = b.conj().T @ state.vector
-            r = np.outer(a, a.conj())
-        else:
-            r = b.conj().T @ state.matrix @ b
+        r = b.conj().T @ state.matrix @ b
         probs = np.add.reduceat(r.diagonal().real, self._bounds[:-1])
         r = np.where(self._same_block, r, 0.0)
         out = []

@@ -17,6 +17,8 @@ Sampled mode runs the ensemble as arrays: each measurement layer (the
 selection, each auxiliary measurement, each apparatus use) acts on every
 system at once through :func:`ludercheck.quantum.collapse`, and outcomes
 stay integer indices until they reach the transcript and the evidence.
+Exact mode carries Born-weighted pure rows and enumerates every branch
+instead of drawing one, so it builds no density matrix.
 """
 
 from __future__ import annotations
@@ -185,23 +187,23 @@ class Classification:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Systems selected for one protocol pass.
+    """Systems selected for one protocol pass, as weighted pure rows.
 
-    Sampled mode carries the selected systems as arrays: ``ids`` holds each
-    system's id in the unselected ensemble and row ``i`` of ``states`` its
-    normalised pure state.  Exact mode carries one state: the branch density
-    matrix the selection produces, or a probed auxiliary eigenvector, which
-    stays a :class:`~ludercheck.quantum.PureState` vector.
+    Row ``i`` of ``states`` is a normalised pure state and ``weights[i]``
+    its share of the ensemble; the weights sum to one.  Sampled mode keeps
+    one row of equal weight per selected system, and ``ids`` holds each
+    system's id in the unselected ensemble.  Exact mode keeps one row per
+    reached branch, weighted by its Born probability, and has no ids.
     """
 
     provenance: str
+    states: np.ndarray
+    weights: np.ndarray
     ids: np.ndarray | None = None
-    states: np.ndarray | None = None
-    state: PureState | DensityMatrix | None = None
 
     @property
     def size(self) -> int:
-        return len(self.ids) if self.ids is not None else 0
+        return len(self.states)
 
 
 def required_ensemble_size(min_disturbance: float, confidence: float) -> int:
@@ -229,7 +231,7 @@ def classify_refinement_oracle(refinement: Refinement, k: int) -> Verdict:
 def _as_pure_mixture(
     initial: PureState | DensityMatrix, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve an initial state into a pure-state mixture for sampling.
+    """Resolve an initial state into a pure-state mixture.
 
     Returns the cumulative mixture weights, ending at exactly 1, and the
     component state vectors as rows.
@@ -264,15 +266,17 @@ def prepare_ensemble(
 
     Sampled mode draws ``ensemble_size`` systems from the initial state,
     measures each with the apparatus, and keeps those whose outcome matched;
-    system ids from the unselected ensemble are preserved.  Exact mode takes
-    the matching branch of the exact channel.
+    system ids from the unselected ensemble are preserved.  Exact mode
+    enumerates every branch of every mixture component and keeps the rows
+    of the target outcome, their Born weights renormalised to sum to one.
     """
+    cdf, components = _as_pure_mixture(initial, config.tol)
+    target = _coarse_index(app, target_label)
     if config.mode is Mode.SAMPLED:
-        cdf, components = _as_pure_mixture(initial, config.tol)
         # One draw per system picks its mixture component.
         pick = np.searchsorted(cdf, rng.random(config.ensemble_size), side="right")
         coarse, post = app.measure_sampled(components[pick], rng)
-        ids = np.flatnonzero(coarse == _coarse_index(app, target_label))
+        ids = np.flatnonzero(coarse == target)
         if len(ids) == 0:
             raise EmptySelectionError(
                 f"no system returned eigenvalue {target_label}; the initial "
@@ -282,18 +286,21 @@ def prepare_ensemble(
         return Ensemble(
             provenance=f"selected label {target_label} from "
             f"{config.ensemble_size} systems",
-            ids=ids,
             states=post[ids],
+            weights=np.full(len(ids), 1.0 / len(ids)),
+            ids=ids,
         )
-    for label, prob, branch in app.channel_exact(initial):
-        if labels_close(label, target_label):
-            return Ensemble(
-                provenance=f"exact branch for label {target_label} "
-                f"(weight {prob})",
-                state=branch,
-            )
-    raise EmptySelectionError(
-        f"the initial state is orthogonal to the eigenspace of {target_label}"
+    _, coarse, weights, post = app.branches(components, np.diff(cdf, prepend=0.0))
+    kept = coarse == target
+    prob = float(weights[kept].sum())
+    if prob <= DEFAULT_TOL:
+        raise EmptySelectionError(
+            f"the initial state is orthogonal to the eigenspace of {target_label}"
+        )
+    return Ensemble(
+        provenance=f"exact branch for label {target_label} (weight {prob})",
+        states=post[kept],
+        weights=weights[kept] / prob,
     )
 
 
@@ -317,25 +324,31 @@ def run_stage(
     config: ProtocolConfig,
     rng: np.random.Generator,
     transcript: list[Transcript] | None = None,
+    inside: list[tuple[float, np.ndarray]] | None = None,
 ) -> tuple[StageResult, dict[float, Ensemble]]:
     """One pass: auxiliary measurement, apparatus, auxiliary measurement again.
 
     Returns the stage evidence and, keyed by first auxiliary outcome, the
     subensembles available for a follow-up pass.  In sampled mode the pass's
     measurement records are appended to ``transcript`` when it is given.
-    Raises :class:`RepeatabilityError` if the apparatus ever fails to
-    reproduce the target eigenvalue on a selected system.
+    Exact mode probes, as a pure row, every auxiliary eigenvector in
+    ``inside`` (from :func:`~ludercheck.quantum.sigma_entries_in_group`,
+    computed when not given) that the ensemble reaches.  Raises
+    :class:`RepeatabilityError` if the apparatus ever fails to reproduce the
+    target eigenvalue on a selected system.
     """
     target_label = base.eigenvalues[target_group]
     if config.mode is Mode.SAMPLED:
         return _run_stage_sampled(
             ensemble, aux, app, target_label, kind, rng, transcript
         )
-    return _run_stage_exact(ensemble, aux, app, base, target_group, kind, config)
+    if inside is None:
+        inside = sigma_entries_in_group(base, aux, target_group)
+    return _run_stage_exact(ensemble, inside, app, target_label, kind, config.tol)
 
 
 def _run_stage_sampled(ensemble, aux, app, target_label, kind, rng, transcript):
-    if ensemble.states is None:
+    if ensemble.ids is None:
         raise ValueError("sampled mode needs an ensemble of tracked systems")
     first, states = measure_pure(aux, ensemble.states, rng)
     coarse, states = app.measure_sampled(states, rng)
@@ -384,73 +397,69 @@ def _run_stage_sampled(ensemble, aux, app, target_label, kind, rng, transcript):
         subensembles[aux.eigenvalues[a]] = Ensemble(
             provenance=f"{ensemble.provenance} -> {kind.value} outcome "
             f"{aux.eigenvalues[a]}",
-            ids=ensemble.ids[members],
             states=states[members],
+            weights=np.full(reached[a], 1.0 / reached[a]),
+            ids=ensemble.ids[members],
         )
     return result, subensembles
 
 
-def _diagonal_weights(
-    vectors: np.ndarray, state: PureState | DensityMatrix
-) -> np.ndarray:
-    """The weights <v|rho|v> of every column v of ``vectors``."""
-    if isinstance(state, PureState):
-        amps = state.vector @ vectors.conj()
-        return amps.real**2 + amps.imag**2
-    return (vectors.conj() * (state.matrix @ vectors)).sum(axis=0).real
+def _born_weights(vectors: np.ndarray, ensemble: Ensemble) -> np.ndarray:
+    """The weights sum_i w_i |<v|s_i>|^2 of every column v of ``vectors``."""
+    amps = ensemble.states @ vectors.conj()
+    return (ensemble.weights[:, None] * (amps.real**2 + amps.imag**2)).sum(axis=0)
 
 
-def _run_stage_exact(ensemble, aux, app, base, target_group, kind, config):
-    if ensemble.state is None:
-        raise ValueError("exact mode needs an ensemble state")
-    tol = config.tol
-    target_label = base.eigenvalues[target_group]
-    entries = sigma_entries_in_group(base, aux, target_group)
-    labels = [label for label, _ in entries]
-    vectors = np.column_stack([vec for _, vec in entries])
-    weights = _diagonal_weights(vectors, ensemble.state)
+def _run_stage_exact(ensemble, inside, app, target_label, kind, tol):
+    labels = [label for label, _ in inside]
+    vectors = np.column_stack([vec for _, vec in inside])
+    weights = _born_weights(vectors, ensemble)
     probed = np.flatnonzero(weights > tol)
     if not len(probed):
         raise EmptySelectionError(
             "the ensemble state is orthogonal to every auxiliary outcome of "
             "the target eigenspace"
         )
-    mismatches = 0
-    supports = []
-    subensembles = {}
-    for i in probed:
-        label = labels[i]
-        # One pure state serves as the channel input and the subensemble state.
-        state = PureState(vectors[:, i])
-        branch = None
-        for coarse, prob, post in app.channel_exact(state):
-            if labels_close(coarse, target_label):
-                branch = (prob, post)
-                break
-        if branch is None or branch[0] < 1.0 - 1e-6:
-            raise RepeatabilityError(
-                f"apparatus failed to reproduce eigenvalue {target_label} on "
-                "an eigenspace state; it does not measure the base observable"
-            )
-        second = _diagonal_weights(vectors, branch[1])
-        if second[i] < 1.0 - tol:
-            mismatches += 1
-        supports.append((label, tuple(
-            (labels[j], float(second[j])) for j in np.flatnonzero(second > tol)
-        )))
-        subensembles[label] = Ensemble(
-            provenance=f"{ensemble.provenance} -> {kind.value} outcome {label}",
-            state=state,
+    # Each probe is a pure row of unit weight; keep its target-outcome branches.
+    rows, coarse, w, post = app.branches(vectors[:, probed].T, np.ones(len(probed)))
+    kept = coarse == _coarse_index(app, target_label)
+    rows, w, post = rows[kept], w[kept], post[kept]
+    reproduced = np.bincount(rows, w, minlength=len(probed))
+    if np.any(reproduced < 1.0 - 1e-6):
+        raise RepeatabilityError(
+            f"apparatus failed to reproduce eigenvalue {target_label} on "
+            "an eigenspace state; it does not measure the base observable"
         )
+    # Per probe, the second-outcome weights sum_b w_b |V^H r_b|^2 of its
+    # branches, normalised by the reproduced weight; rows come sorted and
+    # every probe has a branch.
+    amps = post @ vectors.conj()
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    second = np.add.reduceat(
+        w[:, None] * (amps.real**2 + amps.imag**2), starts, axis=0
+    ) / reproduced[:, None]
+    same = second[np.arange(len(probed)), probed]
+    mismatches = int(np.count_nonzero(same < 1.0 - tol))
     result = StageResult(
         stage=kind,
         consistent=mismatches == 0,
         observed_first_labels=tuple(labels[i] for i in probed),
         mismatch_count=mismatches,
         trials=len(probed),
-        branch_support=tuple(supports),
+        branch_support=tuple(
+            (labels[i], tuple((labels[j], float(p[j])) for j in np.flatnonzero(p > tol)))
+            for i, p in zip(probed, second)
+        ),
         unprobed_labels=tuple(labels[i] for i in np.flatnonzero(weights <= tol)),
     )
+    subensembles = {
+        labels[i]: Ensemble(
+            provenance=f"{ensemble.provenance} -> {kind.value} outcome {labels[i]}",
+            states=vectors[:, i][None, :],
+            weights=np.ones(1),
+        )
+        for i in probed
+    }
     return result, subensembles
 
 
@@ -465,17 +474,12 @@ def resolve_target(decomp: SpectralDecomposition, config: ProtocolConfig) -> int
     return None
 
 
-def _exact_reference(ensemble: Ensemble, probed_labels, base, aux, target_group):
-    """Highest-probability first outcome; ties go to the earliest label."""
-    entries = sigma_entries_in_group(base, aux, target_group)
-    weights = _diagonal_weights(
-        np.column_stack([vec for _, vec in entries]), ensemble.state
-    )
+def _exact_reference(ensemble: Ensemble, inside, tol: float):
+    """Highest-probability probed first outcome; ties go to the earliest label."""
+    weights = _born_weights(np.column_stack([vec for _, vec in inside]), ensemble)
     best = None
-    for (label, _), weight in zip(entries, weights.tolist()):
-        if label not in probed_labels:
-            continue
-        if best is None or weight > best[1] + 1e-12:
+    for (label, _), weight in zip(inside, weights.tolist()):
+        if weight > tol and (best is None or weight > best[1] + 1e-12):
             best = (label, weight)
     return best[0]
 
@@ -514,9 +518,10 @@ def discriminate(
 
     ensemble = prepare_ensemble(initial, app, target_label, config, rng)
     _, sigma = build_sigma(decomp)
+    inside = sigma_entries_in_group(decomp, sigma, target_group)
     first, subensembles = run_stage(
         ensemble, sigma, app, decomp, target_group, StageKind.SIGMA,
-        config, rng, transcript,
+        config, rng, transcript, inside,
     )
     if not first.consistent:
         return Classification(
@@ -531,15 +536,12 @@ def discriminate(
     if config.mode is Mode.SAMPLED:
         reference = first.observed_first_labels[0]
     else:
-        reference = _exact_reference(
-            ensemble, set(first.observed_first_labels), decomp, sigma, target_group
-        )
-    in_group = [lab for lab, _ in sigma_entries_in_group(decomp, sigma, target_group)]
-    reference_index = in_group.index(reference)
-    _, sigma_prime = build_sigma_prime(decomp, sigma, target_group, reference_index)
-    if reference not in subensembles or (
-        config.mode is Mode.SAMPLED and subensembles[reference].size == 0
-    ):
+        reference = _exact_reference(ensemble, inside, config.tol)
+    reference_index = [lab for lab, _ in inside].index(reference)
+    _, sigma_prime = build_sigma_prime(
+        decomp, sigma, target_group, reference_index, inside
+    )
+    if reference not in subensembles or subensembles[reference].size == 0:
         raise EmptySelectionError(
             f"no system left with auxiliary outcome {reference}; retry with a "
             "larger ensemble_size"

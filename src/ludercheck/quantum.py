@@ -60,9 +60,6 @@ class PureState:
     def dim(self) -> int:
         return self.vector.shape[0]
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -381,6 +378,19 @@ def luders_channel(decomp: SpectralDecomposition, rho: DensityMatrix) -> Density
     return DensityMatrix(total)
 
 
+def _project(basis, starts, amps, blocks, weights):
+    """Row i of ``amps`` kept on block ``blocks[i]``, mapped back, renormalised.
+
+    ``weights`` holds each kept block's weight as a column.
+    """
+    block_of_column = np.repeat(
+        np.arange(len(starts)), np.diff(starts, append=basis.shape[1])
+    )
+    post = np.where(block_of_column == blocks[:, None], amps, 0.0) @ basis.T
+    # The basis is orthonormal, so the kept block's weight is |post|^2.
+    return post / np.sqrt(weights)
+
+
 def collapse(
     basis: np.ndarray,
     starts: np.ndarray,
@@ -406,12 +416,31 @@ def collapse(
     # Block k is chosen when cdf[k-1] <= u * total < cdf[k]; blocks of zero
     # weight are never chosen.
     k = np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
-    block_of_column = np.repeat(
-        np.arange(len(starts)), np.diff(starts, append=basis.shape[1])
-    )
-    post = np.where(block_of_column == k[:, None], amps, 0.0) @ basis.T
-    # The basis is orthonormal, so the chosen block's weight is |post|^2.
-    return k, post / np.sqrt(np.take_along_axis(weights, k[:, None], axis=1))
+    chosen = np.take_along_axis(weights, k[:, None], axis=1)
+    return k, _project(basis, starts, amps, k, chosen)
+
+
+def branches(
+    basis: np.ndarray,
+    starts: np.ndarray,
+    states: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`collapse` with every block of Born weight above DEFAULT_TOL enumerated.
+
+    Row ``i`` of ``states`` carries the weight ``weights[i]``.  Returns, per
+    reached block ``b`` of row ``i`` in row-major order, ``i``, ``b``, the
+    weight ``weights[i] * |B_b^H v_i|^2`` and the renormalised projection.
+    Raises ValueError as :func:`collapse` does.
+    """
+    amps = states @ basis.conj()
+    born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
+    if np.any(born.sum(axis=1) <= DEFAULT_TOL):
+        raise ValueError("state is numerically orthogonal to every outcome")
+    rows, blocks = np.nonzero(born > DEFAULT_TOL)
+    born = born[rows, blocks]
+    post = _project(basis, starts, amps[rows], blocks, born[:, None])
+    return rows, blocks, weights[rows] * born, post
 
 
 def measure_pure(
@@ -564,6 +593,7 @@ def build_sigma_prime(
     sigma: SpectralDecomposition,
     k: int,
     reference_index: int = 0,
+    inside: Sequence[tuple[float, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, SpectralDecomposition]:
     """A second non-degenerate refinement overlapping sigma inside eigenspace k.
 
@@ -572,9 +602,11 @@ def build_sigma_prime(
     overlap modulus exactly 1/sqrt(n_k) with every sigma eigenvector in the
     eigenspace, the reference one included.  Outside eigenspace ``k`` the
     observable coincides with sigma.  For n_k = 2 the mixtures are the
-    familiar pair (|s1> +- |s2>)/sqrt(2).
+    familiar pair (|s1> +- |s2>)/sqrt(2).  ``inside`` is
+    :func:`sigma_entries_in_group`, computed when not given.
     """
-    inside = sigma_entries_in_group(decomp, sigma, k)
+    if inside is None:
+        inside = sigma_entries_in_group(decomp, sigma, k)
     n = len(inside)
     if n < 2:
         raise ValueError(

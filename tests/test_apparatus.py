@@ -19,7 +19,7 @@ from ludercheck.quantum import (
     spread_labels,
 )
 
-from conftest import random_density, random_unitary
+from conftest import random_density, random_state, random_unitary
 
 from test_quantum import (
     MINUS_MINUS,
@@ -294,9 +294,10 @@ def test_channel_exact_matches_per_block_reference(spectrum):
     [3, 3, 3, 3, 1, 1, 1, -2],
     np.repeat([6, 4, 2, 0, -2, -4, -6], [1, 6, 15, 20, 15, 6, 1]),
 ], ids=["d4", "d8", "d64"])
-def test_channel_exact_on_pure_state_matches_its_density(spectrum):
-    rng = np.random.default_rng(100 + len(spectrum))
-    u = random_unitary(len(spectrum), rng)
+def test_branches_sum_to_the_exact_channel(spectrum):
+    rng = np.random.default_rng(200 + len(spectrum))
+    dim = len(spectrum)
+    u = random_unitary(dim, rng)
     base = spectral_decompose((u * np.asarray(spectrum, float)) @ u.conj().T)
     halves = tuple(
         (tuple(range(n // 2)), tuple(range(n // 2, n))) if n > 1 else ((0,),)
@@ -304,17 +305,42 @@ def test_channel_exact_on_pure_state_matches_its_density(spectrum):
     )
     devices = (make_luders(base), make_partial(base, halves),
                make_full_von_neumann(base))
-    v = rng.normal(size=len(spectrum)) + 1j * rng.normal(size=len(spectrum))
-    # The same vector with eigenspace 1 projected out: that outcome has zero
-    # probability.
-    off = v - base.projectors[1] @ v
+    # A pure state, a rank-3 mixture of non-orthogonal rows, and a pure state
+    # with eigenspace 1 projected out, whose outcome must not be reached.
+    off = random_state(dim, rng)
+    off = off - base.projectors[1] @ off
+    inputs = (
+        (random_state(dim, rng)[None, :], np.ones(1)),
+        (np.array([random_state(dim, rng) for _ in range(3)]),
+         np.array([0.5, 0.3, 0.2])),
+        ((off / np.linalg.norm(off))[None, :], np.ones(1)),
+    )
     for app in devices:
-        for vec in (v, off):
-            pure = PureState(vec / np.linalg.norm(vec))
-            got = app.channel_exact(pure)
-            want = app.channel_exact(pure.density())
-            assert [lab for lab, _, _ in got] == [lab for lab, _, _ in want]
-            for (_, p, post), (_, p_ref, post_ref) in zip(got, want):
-                assert abs(p - p_ref) <= 1e-12
-                assert np.max(np.abs(post.matrix - post_ref.matrix)) <= 1e-12
-        assert base.eigenvalues[1] not in [lab for lab, _, _ in got]
+        ref = app.reveal_refinement()
+        for states, weights in inputs:
+            rho = (weights[:, None, None] * states[:, :, None]
+                   * states[:, None, :].conj()).sum(axis=0)
+            rows, coarse, w, post = app.branches(states, weights)
+            want = app.channel_exact(DensityMatrix(rho))
+            assert sorted(set(coarse.tolist())) == [
+                app.outcome_labels.index(lab) for lab, _, _ in want
+            ]
+            for lab, p, branch in want:
+                mine = coarse == app.outcome_labels.index(lab)
+                got = (w[mine, None, None] * post[mine, :, None]
+                       * post[mine, None, :].conj()).sum(axis=0)
+                assert np.max(np.abs(got - p * branch.matrix)) <= 1e-12
+            # every block of Born weight above 1e-9 is reached, no other one
+            born = np.array([
+                [np.linalg.norm(ref.sub_projector(k, b) @ s) ** 2
+                 for k in range(base.group_count)
+                 for b in range(ref.block_count(k))]
+                for s in states
+            ])
+            assert len(rows) == np.count_nonzero(born > 1e-9)
+            assert np.all(w / weights[rows] > 1e-9)
+            assert np.allclose(np.linalg.norm(post, axis=1), 1.0, atol=1e-12)
+        assert 1 not in coarse.tolist()
+        with pytest.raises(ValueError):
+            app.branches(np.array([random_state(dim, rng), np.zeros(dim)]),
+                         np.array([0.5, 0.5]))

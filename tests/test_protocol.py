@@ -1,13 +1,19 @@
 """Tests for the three-pass discrimination protocol."""
 
 import inspect
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import ludercheck.protocol
-from ludercheck.apparatus import make_full_von_neumann, make_luders, make_partial
+from ludercheck.apparatus import (
+    labels_close,
+    make_full_von_neumann,
+    make_luders,
+    make_partial,
+)
 from ludercheck.protocol import (
     EmptySelectionError,
     Mode,
@@ -24,9 +30,15 @@ from ludercheck.protocol import (
 from ludercheck.quantum import (
     DensityMatrix,
     PureState,
+    build_sigma,
+    build_sigma_prime,
     build_spin_operator,
+    sigma_entries_in_group,
     spectral_decompose,
 )
+from ludercheck.scenarios import default_initial_state
+
+from conftest import random_density, random_unitary, set_partitions
 
 from test_quantum import (
     MINUS_PLUS,
@@ -94,10 +106,12 @@ def test_prepare_ensemble_exact_selects_branch():
     app = make_luders(d)
     cfg = ProtocolConfig()
     ens = prepare_ensemble(DEFAULT_PSI, app, 0.0, cfg, None)
-    assert ens.state is not None
-    # the kept branch is the projection onto the degenerate eigenspace
+    assert ens.ids is None and ens.size >= 1
+    # the kept rows make up the projection onto the degenerate eigenspace
+    kept = (ens.weights[:, None, None] * ens.states[:, :, None]
+            * ens.states[:, None, :].conj()).sum(axis=0)
     expected = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    assert np.allclose(ens.state.matrix, expected, atol=1e-12)
+    assert np.allclose(kept, expected, atol=1e-12)
 
 
 def test_prepare_ensemble_sampled_keeps_matching_systems():
@@ -363,3 +377,164 @@ def test_sampled_twenty_systems_always_catch_the_basis_refiner():
                              target_eigenvalue=0.0)
         result = discriminate(psi, phi_apparatus(), total_z(), cfg)
         assert result.verdict is Verdict.NON_LUDERS
+
+
+def test_exact_discriminate_from_a_pure_state_builds_no_density_matrix(
+    monkeypatch,
+):
+    built = []
+    original = DensityMatrix.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    terms = tuple((1.0, "I" * i + "Z" + "I" * (5 - i)) for i in range(6))
+    a = build_spin_operator(6, terms)
+    d = spectral_decompose(a)
+    verdicts = [
+        discriminate(default_initial_state(d, 3), app, a,
+                     ProtocolConfig(target_eigenvalue=0.0)).verdict
+        for app in (make_luders(d), make_full_von_neumann(d))
+    ]
+    assert verdicts == [Verdict.LUDERS, Verdict.NON_LUDERS]
+    assert built == []
+    # the counter is live: an explicit density is counted
+    DensityMatrix(np.eye(2) / 2)
+    assert built == [1]
+
+
+def reference_exact_discriminate(initial, app, observable, target_eigenvalue):
+    """The exact protocol on density matrices, one probe at a time.
+
+    Every state is a validated DensityMatrix that passes through
+    ``app.channel_exact``.  Returns per pass the evidence fields, then the
+    reference label and the pass that detected a mismatch.
+    """
+    d = spectral_decompose(observable)
+    k = d.group_index(target_eigenvalue)
+    target = d.eigenvalues[k]
+
+    def target_branch(state):
+        for label, prob, branch in app.channel_exact(state):
+            if labels_close(label, target):
+                return prob, branch
+        return 0.0, None
+
+    def weight(rho, v):
+        return float(np.vdot(v, rho.matrix @ v).real)
+
+    def run(rho, aux):
+        entries = sigma_entries_in_group(d, aux, k)
+        weights = [weight(rho, v) for _, v in entries]
+        probed = [i for i, w in enumerate(weights) if w > 1e-9]
+        support, mismatches, states = [], 0, {}
+        for i in probed:
+            label, v = entries[i]
+            probe = DensityMatrix(np.outer(v, v.conj()))
+            prob, post = target_branch(probe)
+            assert prob >= 1.0 - 1e-6
+            second = [weight(post, u) for _, u in entries]
+            mismatches += second[i] < 1.0 - 1e-9
+            support.append((label, tuple(
+                (entries[j][0], p) for j, p in enumerate(second) if p > 1e-9
+            )))
+            states[label] = probe
+        evidence = (
+            tuple(entries[i][0] for i in probed),
+            tuple(entries[i][0] for i, w in enumerate(weights) if w <= 1e-9),
+            mismatches,
+            tuple(support),
+        )
+        return evidence, entries, weights, probed, states
+
+    if isinstance(initial, PureState):
+        initial = DensityMatrix(np.outer(initial.vector, initial.vector.conj()))
+    _, rho = target_branch(initial)
+    _, sigma = build_sigma(d)
+    first, entries, weights, probed, states = run(rho, sigma)
+    if first[2]:
+        return (first,), None, StageKind.SIGMA
+    best = None
+    for i in probed:
+        if best is None or weights[i] > weights[best] + 1e-12:
+            best = i
+    reference = entries[best][0]
+    _, sigma_prime = build_sigma_prime(d, sigma, k, best)
+    second, *_ = run(states[reference], sigma_prime)
+    return (first, second), reference, (
+        StageKind.SIGMA_PRIME if second[2] else None
+    )
+
+
+def assert_exact_matches_reference(initial, app, observable, target):
+    result = discriminate(initial, app, observable,
+                          ProtocolConfig(target_eigenvalue=target))
+    passes, reference, detected_at = reference_exact_discriminate(
+        initial, app, observable, target
+    )
+    assert result.detected_at is detected_at
+    assert result.reference_label == reference
+    assert len(result.evidence) == len(passes)
+    for stage, (observed, unprobed, mismatches, support) in zip(
+        result.evidence, passes
+    ):
+        assert stage.observed_first_labels == observed
+        assert stage.unprobed_labels == unprobed
+        assert stage.mismatch_count == mismatches
+        assert len(stage.branch_support) == len(support)
+        for (first, got), (first_ref, want) in zip(stage.branch_support, support):
+            assert first == first_ref
+            assert [lab for lab, _ in got] == [lab for lab, _ in want]
+            for (_, p), (_, p_ref) in zip(got, want):
+                assert abs(p - p_ref) <= 1e-12
+
+
+def test_exact_passes_match_the_channel_reference_on_c1_refinements():
+    observables = [
+        total_z(),
+        build_spin_operator(3, ((1.0, "ZII"), (1.0, "IZI"))),
+        np.diag([5.0, 5.0, 3.0, 3.0]).astype(complex),
+        np.diag([2.0, 2.0, 2.0, 0.0, 0.0, -1.0]).astype(complex),
+    ]
+    rng = np.random.default_rng(4243)
+    for base in observables:
+        dim = base.shape[0]
+        u = random_unitary(dim, rng)
+        a = u @ base @ u.conj().T
+        a = (a + a.conj().T) / 2
+        d = spectral_decompose(a)
+        mixed = DensityMatrix(random_density(dim, rng, rank=3))
+        per_group = [
+            [tuple(sorted(tuple(sorted(c)) for c in p))
+             for p in set_partitions(range(n))]
+            for n in d.multiplicities
+        ]
+        for combo in itertools.product(*per_group):
+            app = make_partial(d, combo)
+            for k, n in enumerate(d.multiplicities):
+                if n < 2:
+                    continue
+                for initial in (default_initial_state(d, k), mixed):
+                    assert_exact_matches_reference(
+                        initial, app, a, d.eigenvalues[k]
+                    )
+
+
+def test_exact_passes_match_the_channel_reference_on_six_spins():
+    rng = np.random.default_rng(4244)
+    terms = tuple((1.0, "I" * i + "Z" + "I" * (5 - i)) for i in range(6))
+    u = random_unitary(64, rng)
+    a = u @ build_spin_operator(6, terms) @ u.conj().T
+    a = (a + a.conj().T) / 2
+    d = spectral_decompose(a)
+    app = make_full_von_neumann(d, [
+        None if n == 1
+        else tuple((np.column_stack(group) @ random_unitary(n, rng)).T)
+        for n, group in zip(d.multiplicities, d.eigenbasis)
+    ])
+    mixed = DensityMatrix(random_density(64, rng, rank=3))
+    for k in (2, 3):
+        for initial in (default_initial_state(d, k), mixed):
+            assert_exact_matches_reference(initial, app, a, d.eigenvalues[k])
