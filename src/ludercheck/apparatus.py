@@ -2,9 +2,11 @@
 
 An apparatus measures a base observable, but internally it may resolve each
 degenerate eigenspace into finer blocks before reporting the coarse
-eigenvalue.  The refinement is construct-time data: the public surface
-exposes sampled outcomes, enumerated branches labelled by coarse outcome and
-the exact outcome-labelled channel, never the block structure.
+eigenvalue.  The refinement is construct-time data.  The public surface
+reports coarse outcomes, as indices into the base observable's eigenvalues,
+drawn one per row (``measure_sampled``) or enumerated with their weights
+(``branches``), and the exact outcome-labelled channel on densities
+(``channel_exact``); never the block structure.
 :meth:`MeasurementApparatus.reveal_refinement` exists solely for
 ground-truth oracles and gated diagnostics; the discrimination protocol
 must never call it.
@@ -13,10 +15,8 @@ must never call it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,29 +28,7 @@ from .quantum import (
     SpectralDecomposition,
     branches,
     collapse,
-    spread_labels,
 )
-
-
-class Stage(Enum):
-    """Protocol positions at which a single measurement can occur."""
-
-    SIGMA_1 = "SIGMA_1"
-    APPARATUS_A = "APPARATUS_A"
-    SIGMA_2 = "SIGMA_2"
-    SIGMA_PRIME_1 = "SIGMA_PRIME_1"
-    APPARATUS_A_2 = "APPARATUS_A_2"
-    SIGMA_PRIME_2 = "SIGMA_PRIME_2"
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One measurement event in a sampled protocol run."""
-
-    system_id: int
-    stage: Stage
-    label: float
-    timestamp_index: int
 
 
 def labels_close(a: float, b: float) -> bool:
@@ -61,30 +39,13 @@ def labels_close(a: float, b: float) -> bool:
 class MeasurementApparatus:
     """A measurement device for a base observable with hidden reduction rule.
 
-    Outcomes carry the base observable's eigenvalues (or a caller-supplied
-    relabelling that is constant on eigenspaces, which amounts to the same
-    outcomes).  State reduction follows the hidden refinement: the state is
+    Outcomes are indices into :attr:`outcome_labels`, the base observable's
+    eigenvalues.  State reduction follows the hidden refinement: the state is
     projected onto one refinement block, chosen by the Born rule.
     """
 
-    def __init__(
-        self,
-        refinement: Refinement,
-        output_map: Callable[[float], float] | None = None,
-    ):
+    def __init__(self, refinement: Refinement):
         self._refinement = refinement
-        base = refinement.base
-        if output_map is not None:
-            for k, group_labels in enumerate(refinement.labels):
-                expected = base.eigenvalues[k]
-                for lab in group_labels:
-                    got = float(output_map(lab))
-                    if not labels_close(got, expected):
-                        raise ValueError(
-                            f"output map sends refined label {lab} to {got}, "
-                            f"but every block of eigenspace {k} must map to "
-                            f"{expected}"
-                        )
         # Flat block layout: the columns of one unitary matrix, eigenspace
         # after eigenspace and block after block inside each; the first
         # column and the eigenspace of each block, the column bounds of each
@@ -103,7 +64,7 @@ class MeasurementApparatus:
         self._basis = np.column_stack(cols)
         self._starts = np.array(starts)
         self._groups = tuple(groups)
-        self._bounds = tuple(accumulate(base.multiplicities, initial=0))
+        self._bounds = tuple(accumulate(refinement.base.multiplicities, initial=0))
         block_of = np.array(block_of)
         self._same_block = block_of[:, None] == block_of
 
@@ -181,11 +142,8 @@ class MeasurementApparatus:
 
 
 def _device(base: SpectralDecomposition, basis, blocks) -> MeasurementApparatus:
-    """An apparatus over ``basis`` and ``blocks`` with spread refined labels."""
-    labels = spread_labels(base.eigenvalues, [len(cells) for cells in blocks])
-    return MeasurementApparatus(
-        Refinement(base=base, basis=basis, blocks=blocks, labels=labels)
-    )
+    """An apparatus over ``basis`` and ``blocks``."""
+    return MeasurementApparatus(Refinement(base=base, basis=basis, blocks=blocks))
 
 
 def make_luders(base: SpectralDecomposition) -> MeasurementApparatus:

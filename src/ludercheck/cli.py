@@ -16,20 +16,18 @@ from typing import Any
 
 import numpy as np
 
-from .apparatus import Stage
 from .protocol import (
+    STAGE_NAMES,
     Classification,
     EmptySelectionError,
     Mode,
     ProtocolConfig,
     RepeatabilityError,
-    StageKind,
     Verdict,
     classify_refinement_oracle,
     discriminate,
     resolve_target,
 )
-from .quantum import spectral_decompose
 from .scenarios import (
     ConsecutiveSpec,
     FullVonNeumannSpec,
@@ -350,9 +348,8 @@ def build_report(result: Classification, config: ProtocolConfig,
     }
     if include_transcript:
         records = result.transcript
-        stage_names = [stage.value for stage in Stage]
         report["transcript"] = [
-            {"system_id": sid, "stage": stage_names[stage], "label": label,
+            {"system_id": sid, "stage": STAGE_NAMES[stage], "label": label,
              "timestamp_index": i}
             for i, (sid, stage, label) in enumerate(zip(
                 records.system_ids.tolist(), records.stages.tolist(),

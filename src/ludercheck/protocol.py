@@ -10,15 +10,17 @@ from its first, the reduction was not Lüders.  A second pass swaps in an
 auxiliary ``sigma_prime`` whose eigenvectors overlap every ``sigma``
 eigenvector of the eigenspace, which catches the remaining case where the
 hidden blocks happen to be diagonal in the ``sigma`` basis.  Consistency
-in both passes identifies the Lüders rule: exactly, in the exact channel
-mode, and up to a quantified false-acceptance bound in sampled mode.
+in both passes identifies the Lüders rule: exactly, in exact mode, and up
+to a quantified false-acceptance bound in sampled mode.
 
-Sampled mode runs the ensemble as arrays: each measurement layer (the
-selection, each auxiliary measurement, each apparatus use) acts on every
-system at once through :func:`ludercheck.quantum.collapse`, and outcomes
-stay integer indices until they reach the transcript and the evidence.
-Exact mode carries Born-weighted pure rows and enumerates every branch
-instead of drawing one, so it builds no density matrix.
+Both modes run the same passes over weighted pure rows.  Each measurement
+layer (the selection, each auxiliary measurement, each apparatus use) is
+one kernel call on all rows at once, and outcomes stay integer indices
+until they reach the evidence and the transcript.  The mode picks the
+kernel and the reference rule, nothing else: sampled mode draws one branch
+per system through :func:`ludercheck.quantum.collapse`, exact mode
+enumerates every branch through :func:`ludercheck.quantum.branches` and so
+builds no density matrix.
 """
 
 from __future__ import annotations
@@ -29,18 +31,14 @@ from enum import Enum
 
 import numpy as np
 
-from .apparatus import (
-    MeasurementApparatus,
-    MeasurementRecord,
-    Stage,
-    labels_close,
-)
+from .apparatus import MeasurementApparatus, labels_close
 from .linalg import DEFAULT_TOL, hermitian_eig
 from .quantum import (
     DensityMatrix,
     PureState,
     Refinement,
     SpectralDecomposition,
+    branches,
     build_sigma,
     build_sigma_prime,
     measure_pure,
@@ -55,8 +53,18 @@ class Mode(Enum):
 
 
 class StageKind(Enum):
+    """A protocol pass; pass ``p`` records transcript stages ``3 * p + step``."""
+
     SIGMA = "SIGMA"
     SIGMA_PRIME = "SIGMA_PRIME"
+
+
+#: Transcript stage names: per pass, the first auxiliary measurement, the
+#: apparatus, and the second auxiliary measurement.
+STAGE_NAMES = (
+    "SIGMA_1", "APPARATUS_A", "SIGMA_2",
+    "SIGMA_PRIME_1", "APPARATUS_A_2", "SIGMA_PRIME_2",
+)
 
 
 class Verdict(Enum):
@@ -103,16 +111,13 @@ class ProtocolConfig:
             raise ValueError("tol must be positive")
 
 
-_STAGES = tuple(Stage)
-
-
 @dataclass(frozen=True, eq=False)
 class Transcript:
     """The measurement records of a sampled run, held as parallel arrays.
 
     Record ``i`` is system ``system_ids[i]`` measured at stage
-    ``tuple(Stage)[stages[i]]`` with outcome ``labels[i]``; its timestamp is
-    its position ``i``.  Iterating yields :class:`MeasurementRecord` objects.
+    ``STAGE_NAMES[stages[i]]`` with outcome ``labels[i]``; its timestamp is
+    its position ``i``.
     """
 
     system_ids: np.ndarray = field(
@@ -134,12 +139,6 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.system_ids)
 
-    def __iter__(self):
-        for i, (sid, stage, label) in enumerate(zip(
-            self.system_ids.tolist(), self.stages.tolist(), self.labels.tolist()
-        )):
-            yield MeasurementRecord(sid, _STAGES[stage], label, i)
-
     def __eq__(self, other):
         if not isinstance(other, Transcript):
             return NotImplemented
@@ -154,13 +153,14 @@ class Transcript:
 class StageResult:
     """Evidence gathered by one auxiliary-observable pass.
 
-    Sampled mode counts per-system mismatches between the two auxiliary
-    measurements.  In both modes ``branch_support`` gives, per reached first
-    outcome in label order, the distribution of the second outcome: exact
-    Born weights in exact mode, empirical first-to-second frequencies over
-    the systems in sampled mode.  Outcomes of the eigenspace that an
-    exact-mode ensemble state cannot reach are listed in ``unprobed_labels``
-    rather than silently skipped.
+    A trial is one system in sampled mode and one reached first auxiliary
+    outcome (a probe) in exact mode.  ``mismatch_count`` counts the trials
+    whose second outcome differs from the first (with more than ``tol`` of
+    the trial's weight, in exact mode).  ``branch_support`` gives, per
+    reached first outcome in label order, the distribution of the second
+    outcome: empirical frequencies when sampled, Born weights when exact.
+    Auxiliary outcomes of the target eigenspace that no trial reached are
+    listed in ``unprobed_labels`` rather than silently skipped.
     """
 
     stage: StageKind
@@ -189,21 +189,16 @@ class Classification:
 class Ensemble:
     """Systems selected for one protocol pass, as weighted pure rows.
 
-    Row ``i`` of ``states`` is a normalised pure state and ``weights[i]``
-    its share of the ensemble; the weights sum to one.  Sampled mode keeps
-    one row of equal weight per selected system, and ``ids`` holds each
-    system's id in the unselected ensemble.  Exact mode keeps one row per
-    reached branch, weighted by its Born probability, and has no ids.
+    Row ``i`` of ``states`` is a normalised pure state of system ``ids[i]``
+    and stands for ``weights[i]`` of the run.  Sampled mode keeps one row of
+    weight one per selected system, with its id in the unselected ensemble.
+    Exact mode follows a single system, id 0, over rows weighted by their
+    Born probabilities.
     """
 
-    provenance: str
     states: np.ndarray
     weights: np.ndarray
-    ids: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
+    ids: np.ndarray
 
 
 def required_ensemble_size(min_disturbance: float, confidence: float) -> int:
@@ -247,220 +242,190 @@ def _as_pure_mixture(
     return cdf / cdf[-1], v[:, keep].T
 
 
-def _coarse_index(app: MeasurementApparatus, label: float) -> int:
-    """The index of ``label`` among the apparatus outcomes, or -1 if absent."""
-    for i, lab in enumerate(app.outcome_labels):
-        if labels_close(lab, label):
-            return i
-    return -1
+class _Sampled:
+    """Sampled mode: every row is one system, and a measurement draws its branch."""
+
+    def __init__(self, size: int, rng: np.random.Generator):
+        self.size = size
+        self.rng = rng
+
+    def draw(self, cdf, components):
+        """``size`` systems of weight one, each picking a mixture component."""
+        pick = np.searchsorted(cdf, self.rng.random(self.size), side="right")
+        return components[pick], np.ones(self.size), np.arange(self.size)
+
+    def observe(self, aux, probes, states, weights):
+        outcomes, _ = measure_pure(aux, states, self.rng)
+        return np.arange(len(states)), outcomes, weights
+
+    def apparatus(self, app, states, weights):
+        outcomes, post = app.measure_sampled(states, self.rng)
+        return np.arange(len(states)), outcomes, weights, post
+
+    def reference(self, first, weights):
+        """The first system's outcome."""
+        return first[0]
+
+
+class _Exact:
+    """Exact mode: one system over Born-weighted rows, every branch enumerated."""
+
+    def draw(self, cdf, components):
+        """Every mixture component, weighted by its probability."""
+        return components, np.diff(cdf, prepend=0.0), np.zeros(len(cdf), dtype=np.int64)
+
+    def observe(self, aux, probes, states, weights):
+        basis = aux.stacked[0][:, probes]
+        rows, j, weights, _ = branches(
+            basis, np.arange(len(probes)), states, weights, False
+        )
+        return rows, np.take(probes, j), weights
+
+    def apparatus(self, app, states, weights):
+        return app.branches(states, weights)
+
+    def reference(self, first, weights):
+        """The largest-weight outcome; near ties go to the earliest label."""
+        near = weights >= weights.max() - 1e-12 * weights.sum()
+        return first[np.flatnonzero(near)[0]]
+
+
+def _kernel(config: ProtocolConfig, rng: np.random.Generator) -> _Sampled | _Exact:
+    """What the mode picks: the measurement kernels and the reference rule.
+
+    ``draw`` builds the unselected ensemble from a mixture.  ``apparatus``
+    measures weighted rows and returns, per kept branch, its source row,
+    outcome index, weight and reduced row; ``observe`` does the same for a
+    non-degenerate auxiliary observable without the reduced rows, which are
+    its eigenvectors.  Sampled mode draws over every auxiliary outcome;
+    exact mode enumerates the ``probes``, the outcomes inside the target
+    eigenspace, which are the only ones a selected row reaches.
+    ``reference`` picks pass two's first outcome from pass one's trial
+    outcomes and weights.
+    """
+    if config.mode is Mode.SAMPLED:
+        return _Sampled(config.ensemble_size, rng)
+    return _Exact()
 
 
 def prepare_ensemble(
     initial: PureState | DensityMatrix,
     app: MeasurementApparatus,
-    target_label: float,
+    target: int,
     config: ProtocolConfig,
     rng: np.random.Generator,
 ) -> Ensemble:
-    """Measure the initial state and keep what returned the target eigenvalue.
+    """Measure the initial state and keep what returned outcome ``target``.
 
-    Sampled mode draws ``ensemble_size`` systems from the initial state,
-    measures each with the apparatus, and keeps those whose outcome matched;
-    system ids from the unselected ensemble are preserved.  Exact mode
-    enumerates every branch of every mixture component and keeps the rows
-    of the target outcome, their Born weights renormalised to sum to one.
+    ``target`` indexes ``app.outcome_labels``.  Sampled mode draws
+    ``ensemble_size`` systems from the initial state and keeps those whose
+    apparatus outcome matched, with their ids.  Exact mode enumerates every
+    branch of every mixture component and keeps the target outcome's rows.
     """
-    cdf, components = _as_pure_mixture(initial, config.tol)
-    target = _coarse_index(app, target_label)
-    if config.mode is Mode.SAMPLED:
-        # One draw per system picks its mixture component.
-        pick = np.searchsorted(cdf, rng.random(config.ensemble_size), side="right")
-        coarse, post = app.measure_sampled(components[pick], rng)
-        ids = np.flatnonzero(coarse == target)
-        if len(ids) == 0:
-            raise EmptySelectionError(
-                f"no system returned eigenvalue {target_label}; the initial "
-                "state may be orthogonal to its eigenspace, or the ensemble "
-                "is too small -- retry with a larger ensemble_size"
-            )
-        return Ensemble(
-            provenance=f"selected label {target_label} from "
-            f"{config.ensemble_size} systems",
-            states=post[ids],
-            weights=np.full(len(ids), 1.0 / len(ids)),
-            ids=ids,
-        )
-    _, coarse, weights, post = app.branches(components, np.diff(cdf, prepend=0.0))
+    kernel = _kernel(config, rng)
+    states, weights, ids = kernel.draw(*_as_pure_mixture(initial, config.tol))
+    rows, coarse, weights, states = kernel.apparatus(app, states, weights)
     kept = coarse == target
-    prob = float(weights[kept].sum())
-    if prob <= DEFAULT_TOL:
+    if weights[kept].sum() <= config.tol * weights.sum():
         raise EmptySelectionError(
-            f"the initial state is orthogonal to the eigenspace of {target_label}"
+            f"nothing returned eigenvalue {app.outcome_labels[target]}; the "
+            "initial state may be orthogonal to its eigenspace, or a sampled "
+            "ensemble too small -- retry with a larger ensemble_size"
         )
-    return Ensemble(
-        provenance=f"exact branch for label {target_label} (weight {prob})",
-        states=post[kept],
-        weights=weights[kept] / prob,
-    )
-
-
-_STAGE_RECORDS = {
-    StageKind.SIGMA: (Stage.SIGMA_1, Stage.APPARATUS_A, Stage.SIGMA_2),
-    StageKind.SIGMA_PRIME: (
-        Stage.SIGMA_PRIME_1,
-        Stage.APPARATUS_A_2,
-        Stage.SIGMA_PRIME_2,
-    ),
-}
+    return Ensemble(states[kept], weights[kept], ids[rows[kept]])
 
 
 def run_stage(
     ensemble: Ensemble,
     aux: SpectralDecomposition,
     app: MeasurementApparatus,
-    base: SpectralDecomposition,
-    target_group: int,
+    target: int,
+    probes: list[int],
     kind: StageKind,
     config: ProtocolConfig,
     rng: np.random.Generator,
     transcript: list[Transcript] | None = None,
-    inside: list[tuple[float, np.ndarray]] | None = None,
-) -> tuple[StageResult, dict[float, Ensemble]]:
+) -> tuple[StageResult, int, Ensemble]:
     """One pass: auxiliary measurement, apparatus, auxiliary measurement again.
 
-    Returns the stage evidence and, keyed by first auxiliary outcome, the
-    subensembles available for a follow-up pass.  In sampled mode the pass's
-    measurement records are appended to ``transcript`` when it is given.
-    Exact mode probes, as a pure row, every auxiliary eigenvector in
-    ``inside`` (from :func:`~ludercheck.quantum.sigma_entries_in_group`,
-    computed when not given) that the ensemble reaches.  Raises
-    :class:`RepeatabilityError` if the apparatus ever fails to reproduce the
-    target eigenvalue on a selected system.
+    ``target`` indexes ``app.outcome_labels`` and ``probes`` holds the
+    auxiliary outcomes inside the target eigenspace.  The rows of one system
+    that reach the same first outcome are one state, since ``aux`` is
+    non-degenerate, and merge into one trial.  Every row keeps its trial's
+    index, and one weighted table of first against second outcomes gives
+    the evidence.  Returns the evidence, the reference first outcome picked
+    by the mode's rule, and the trials with that outcome as the ensemble of
+    a follow-up pass.  A given ``transcript`` receives the pass's records;
+    only sampled rows, which stay one per system, make records.  Raises
+    :class:`RepeatabilityError` if the apparatus fails to reproduce the
+    target outcome.
     """
-    target_label = base.eigenvalues[target_group]
-    if config.mode is Mode.SAMPLED:
-        return _run_stage_sampled(
-            ensemble, aux, app, target_label, kind, rng, transcript
-        )
-    if inside is None:
-        inside = sigma_entries_in_group(base, aux, target_group)
-    return _run_stage_exact(ensemble, inside, app, target_label, kind, config.tol)
+    kernel = _kernel(config, rng)
+    n = aux.group_count
+    rows, first, weights = kernel.observe(
+        aux, probes, ensemble.states, ensemble.weights
+    )
+    # A trial is a system and a first outcome, keyed in system-major order.
+    keys, trial = np.unique(ensemble.ids[rows] * n + first, return_inverse=True)
+    weights = np.bincount(trial, weights)
+    live = weights > config.tol * weights.sum()
+    keys, weights = keys[live], weights[live]
+    first = keys % n
+    # After a non-degenerate outcome the state is that outcome's eigenvector.
+    vectors = np.ascontiguousarray(aux.stacked[0].T)
+    trials = Ensemble(np.take(vectors, first, axis=0), weights, keys // n)
 
-
-def _run_stage_sampled(ensemble, aux, app, target_label, kind, rng, transcript):
-    if ensemble.ids is None:
-        raise ValueError("sampled mode needs an ensemble of tracked systems")
-    first, states = measure_pure(aux, ensemble.states, rng)
-    coarse, states = app.measure_sampled(states, rng)
-    wrong = np.flatnonzero(coarse != _coarse_index(app, target_label))
-    if len(wrong):
+    rows, coarse, weights, states = kernel.apparatus(app, trials.states, trials.weights)
+    kept = coarse == target
+    reproduced = np.bincount(rows, weights * kept, len(first))
+    if np.any(reproduced < (1.0 - 1e-6) * trials.weights):
         raise RepeatabilityError(
-            f"apparatus returned {app.outcome_labels[coarse[wrong[0]]]} on a "
-            f"system selected for {target_label}; it does not measure the "
-            "base observable"
+            f"apparatus failed to reproduce eigenvalue "
+            f"{app.outcome_labels[target]} on a selected state; it does not "
+            "measure the base observable"
         )
-    second, states = measure_pure(aux, states, rng)
+    rows2, second, weights = kernel.observe(aux, probes, states[kept], weights[kept])
+    trial = rows[kept][rows2]
+    first_of, labels = first[trial], aux.eigenvalues
     if transcript is not None:
-        labels = np.array(aux.eigenvalues)
         # Per system, its three records in measurement order.
         transcript.append(Transcript(
-            np.repeat(ensemble.ids, 3),
-            np.tile([_STAGES.index(s) for s in _STAGE_RECORDS[kind]], len(first)),
+            np.repeat(trials.ids, 3),
+            np.tile(3 * tuple(StageKind).index(kind) + np.arange(3), len(first)),
             np.column_stack([
-                labels[first], np.take(app.outcome_labels, coarse), labels[second]
+                np.take(labels, first), np.take(app.outcome_labels, coarse),
+                np.take(labels, second),
             ]).ravel(),
         ))
-    n = aux.group_count
-    table = np.bincount(first * n + second, minlength=n * n).reshape(n, n)
+    table = np.bincount(first_of * n + second, weights, minlength=n * n)
+    table = table.reshape(n, n)
     reached = table.sum(axis=1)
-    support = tuple(
-        (aux.eigenvalues[a], tuple(
-            (aux.eigenvalues[b], float(table[a, b] / reached[a]))
-            for b in np.flatnonzero(table[a])
-        ))
-        for a in np.flatnonzero(reached)
-    )
-    _, first_seen = np.unique(first, return_index=True)
-    observed = first[np.sort(first_seen)]
-    mismatches = int(np.count_nonzero(first != second))
+    moved = np.bincount(trial, weights * (second != first_of), len(first))
+    mismatches = int(np.count_nonzero(moved > config.tol * reproduced))
+    # Each first outcome's earliest trial gives the order of observation.
+    seen = np.full(n, len(first))
+    np.minimum.at(seen, first, np.arange(len(first)))
+    observed = np.argsort(seen, kind="stable")[: np.count_nonzero(seen < len(first))]
     result = StageResult(
         stage=kind,
         consistent=mismatches == 0,
-        observed_first_labels=tuple(aux.eigenvalues[a] for a in observed),
+        observed_first_labels=tuple(labels[a] for a in observed),
         mismatch_count=mismatches,
         trials=len(first),
-        branch_support=support,
-    )
-    subensembles = {}
-    for a in observed:
-        members = first == a
-        subensembles[aux.eigenvalues[a]] = Ensemble(
-            provenance=f"{ensemble.provenance} -> {kind.value} outcome "
-            f"{aux.eigenvalues[a]}",
-            states=states[members],
-            weights=np.full(reached[a], 1.0 / reached[a]),
-            ids=ensemble.ids[members],
-        )
-    return result, subensembles
-
-
-def _born_weights(vectors: np.ndarray, ensemble: Ensemble) -> np.ndarray:
-    """The weights sum_i w_i |<v|s_i>|^2 of every column v of ``vectors``."""
-    amps = ensemble.states @ vectors.conj()
-    return (ensemble.weights[:, None] * (amps.real**2 + amps.imag**2)).sum(axis=0)
-
-
-def _run_stage_exact(ensemble, inside, app, target_label, kind, tol):
-    labels = [label for label, _ in inside]
-    vectors = np.column_stack([vec for _, vec in inside])
-    weights = _born_weights(vectors, ensemble)
-    probed = np.flatnonzero(weights > tol)
-    if not len(probed):
-        raise EmptySelectionError(
-            "the ensemble state is orthogonal to every auxiliary outcome of "
-            "the target eigenspace"
-        )
-    # Each probe is a pure row of unit weight; keep its target-outcome branches.
-    rows, coarse, w, post = app.branches(vectors[:, probed].T, np.ones(len(probed)))
-    kept = coarse == _coarse_index(app, target_label)
-    rows, w, post = rows[kept], w[kept], post[kept]
-    reproduced = np.bincount(rows, w, minlength=len(probed))
-    if np.any(reproduced < 1.0 - 1e-6):
-        raise RepeatabilityError(
-            f"apparatus failed to reproduce eigenvalue {target_label} on "
-            "an eigenspace state; it does not measure the base observable"
-        )
-    # Per probe, the second-outcome weights sum_b w_b |V^H r_b|^2 of its
-    # branches, normalised by the reproduced weight; rows come sorted and
-    # every probe has a branch.
-    amps = post @ vectors.conj()
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    second = np.add.reduceat(
-        w[:, None] * (amps.real**2 + amps.imag**2), starts, axis=0
-    ) / reproduced[:, None]
-    same = second[np.arange(len(probed)), probed]
-    mismatches = int(np.count_nonzero(same < 1.0 - tol))
-    result = StageResult(
-        stage=kind,
-        consistent=mismatches == 0,
-        observed_first_labels=tuple(labels[i] for i in probed),
-        mismatch_count=mismatches,
-        trials=len(probed),
         branch_support=tuple(
-            (labels[i], tuple((labels[j], float(p[j])) for j in np.flatnonzero(p > tol)))
-            for i, p in zip(probed, second)
+            (labels[a], tuple(
+                (labels[b], float(table[a, b] / reached[a]))
+                for b in np.flatnonzero(table[a] > config.tol * reached[a])
+            ))
+            for a in np.flatnonzero(reached)
         ),
-        unprobed_labels=tuple(labels[i] for i in np.flatnonzero(weights <= tol)),
+        unprobed_labels=tuple(labels[a] for a in probes if not reached[a]),
     )
-    subensembles = {
-        labels[i]: Ensemble(
-            provenance=f"{ensemble.provenance} -> {kind.value} outcome {labels[i]}",
-            states=vectors[:, i][None, :],
-            weights=np.ones(1),
-        )
-        for i in probed
-    }
-    return result, subensembles
+    reference = kernel.reference(first, trials.weights)
+    chosen = first == reference
+    return result, int(reference), Ensemble(
+        trials.states[chosen], trials.weights[chosen], trials.ids[chosen]
+    )
 
 
 def resolve_target(decomp: SpectralDecomposition, config: ProtocolConfig) -> int | None:
@@ -472,16 +437,6 @@ def resolve_target(decomp: SpectralDecomposition, config: ProtocolConfig) -> int
         if n >= 2:
             return k
     return None
-
-
-def _exact_reference(ensemble: Ensemble, inside, tol: float):
-    """Highest-probability probed first outcome; ties go to the earliest label."""
-    weights = _born_weights(np.column_stack([vec for _, vec in inside]), ensemble)
-    best = None
-    for (label, _), weight in zip(inside, weights.tolist()):
-        if weight > tol and (best is None or weight > best[1] + 1e-12):
-            best = (label, weight)
-    return best[0]
 
 
 def discriminate(
@@ -496,6 +451,9 @@ def discriminate(
     pass shows a disturbed auxiliary outcome, LUDERS when both passes are
     consistent, INDETERMINATE when the target eigenvalue is non-degenerate
     (the reduction rules then coincide and nothing can distinguish them).
+    Raises ValueError if the apparatus acts on another dimension than the
+    observable, and :class:`RepeatabilityError` if it has no outcome for the
+    target eigenvalue.
     """
     if config is None:
         config = ProtocolConfig()
@@ -503,8 +461,13 @@ def discriminate(
     decomp = spectral_decompose(
         observable, config.grouping_threshold, tol=config.tol
     )
-    target_group = resolve_target(decomp, config)
-    if target_group is None:
+    if app.dim != decomp.dim:
+        raise ValueError(
+            f"the apparatus acts on dimension {app.dim}, the observable on "
+            f"dimension {decomp.dim}"
+        )
+    k = resolve_target(decomp, config)
+    if k is None:
         return Classification(
             verdict=Verdict.INDETERMINATE,
             detected_at=None,
@@ -512,63 +475,48 @@ def discriminate(
             false_acceptance_bound=None,
             transcript=Transcript(),
         )
-    target_label = decomp.eigenvalues[target_group]
+    target_label = decomp.eigenvalues[k]
+    target = next((
+        i for i, label in enumerate(app.outcome_labels)
+        if labels_close(label, target_label)
+    ), None)
+    if target is None:
+        raise RepeatabilityError(
+            f"the apparatus has no outcome {target_label}; it does not "
+            "measure the base observable"
+        )
     rng = np.random.default_rng(config.seed)
-    transcript: list[Transcript] = []
+    transcript = [] if config.mode is Mode.SAMPLED else None
 
-    ensemble = prepare_ensemble(initial, app, target_label, config, rng)
+    ensemble = prepare_ensemble(initial, app, target, config, rng)
     _, sigma = build_sigma(decomp)
-    inside = sigma_entries_in_group(decomp, sigma, target_group)
-    first, subensembles = run_stage(
-        ensemble, sigma, app, decomp, target_group, StageKind.SIGMA,
-        config, rng, transcript, inside,
+    inside = sigma_entries_in_group(decomp, sigma, k)
+    # sigma_prime keeps sigma's labels, so both share these outcome indices.
+    probes = [sigma.eigenvalues.index(label) for label, _ in inside]
+    first, reference, follow_up = run_stage(
+        ensemble, sigma, app, target, probes, StageKind.SIGMA, config, rng,
+        transcript,
     )
-    if not first.consistent:
-        return Classification(
-            verdict=Verdict.NON_LUDERS,
-            detected_at=StageKind.SIGMA,
-            evidence=(first,),
-            false_acceptance_bound=None,
-            transcript=Transcript.concatenate(transcript),
-            target_eigenvalue=target_label,
+    evidence = (first,)
+    if first.consistent:
+        _, sigma_prime = build_sigma_prime(
+            decomp, sigma, k, probes.index(reference), inside
         )
-
-    if config.mode is Mode.SAMPLED:
-        reference = first.observed_first_labels[0]
-    else:
-        reference = _exact_reference(ensemble, inside, config.tol)
-    reference_index = [lab for lab, _ in inside].index(reference)
-    _, sigma_prime = build_sigma_prime(
-        decomp, sigma, target_group, reference_index, inside
-    )
-    if reference not in subensembles or subensembles[reference].size == 0:
-        raise EmptySelectionError(
-            f"no system left with auxiliary outcome {reference}; retry with a "
-            "larger ensemble_size"
+        second, _, _ = run_stage(
+            follow_up, sigma_prime, app, target, probes,
+            StageKind.SIGMA_PRIME, config, rng, transcript,
         )
-    second, _ = run_stage(
-        subensembles[reference], sigma_prime, app, decomp, target_group,
-        StageKind.SIGMA_PRIME, config, rng, transcript,
-    )
-    if not second.consistent:
-        return Classification(
-            verdict=Verdict.NON_LUDERS,
-            detected_at=StageKind.SIGMA_PRIME,
-            evidence=(first, second),
-            false_acceptance_bound=None,
-            transcript=Transcript.concatenate(transcript),
-            target_eigenvalue=target_label,
-            reference_label=reference,
-        )
+        evidence = (first, second)
+    detected = next((s.stage for s in evidence if not s.consistent), None)
     bound = None
-    if config.mode is Mode.SAMPLED:
-        bound = (1.0 - config.min_disturbance) ** (first.trials + second.trials)
+    if detected is None and config.mode is Mode.SAMPLED:
+        bound = (1.0 - config.min_disturbance) ** sum(s.trials for s in evidence)
     return Classification(
-        verdict=Verdict.LUDERS,
-        detected_at=None,
-        evidence=(first, second),
+        verdict=Verdict.LUDERS if detected is None else Verdict.NON_LUDERS,
+        detected_at=detected,
+        evidence=evidence,
         false_acceptance_bound=bound,
-        transcript=Transcript.concatenate(transcript),
+        transcript=Transcript.concatenate(transcript or []),
         target_eigenvalue=target_label,
-        reference_label=reference,
+        reference_label=sigma.eigenvalues[reference] if first.consistent else None,
     )

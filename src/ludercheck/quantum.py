@@ -3,18 +3,20 @@
 The central object is a :class:`SpectralDecomposition`: the distinct
 eigenvalues of a Hermitian observable together with their eigenprojectors
 and a canonical orthonormal basis per eigenspace.  On top of it sit the
-Born rule, the Lüders state update, a builder for spin-chain observables,
-and the two auxiliary-observable constructions used by the discrimination
-protocol: a non-degenerate refinement ``sigma`` diagonal in the canonical
-eigenbasis, and a second refinement ``sigma_prime`` whose eigenvectors
-inside one eigenspace overlap every ``sigma`` eigenvector there.
+measurement kernels (:func:`collapse` draws one outcome per row,
+:func:`branches` enumerates them all), the non-selective Lüders channel, a
+builder for spin-chain observables, and the two auxiliary-observable
+constructions used by the discrimination protocol: a non-degenerate
+refinement ``sigma`` diagonal in the canonical eigenbasis, and a second
+refinement ``sigma_prime`` whose eigenvectors inside one eigenspace overlap
+every ``sigma`` eigenvector there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,31 +92,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class UnnormalizedDensity:
-    """A measurement branch before renormalisation: Hermitian, PSD, trace <= 1."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        if not linalg.is_hermitian(m, DEFAULT_TOL):
-            raise ValueError("branch matrix is not Hermitian")
-        m = 0.5 * (m + m.conj().T)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def weight(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def normalized(self) -> DensityMatrix:
-        w = self.weight
-        if w <= DEFAULT_TOL:
-            raise ValueError("branch weight is numerically zero")
-        return DensityMatrix(self.matrix / w)
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Distinct eigenvalues, eigenprojectors, and a canonical eigenbasis.
 
@@ -162,40 +139,11 @@ class SpectralDecomposition:
         return k
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All basis vectors as columns, plus the start offset of each group."""
         cols = [v for group in self.eigenbasis for v in group]
         starts = np.cumsum([0] + [len(g) for g in self.eigenbasis])[:-1]
         return np.column_stack(cols), starts
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Outcome labels with probabilities; entries at or below tol are dropped."""
-
-    outcomes: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        kept = []
-        total = 0.0
-        for label, p in self.outcomes:
-            p = float(p)
-            if p < -DEFAULT_TOL:
-                raise ValueError(f"negative probability {p} for outcome {label}")
-            total += p
-            if p > DEFAULT_TOL:
-                kept.append((float(label), p))
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if not kept:
-            raise ValueError("no outcome has positive probability")
-        object.__setattr__(self, "outcomes", tuple(kept))
-
-    def probability(self, label: float) -> float:
-        for lab, p in self.outcomes:
-            if lab == label:
-                return p
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -206,23 +154,20 @@ class Refinement:
     is an orthonormal family spanning eigenspace ``k`` (the canonical basis by
     default, but any rotation is allowed) and ``blocks[k]`` partitions its
     index range.  Block ``(k, b)`` carries the sub-projector onto the span of
-    its basis vectors and a refined label distinct from every other block's.
-    One block per eigenspace is the Lüders rule; all singleton blocks is a
-    full von Neumann measurement; anything between is partial von Neumann.
+    its basis vectors.  One block per eigenspace is the Lüders rule; all
+    singleton blocks is a full von Neumann measurement; anything between is
+    partial von Neumann.
     """
 
     base: SpectralDecomposition
     basis: tuple[tuple[np.ndarray, ...], ...]
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
-    labels: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         if len(self.basis) != self.base.group_count:
             raise ValueError("need one basis family per eigenvalue group")
         if len(self.blocks) != self.base.group_count:
             raise ValueError("need one block partition per eigenvalue group")
-        if len(self.labels) != self.base.group_count:
-            raise ValueError("need one label tuple per eigenvalue group")
         for k, group in enumerate(self.basis):
             n = self.base.multiplicities[k]
             if len(group) != n:
@@ -238,13 +183,8 @@ class Refinement:
             seen = sorted(i for cell in cells for i in cell)
             if seen != list(range(n)) or any(len(cell) == 0 for cell in cells):
                 raise ValueError(f"group {k}: blocks are not a partition of 0..{n - 1}")
-            if len(self.labels[k]) != len(cells):
-                raise ValueError(f"group {k}: need one label per block")
             for v in group:
                 v.setflags(write=False)
-        flat = [lab for group in self.labels for lab in group]
-        if len(set(flat)) != len(flat):
-            raise ValueError("refined labels are not pairwise distinct")
 
     @property
     def dim(self) -> int:
@@ -338,38 +278,6 @@ def spectral_decompose(
     )
 
 
-def _density_of(state: "DensityMatrix | PureState") -> np.ndarray:
-    if isinstance(state, PureState):
-        return np.outer(state.vector, state.vector.conj())
-    return state.matrix
-
-
-def born_distribution(
-    decomp: SpectralDecomposition, state: "DensityMatrix | PureState"
-) -> OutcomeDistribution:
-    """Outcome probabilities tr(P_k rho) of a projective measurement."""
-    rho = _density_of(state)
-    if rho.shape[0] != decomp.dim:
-        raise ValueError("state dimension does not match the observable")
-    pairs = []
-    for a, p in zip(decomp.eigenvalues, decomp.projectors):
-        prob = float(np.trace(p @ rho).real)
-        pairs.append((a, max(prob, 0.0)))
-    return OutcomeDistribution(tuple(pairs))
-
-
-def luders_update(
-    decomp: SpectralDecomposition, rho: DensityMatrix, k: int
-) -> tuple[float, UnnormalizedDensity]:
-    """Lüders branch for outcome ``k``: probability and P_k rho P_k, unnormalised."""
-    if not 0 <= k < decomp.group_count:
-        raise ValueError(f"outcome index {k} out of range")
-    p = decomp.projectors[k]
-    branch = p @ rho.matrix @ p
-    prob = float(np.trace(branch).real)
-    return max(prob, 0.0), UnnormalizedDensity(branch)
-
-
 def luders_channel(decomp: SpectralDecomposition, rho: DensityMatrix) -> DensityMatrix:
     """The non-selective Lüders channel: sum of all outcome branches."""
     total = np.zeros((decomp.dim, decomp.dim), dtype=complex)
@@ -383,9 +291,7 @@ def _project(basis, starts, amps, blocks, weights):
 
     ``weights`` holds each kept block's weight as a column.
     """
-    block_of_column = np.repeat(
-        np.arange(len(starts)), np.diff(starts, append=basis.shape[1])
-    )
+    block_of_column = np.bincount(starts[1:], minlength=basis.shape[1]).cumsum()
     post = np.where(block_of_column == blocks[:, None], amps, 0.0) @ basis.T
     # The basis is orthonormal, so the kept block's weight is |post|^2.
     return post / np.sqrt(weights)
@@ -425,13 +331,15 @@ def branches(
     starts: np.ndarray,
     states: np.ndarray,
     weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    project: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """:func:`collapse` with every block of Born weight above DEFAULT_TOL enumerated.
 
     Row ``i`` of ``states`` carries the weight ``weights[i]``.  Returns, per
     reached block ``b`` of row ``i`` in row-major order, ``i``, ``b``, the
-    weight ``weights[i] * |B_b^H v_i|^2`` and the renormalised projection.
-    Raises ValueError as :func:`collapse` does.
+    weight ``weights[i] * |B_b^H v_i|^2`` and the renormalised projection,
+    or None in place of the projections when ``project`` is false.  Raises
+    ValueError as :func:`collapse` does.
     """
     amps = states @ basis.conj()
     born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
@@ -439,7 +347,9 @@ def branches(
         raise ValueError("state is numerically orthogonal to every outcome")
     rows, blocks = np.nonzero(born > DEFAULT_TOL)
     born = born[rows, blocks]
-    post = _project(basis, starts, amps[rows], blocks, born[:, None])
+    post = None
+    if project:
+        post = _project(basis, starts, amps[rows], blocks, born[:, None])
     return rows, blocks, weights[rows] * born, post
 
 
@@ -454,7 +364,7 @@ def measure_pure(
     """
     if states.shape[1] != decomp.dim:
         raise ValueError("state dimension does not match the observable")
-    return collapse(*decomp._stacked, states, rng.random(len(states)))
+    return collapse(*decomp.stacked, states, rng.random(len(states)))
 
 
 def build_spin_operator(
@@ -575,7 +485,7 @@ def sigma_entries_in_group(
     """
     if any(m != 1 for m in sigma.multiplicities):
         raise ValueError("auxiliary observable must be non-degenerate")
-    amps = np.column_stack(decomp.eigenbasis[k]).conj().T @ sigma._stacked[0]
+    amps = np.column_stack(decomp.eigenbasis[k]).conj().T @ sigma.stacked[0]
     weights = (amps.real**2 + amps.imag**2).sum(axis=0)
     if np.any((weights > 1e-8) & (weights < 1.0 - 1e-8)):
         raise ValueError(

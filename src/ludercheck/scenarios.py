@@ -31,7 +31,6 @@ from .quantum import (
     SpectralDecomposition,
     build_spin_operator,
     spectral_decompose,
-    spread_labels,
 )
 
 TermList = tuple[tuple[float, str], ...]
@@ -171,13 +170,9 @@ def build_consecutive(
             offset += width
         basis.append(tuple(vectors))
         blocks.append(tuple(index_cells))
-    refinement = Refinement(
-        base=base,
-        basis=tuple(basis),
-        blocks=tuple(blocks),
-        labels=spread_labels(base.eigenvalues, [len(b) for b in blocks]),
+    return MeasurementApparatus(
+        Refinement(base=base, basis=tuple(basis), blocks=tuple(blocks))
     )
-    return MeasurementApparatus(refinement)
 
 
 def default_initial_state(

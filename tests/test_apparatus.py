@@ -5,7 +5,6 @@ import pytest
 
 from ludercheck.apparatus import (
     MeasurementApparatus,
-    Stage,
     make_full_von_neumann,
     make_luders,
     make_partial,
@@ -16,7 +15,6 @@ from ludercheck.quantum import (
     Refinement,
     luders_channel,
     spectral_decompose,
-    spread_labels,
 )
 
 from conftest import random_density, random_state, random_unitary
@@ -37,15 +35,6 @@ def phi_apparatus():
     d = spectral_decompose(total_z())
     basis = ((PLUS_PLUS,), (PHI_PLUS, PHI_MINUS), (MINUS_MINUS,))
     return make_full_von_neumann(d, eigenbasis_choice=basis)
-
-
-def test_stage_enum_has_exactly_six_members():
-    assert len(Stage) == 6
-    names = {s.name for s in Stage}
-    assert names == {
-        "SIGMA_1", "APPARATUS_A", "SIGMA_2",
-        "SIGMA_PRIME_1", "APPARATUS_A_2", "SIGMA_PRIME_2",
-    }
 
 
 def test_outcome_labels_are_the_base_eigenvalues():
@@ -132,25 +121,6 @@ def test_measure_sampled_statistics_match_channel(rng):
     # half the collapses land on |phi+>, half on |phi->
     assert np.mean(overlaps) == pytest.approx(0.5, abs=0.05)
     assert set(np.round(overlaps, 6)) == {0.0, 1.0}
-
-
-def test_output_map_constant_on_eigenspaces_is_accepted():
-    d = spectral_decompose(total_z())
-    ref = make_full_von_neumann(d).reveal_refinement()
-    eigenvalue_of = {}
-    for k, group in enumerate(ref.labels):
-        for lab in group:
-            eigenvalue_of[lab] = d.eigenvalues[k]
-    app = MeasurementApparatus(ref, output_map=eigenvalue_of.get)
-    assert app.outcome_labels == (2.0, 0.0, -2.0)
-
-
-def test_output_map_rejects_refined_labels_leaking_out():
-    # a map that emits the refined label itself would distinguish blocks
-    d = spectral_decompose(total_z())
-    ref = make_full_von_neumann(d).reveal_refinement()
-    with pytest.raises(ValueError):
-        MeasurementApparatus(ref, output_map=lambda lab: lab)
 
 
 def test_reveal_refinement_reports_ground_truth():
@@ -243,11 +213,9 @@ def rotated_partial_apparatus(spectrum, rng):
         basis.append(tuple(rotated.T))
         cells = np.array_split(rng.permutation(n), rng.integers(1, n + 1))
         blocks.append(tuple(tuple(int(i) for i in cell) for cell in cells))
-    labels = spread_labels(base.eigenvalues, [len(cells) for cells in blocks])
-    refinement = Refinement(
-        base=base, basis=tuple(basis), blocks=tuple(blocks), labels=labels
+    return MeasurementApparatus(
+        Refinement(base=base, basis=tuple(basis), blocks=tuple(blocks))
     )
-    return MeasurementApparatus(refinement)
 
 
 def per_block_channel(app, rho):

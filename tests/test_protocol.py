@@ -15,6 +15,7 @@ from ludercheck.apparatus import (
     make_partial,
 )
 from ludercheck.protocol import (
+    STAGE_NAMES,
     EmptySelectionError,
     Mode,
     RepeatabilityError,
@@ -36,7 +37,7 @@ from ludercheck.quantum import (
     sigma_entries_in_group,
     spectral_decompose,
 )
-from ludercheck.scenarios import default_initial_state
+from ludercheck.scenarios import default_initial_state, get_builtin, instantiate
 
 from conftest import random_density, random_unitary, set_partitions
 
@@ -105,11 +106,13 @@ def test_prepare_ensemble_exact_selects_branch():
     d = spectral_decompose(total_z())
     app = make_luders(d)
     cfg = ProtocolConfig()
-    ens = prepare_ensemble(DEFAULT_PSI, app, 0.0, cfg, None)
-    assert ens.ids is None and ens.size >= 1
+    ens = prepare_ensemble(DEFAULT_PSI, app, 1, cfg, None)
+    # one system, id 0, whose rows carry the selection probability 2/3
+    assert len(ens.states) >= 1 and not ens.ids.any()
+    assert ens.weights.sum() == pytest.approx(2.0 / 3.0)
     # the kept rows make up the projection onto the degenerate eigenspace
     kept = (ens.weights[:, None, None] * ens.states[:, :, None]
-            * ens.states[:, None, :].conj()).sum(axis=0)
+            * ens.states[:, None, :].conj()).sum(axis=0) / ens.weights.sum()
     expected = np.outer(PHI_PLUS, PHI_PLUS.conj())
     assert np.allclose(kept, expected, atol=1e-12)
 
@@ -119,10 +122,11 @@ def test_prepare_ensemble_sampled_keeps_matching_systems():
     app = make_luders(d)
     cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=300, seed=1)
     rng = np.random.default_rng(1)
-    ens = prepare_ensemble(DEFAULT_PSI, app, 0.0, cfg, rng)
-    assert 0 < ens.size < 300
+    ens = prepare_ensemble(DEFAULT_PSI, app, 1, cfg, rng)
+    assert 0 < len(ens.states) < 300
+    assert np.all(ens.weights == 1.0) and np.all(np.diff(ens.ids) > 0)
     # around two thirds of preparations land in the target eigenspace
-    assert ens.size == pytest.approx(200, abs=40)
+    assert len(ens.states) == pytest.approx(200, abs=40)
     for state in ens.states:
         assert abs(np.vdot(PHI_PLUS, state)) == pytest.approx(1.0)
 
@@ -133,7 +137,7 @@ def test_prepare_ensemble_raises_when_nothing_matches():
     cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=50, seed=3)
     rng = np.random.default_rng(3)
     with pytest.raises(EmptySelectionError):
-        prepare_ensemble(PureState(PLUS_PLUS), app, 0.0, cfg, rng)
+        prepare_ensemble(PureState(PLUS_PLUS), app, 1, cfg, rng)
 
 
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SAMPLED])
@@ -147,6 +151,25 @@ def test_apparatus_for_another_observable_fails_repeatability(mode):
                          target_eigenvalue=0.0)
     with pytest.raises(RepeatabilityError):
         discriminate(PureState(PLUS_MINUS), app, total_z(), cfg)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SAMPLED])
+def test_apparatus_of_another_dimension_is_a_usage_error(mode):
+    # a two-spin device cannot measure three-spin total z
+    app = make_full_von_neumann(spectral_decompose(total_z()))
+    cfg = ProtocolConfig(mode=mode, seed=1, target_eigenvalue=1.0)
+    with pytest.raises(ValueError, match="dimension") as err:
+        discriminate(DEFAULT_PSI, app, total_z(3), cfg)
+    assert not isinstance(err.value, EmptySelectionError)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SAMPLED])
+def test_apparatus_without_the_target_outcome_fails_repeatability(mode):
+    # total z plus one has the outcomes 3, 1 and -1, none of them 0
+    app = make_luders(spectral_decompose(total_z() + np.eye(4)))
+    cfg = ProtocolConfig(mode=mode, seed=1, target_eigenvalue=0.0)
+    with pytest.raises(RepeatabilityError, match="no outcome 0.0"):
+        discriminate(DEFAULT_PSI, app, total_z(), cfg)
 
 
 def test_exact_luders_two_spins():
@@ -271,26 +294,75 @@ def test_sampled_von_neumann_is_caught(rng):
     assert stage.mismatch_count / stage.trials == pytest.approx(0.5, abs=0.15)
 
 
+def test_stage_names_are_six_positions_three_per_pass():
+    assert len(STAGE_NAMES) == len(set(STAGE_NAMES)) == 6
+    assert set(STAGE_NAMES) == {
+        "SIGMA_1", "APPARATUS_A", "SIGMA_2",
+        "SIGMA_PRIME_1", "APPARATUS_A_2", "SIGMA_PRIME_2",
+    }
+    # pass p owns stages 3p, 3p + 1 and 3p + 2, in measurement order
+    assert [s.value for s in StageKind] == ["SIGMA", "SIGMA_PRIME"]
+    for p, kind in enumerate(StageKind):
+        assert STAGE_NAMES[3 * p: 3 * p + 3] == (
+            f"{kind.value}_1", "APPARATUS_A" + ("_2" if p else ""),
+            f"{kind.value}_2",
+        )
+
+
 def test_sampled_transcript_has_six_stage_kinds_and_ordering():
     d = spectral_decompose(total_z())
     cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=120, seed=5,
                          target_eigenvalue=0.0)
     result = discriminate(DEFAULT_PSI, make_luders(d), total_z(), cfg)
-    assert result.transcript
-    stages = {r.stage.name for r in result.transcript}
-    assert stages == {"SIGMA_1", "APPARATUS_A", "SIGMA_2",
-                      "SIGMA_PRIME_1", "APPARATUS_A_2", "SIGMA_PRIME_2"}
-    # per system, timestamps strictly increase
-    by_system = {}
-    for rec in result.transcript:
-        by_system.setdefault(rec.system_id, []).append(rec.timestamp_index)
-    for times in by_system.values():
-        assert times == sorted(times)
-        assert len(set(times)) == len(times)
+    records = result.transcript
+    assert len(records)
+    assert len(records.stages) == len(records.labels) == len(records)
+    names = {STAGE_NAMES[stage] for stage in records.stages.tolist()}
+    assert names == {"SIGMA_1", "APPARATUS_A", "SIGMA_2",
+                     "SIGMA_PRIME_1", "APPARATUS_A_2", "SIGMA_PRIME_2"}
+    # per system, timestamps (positions) strictly increase, and so do stages
+    for sid in np.unique(records.system_ids):
+        times = np.flatnonzero(records.system_ids == sid)
+        assert np.all(np.diff(times) > 0)
+        assert np.all(np.diff(records.stages[times]) > 0)
     # apparatus outcomes in the transcript repeat the preparation label
-    for rec in result.transcript:
-        if rec.stage.name.startswith("APPARATUS"):
-            assert rec.label == 0.0
+    apparatus = np.isin(records.stages, [1, 4])
+    assert apparatus.any() and np.all(records.labels[apparatus] == 0.0)
+
+
+def sampled_builtin(name):
+    scenario = get_builtin(name)
+    observable, _, app, initial = instantiate(scenario)
+    cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=2000, seed=5,
+                         target_eigenvalue=scenario.target_eigenvalue)
+    return discriminate(initial, app, observable, cfg)
+
+
+def test_sampled_evidence_is_pinned_for_a_fixed_seed():
+    # Recorded from the engine before the exact and sampled passes merged:
+    # a fixed seed must keep drawing the same systems and outcomes.
+    s2 = sampled_builtin("s2-vn-total-spin")
+    assert s2.detected_at is StageKind.SIGMA
+    (sigma,) = s2.evidence
+    assert (sigma.trials, sigma.mismatch_count) == (1311, 646)
+    assert sigma.observed_first_labels == (2.0, 1.0)
+    assert sigma.branch_support == (
+        (2.0, ((2.0, 334 / 684), (1.0, 350 / 684))),
+        (1.0, ((2.0, 296 / 627), (1.0, 331 / 627))),
+    )
+    s3 = sampled_builtin("s3-consecutive")
+    assert s3.detected_at is StageKind.SIGMA_PRIME
+    assert s3.reference_label == 2.0
+    sigma, prime = s3.evidence
+    assert (sigma.trials, sigma.mismatch_count) == (1311, 0)
+    assert sigma.observed_first_labels == (2.0, 1.0)
+    assert sigma.branch_support == ((2.0, ((2.0, 1.0),)), (1.0, ((1.0, 1.0),)))
+    assert (prime.trials, prime.mismatch_count) == (664, 326)
+    assert prime.observed_first_labels == (1.0, 2.0)
+    assert prime.branch_support == (
+        (2.0, ((2.0, 177 / 337), (1.0, 160 / 337))),
+        (1.0, ((2.0, 166 / 327), (1.0, 161 / 327))),
+    )
 
 
 def test_sampled_runs_are_reproducible():
@@ -363,9 +435,9 @@ def test_prepare_ensemble_binomial_selection_at_scale():
     cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=n, seed=5)
     rng = np.random.default_rng(5)
     psi = PureState((PLUS_PLUS + PLUS_MINUS) / np.sqrt(2))
-    ens = prepare_ensemble(psi, app, 0.0, cfg, rng)
+    ens = prepare_ensemble(psi, app, 1, cfg, rng)
     # keep probability one half: 5 sigma around 5000
-    assert abs(ens.size - n / 2) <= 5 * np.sqrt(n / 4)
+    assert abs(len(ens.states) - n / 2) <= 5 * np.sqrt(n / 4)
 
 
 def test_sampled_twenty_systems_always_catch_the_basis_refiner():

@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from ludercheck.quantum import (
     DensityMatrix,
-    OutcomeDistribution,
     PureState,
     Refinement,
     TOTAL_SPIN_SQ,
-    born_distribution,
+    branches,
     build_sigma,
     build_sigma_prime,
     build_spin_operator,
     collapse,
     _canonical_basis,
     luders_channel,
-    luders_update,
     measure_pure,
     sigma_entries_in_group,
     spectral_decompose,
@@ -75,12 +73,6 @@ def test_density_matrix_positivity_boundary(dim):
         else:
             with pytest.raises(ValueError, match="negative eigenvalue"):
                 DensityMatrix(m)
-
-
-def test_outcome_distribution_drops_zero_entries():
-    d = OutcomeDistribution(((1.0, 0.5), (2.0, 0.5), (3.0, 0.0)))
-    assert d.outcomes == ((1.0, 0.5), (2.0, 0.5))
-    assert d.probability(3.0) == 0.0
 
 
 def test_spectral_decompose_two_spin_total_z():
@@ -282,28 +274,44 @@ def test_group_index_lookup():
         d.group_index(1.0)
 
 
+def luders_branches(d, rho):
+    """The Lüders branches of a density matrix, enumerated over its eigenrows.
+
+    Returns per outcome of ``d`` its probability and its unnormalised branch
+    sum of w |r><r| over the reduced rows r.
+    """
+    w, v = np.linalg.eigh(rho)
+    rows, outcomes, weights, post = branches(*d.stacked, v.T, np.clip(w, 0.0, None))
+    probs = np.bincount(outcomes, weights, minlength=d.group_count)
+    parts = np.zeros((d.group_count,) + rho.shape, dtype=complex)
+    np.add.at(parts, outcomes, weights[:, None, None]
+              * post[:, :, None] * post[:, None, :].conj())
+    return probs, parts
+
+
 def test_born_distribution_on_maximally_mixed():
     d = spectral_decompose(total_z())
-    dist = born_distribution(d, DensityMatrix(np.eye(4) / 4))
-    assert dist.outcomes == ((2.0, 0.25), (0.0, 0.5), (-2.0, 0.25))
+    probs, _ = luders_branches(d, np.eye(4) / 4)
+    assert probs == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
 
 
 def test_born_distribution_accepts_pure_state():
     d = spectral_decompose(total_z())
-    dist = born_distribution(d, PureState(PLUS_MINUS))
-    assert dist.probability(0.0) == pytest.approx(1.0)
+    _, outcomes, probs, _ = branches(
+        *d.stacked, PureState(PLUS_MINUS).vector[None, :], np.ones(1)
+    )
+    assert outcomes.tolist() == [d.group_index(0.0)]
+    assert probs == pytest.approx([1.0])
 
 
 def test_luders_update_keeps_superposition_within_eigenspace():
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + MINUS_PLUS + PLUS_PLUS) / np.sqrt(3)
-    rho = DensityMatrix(np.outer(psi, psi.conj()))
-    prob, branch = luders_update(d, rho, 1)
-    assert prob == pytest.approx(2.0 / 3.0)
-    post = branch.normalized()
+    rows, outcomes, weights, post = branches(*d.stacked, psi[None, :], np.ones(1))
+    assert outcomes.tolist() == [0, 1]
+    assert weights[1] == pytest.approx(2.0 / 3.0)
     # the post state is the pure projection |phi+>, not a mixture
-    expected = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    assert np.allclose(post.matrix, expected, atol=1e-12)
+    assert abs(np.vdot(PHI_PLUS, post[1])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_luders_channel_equals_branch_sum():
@@ -311,12 +319,9 @@ def test_luders_channel_equals_branch_sum():
     psi = (PLUS_PLUS + PLUS_MINUS + MINUS_PLUS + MINUS_MINUS) / 2
     rho = DensityMatrix(np.outer(psi, psi.conj()))
     mixed = luders_channel(d, rho)
-    recon = np.zeros((4, 4), dtype=complex)
-    total = 0.0
-    for k in range(d.group_count):
-        p, branch = luders_update(d, rho, k)
-        total += p
-        recon += branch.matrix
+    probs, parts = luders_branches(d, rho.matrix)
+    recon = parts.sum(axis=0)
+    total = probs.sum()
     assert total == pytest.approx(1.0)
     assert np.allclose(mixed.matrix, recon, atol=1e-12)
     # coherence between eigenspaces is erased, coherence inside survives
@@ -428,8 +433,7 @@ def test_refinement_validates_block_structure():
     d = spectral_decompose(total_z())
     basis = (PLUS_PLUS,), (PLUS_MINUS, MINUS_PLUS), (MINUS_MINUS,)
     blocks = ((0,),), ((0,), (1,)), ((0,),)
-    labels = (2.0,), (0.5, -0.5), (-2.0,)
-    r = Refinement(base=d, basis=basis, blocks=blocks, labels=labels)
+    r = Refinement(base=d, basis=basis, blocks=blocks)
     assert r.block_count(1) == 2
     assert not r.is_luders()
     assert r.is_full_von_neumann()
@@ -440,8 +444,7 @@ def test_refinement_luders_shape():
     d = spectral_decompose(total_z())
     basis = (PLUS_PLUS,), (PLUS_MINUS, MINUS_PLUS), (MINUS_MINUS,)
     blocks = ((0,),), ((0, 1),), ((0,),)
-    labels = (2.0,), (0.0,), (-2.0,)
-    r = Refinement(base=d, basis=basis, blocks=blocks, labels=labels)
+    r = Refinement(base=d, basis=basis, blocks=blocks)
     assert r.is_luders()
     assert not r.is_full_von_neumann()
 
@@ -450,18 +453,8 @@ def test_refinement_rejects_wrong_span():
     d = spectral_decompose(total_z())
     basis = (PLUS_PLUS,), (PLUS_MINUS, PLUS_PLUS), (MINUS_MINUS,)
     blocks = ((0,),), ((0, 1),), ((0,),)
-    labels = (2.0,), (0.0,), (-2.0,)
     with pytest.raises(ValueError):
-        Refinement(base=d, basis=basis, blocks=blocks, labels=labels)
-
-
-def test_refinement_rejects_duplicate_labels():
-    d = spectral_decompose(total_z())
-    basis = (PLUS_PLUS,), (PLUS_MINUS, MINUS_PLUS), (MINUS_MINUS,)
-    blocks = ((0,),), ((0,), (1,)), ((0,),)
-    labels = (2.0,), (0.5, 0.5), (-2.0,)
-    with pytest.raises(ValueError):
-        Refinement(base=d, basis=basis, blocks=blocks, labels=labels)
+        Refinement(base=d, basis=basis, blocks=blocks)
 
 
 def test_build_sigma_labels_and_commutation():
@@ -561,14 +554,12 @@ def test_luders_channel_preserves_trace_and_positivity(seed):
     # idempotent: measuring twice non-selectively changes nothing
     again = luders_channel(d, mixed)
     assert np.allclose(again.matrix, mixed.matrix, atol=1e-9)
-    total = 0.0
-    for k in range(d.group_count):
-        p, branch = luders_update(d, rho, k)
-        total += p
+    probs, parts = luders_branches(d, rho.matrix)
+    for p, branch in zip(probs, parts):
         if p > 1e-9:
-            post = branch.normalized()
-            assert np.linalg.eigvalsh(post.matrix).min() > -1e-9
-    assert total == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.eigvalsh(branch / p).min() > -1e-9
+    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(parts.sum(axis=0), mixed.matrix, atol=1e-9)
 
 
 @settings(deadline=None, max_examples=25)
@@ -581,10 +572,10 @@ def test_born_probabilities_match_projector_traces(seed):
     a = u @ np.diag(spectrum) @ u.conj().T
     d = spectral_decompose(a)
     rho = random_density(dim, rng)
-    dist = born_distribution(d, DensityMatrix(rho))
-    for w, p in zip(d.eigenvalues, d.projectors):
+    probs, _ = luders_branches(d, rho)
+    for prob, p in zip(probs, d.projectors):
         expected = np.trace(p @ rho).real
-        assert dist.probability(w) == pytest.approx(max(expected, 0.0), abs=1e-9)
+        assert prob == pytest.approx(max(expected, 0.0), abs=1e-9)
 
 
 def test_born_on_refined_observable_splits_plus_minus():
@@ -592,10 +583,9 @@ def test_born_on_refined_observable_splits_plus_minus():
     # degeneracy-lifted observable
     ap = build_spin_operator(2, ((1.0, "ZI"), (1.0, "IZ"), (1.0, TOTAL_SPIN_SQ)))
     d = spectral_decompose(ap)
-    dist = born_distribution(d, PureState(PLUS_MINUS))
+    _, outcomes, probs, _ = branches(*d.stacked, PLUS_MINUS[None, :], np.ones(1))
     # the zero-probability outcomes 6 and 2 are dropped
-    labels = [lab for lab, _ in dist.outcomes]
-    probs = [p for _, p in dist.outcomes]
+    labels = np.take(d.eigenvalues, outcomes)
     assert labels == pytest.approx([4.0, 0.0], abs=1e-9)
     assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
@@ -603,12 +593,11 @@ def test_born_on_refined_observable_splits_plus_minus():
 def test_luders_update_on_superposition_across_groups():
     d = spectral_decompose(total_z())
     psi = PureState((PLUS_PLUS + PLUS_MINUS) / SQ2)
-    rho = DensityMatrix(np.outer(psi.vector, psi.vector.conj()))
+    probs, parts = luders_branches(d, np.outer(psi.vector, psi.vector.conj()))
     k = d.group_index(0.0)
-    prob, branch = luders_update(d, rho, k)
-    assert prob == pytest.approx(0.5, abs=1e-12)
+    assert probs[k] == pytest.approx(0.5, abs=1e-12)
     # unnormalised branch is |+-><+-| / 2
-    assert np.allclose(branch.matrix,
+    assert np.allclose(parts[k],
                        np.outer(PLUS_MINUS, PLUS_MINUS.conj()) / 2, atol=1e-12)
 
 
