@@ -255,7 +255,7 @@ class _Sampled:
         return components[pick], np.ones(self.size), np.arange(self.size)
 
     def observe(self, aux, probes, states, weights):
-        outcomes, _ = measure_pure(aux, states, self.rng)
+        outcomes, _ = measure_pure(aux, states, self.rng, project=False)
         return np.arange(len(states)), outcomes, weights
 
     def apparatus(self, app, states, weights):
@@ -277,7 +277,7 @@ class _Exact:
     def observe(self, aux, probes, states, weights):
         basis = aux.stacked[0][:, probes]
         rows, j, weights, _ = branches(
-            basis, np.arange(len(probes)), states, weights, False
+            basis, np.arange(len(probes)), states, weights, project=False
         )
         return rows, np.take(probes, j), weights
 
@@ -286,8 +286,7 @@ class _Exact:
 
     def reference(self, first, weights):
         """The largest-weight outcome; near ties go to the earliest label."""
-        near = weights >= weights.max() - 1e-12 * weights.sum()
-        return first[np.flatnonzero(near)[0]]
+        return first[np.argmax(weights >= weights.max() - 1e-12 * weights.sum())]
 
 
 def _kernel(config: ProtocolConfig, rng: np.random.Generator) -> _Sampled | _Exact:
@@ -378,7 +377,7 @@ def run_stage(
     rows, coarse, weights, states = kernel.apparatus(app, trials.states, trials.weights)
     kept = coarse == target
     reproduced = np.bincount(rows, weights * kept, len(first))
-    if np.any(reproduced < (1.0 - 1e-6) * trials.weights):
+    if (reproduced < (1.0 - 1e-6) * trials.weights).any():
         raise RepeatabilityError(
             f"apparatus failed to reproduce eigenvalue "
             f"{app.outcome_labels[target]} on a selected state; it does not "

@@ -302,7 +302,8 @@ def collapse(
     starts: np.ndarray,
     states: np.ndarray,
     u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    project: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Measure every row of ``states`` in blocks of an orthonormal basis.
 
     ``basis`` holds the basis vectors as columns, grouped into consecutive
@@ -310,8 +311,8 @@ def collapse(
     normalised state vector per row.  Row ``i`` picks its block by inverse
     CDF of ``u[i]`` in [0, 1) over its Born block weights.  Returns the block
     index of each row and the rows' renormalised projections onto their
-    blocks.  Raises ValueError if some row is numerically orthogonal to
-    every block.
+    blocks, or None for these when ``project`` is false.  Raises ValueError
+    if some row is numerically orthogonal to every block.
     """
     amps = states @ basis.conj()
     weights = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
@@ -323,7 +324,7 @@ def collapse(
     # weight are never chosen.
     k = np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
     chosen = np.take_along_axis(weights, k[:, None], axis=1)
-    return k, _project(basis, starts, amps, k, chosen)
+    return k, _project(basis, starts, amps, k, chosen) if project else None
 
 
 def branches(
@@ -354,17 +355,18 @@ def branches(
 
 
 def measure_pure(
-    decomp: SpectralDecomposition, states: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+    decomp: SpectralDecomposition, states: np.ndarray, rng: np.random.Generator,
+    project: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Measure every row of ``states`` projectively and collapse it.
 
     One ``rng.random(len(states))`` draw picks the outcomes.  Returns the
     outcome index of each row into ``decomp.eigenvalues`` and the
-    post-measurement rows.
+    post-measurement rows (None when ``project`` is false).
     """
     if states.shape[1] != decomp.dim:
         raise ValueError("state dimension does not match the observable")
-    return collapse(*decomp.stacked, states, rng.random(len(states)))
+    return collapse(*decomp.stacked, states, rng.random(len(states)), project)
 
 
 def build_spin_operator(

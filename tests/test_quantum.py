@@ -370,13 +370,22 @@ def test_collapse_rows_are_unit_and_lie_in_their_block():
     rng = np.random.default_rng(32)
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng) for _ in range(500)])
-    k, post = collapse(basis, KERNEL_STARTS, states, rng.random(500))
+    u = rng.random(500)
+    k, post = collapse(basis, KERNEL_STARTS, states, u)
     assert np.allclose(np.linalg.norm(post, axis=1), 1.0, atol=1e-12)
     for block, (lo, hi) in enumerate(KERNEL_SPANS):
         rows = post[k == block]
         assert len(rows) > 0
         projector = basis[:, lo:hi] @ basis[:, lo:hi].conj().T
         assert np.allclose(rows @ projector.T, rows, atol=1e-12)
+    # without the projections the same draws pick the same blocks, and the
+    # enumeration keeps its rows and weights
+    unprojected = collapse(basis, KERNEL_STARTS, states, u, project=False)
+    assert np.array_equal(unprojected[0], k) and unprojected[1] is None
+    full = branches(basis, KERNEL_STARTS, states, np.ones(500))
+    bare = branches(basis, KERNEL_STARTS, states, np.ones(500), project=False)
+    assert all(np.array_equal(x, y) for x, y in zip(full[:3], bare[:3]))
+    assert bare[3] is None
 
 
 def test_collapse_rejects_a_row_orthogonal_to_every_block():
