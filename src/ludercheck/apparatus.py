@@ -49,8 +49,8 @@ class MeasurementApparatus:
         # Flat block layout: the columns of one unitary matrix, eigenspace
         # after eigenspace and block after block inside each; the first
         # column and the eigenspace of each block, the column bounds of each
-        # eigenspace, and a mask that is True where row and column lie in
-        # the same block.
+        # eigenspace, the block of each column, and a mask that is True
+        # where row and column lie in the same block.
         cols = []
         starts = []
         groups = []
@@ -65,8 +65,8 @@ class MeasurementApparatus:
         self._starts = np.array(starts)
         self._groups = tuple(groups)
         self._bounds = tuple(accumulate(refinement.base.multiplicities, initial=0))
-        block_of = np.array(block_of)
-        self._same_block = block_of[:, None] == block_of
+        self._block_of = np.array(block_of)
+        self._same_block = self._block_of[:, None] == self._block_of
 
     @property
     def dim(self) -> int:
@@ -92,9 +92,9 @@ class MeasurementApparatus:
         """
         if states.shape[1] != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        blocks, post = collapse(
-            self._basis, self._starts, states, rng.random(len(states))
-        )
+        u = rng.random(len(states))
+        blocks = collapse(self._basis, self._starts, states, u)
+        post = self._reduce(states, np.arange(len(states)), blocks)
         return np.take(self._groups, blocks), post
 
     def branches(
@@ -104,12 +104,21 @@ class MeasurementApparatus:
 
         Returns each reached branch's source row, coarse outcome (an index
         into :attr:`outcome_labels`), weight and reduced row, as
-        :func:`~ludercheck.quantum.branches` does.
+        :func:`~ludercheck.quantum.branches` enumerates them.
         """
         if states.shape[1] != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        rows, blocks, w, post = branches(self._basis, self._starts, states, weights)
+        rows, blocks, w = branches(self._basis, self._starts, states, weights)
+        post = self._reduce(states, rows, blocks)
         return rows, np.take(self._groups, blocks), w, post
+
+    def _reduce(self, states, rows, blocks):
+        """Row ``rows[i]`` of ``states`` kept on block ``blocks[i]``, renormalised."""
+        amps = (states @ self._basis.conj())[rows]
+        amps = np.where(self._block_of == blocks[:, None], amps, 0.0)
+        # The basis is orthonormal, so the kept block's weight is |amps|^2.
+        weights = (amps.real**2 + amps.imag**2).sum(axis=1, keepdims=True)
+        return amps @ self._basis.T / np.sqrt(weights)
 
     def channel_exact(
         self, state: DensityMatrix

@@ -254,9 +254,8 @@ class _Sampled:
         pick = np.searchsorted(cdf, self.rng.random(self.size), side="right")
         return components[pick], np.ones(self.size), np.arange(self.size)
 
-    def observe(self, aux, probes, states, weights):
-        outcomes, _ = measure_pure(aux, states, self.rng, project=False)
-        return np.arange(len(states)), outcomes, weights
+    def observe(self, aux, states, weights):
+        return np.arange(len(states)), measure_pure(aux, states, self.rng), weights
 
     def apparatus(self, app, states, weights):
         outcomes, post = app.measure_sampled(states, self.rng)
@@ -274,12 +273,8 @@ class _Exact:
         """Every mixture component, weighted by its probability."""
         return components, np.diff(cdf, prepend=0.0), np.zeros(len(cdf), dtype=np.int64)
 
-    def observe(self, aux, probes, states, weights):
-        basis = aux.stacked[0][:, probes]
-        rows, j, weights, _ = branches(
-            basis, np.arange(len(probes)), states, weights, project=False
-        )
-        return rows, np.take(probes, j), weights
+    def observe(self, aux, states, weights):
+        return branches(*aux.stacked, states, weights)
 
     def apparatus(self, app, states, weights):
         return app.branches(states, weights)
@@ -296,11 +291,8 @@ def _kernel(config: ProtocolConfig, rng: np.random.Generator) -> _Sampled | _Exa
     measures weighted rows and returns, per kept branch, its source row,
     outcome index, weight and reduced row; ``observe`` does the same for a
     non-degenerate auxiliary observable without the reduced rows, which are
-    its eigenvectors.  Sampled mode draws over every auxiliary outcome;
-    exact mode enumerates the ``probes``, the outcomes inside the target
-    eigenspace, which are the only ones a selected row reaches.
-    ``reference`` picks pass two's first outcome from pass one's trial
-    outcomes and weights.
+    its eigenvectors.  ``reference`` picks pass two's first outcome from
+    pass one's trial outcomes and weights.
     """
     if config.mode is Mode.SAMPLED:
         return _Sampled(config.ensemble_size, rng)
@@ -325,7 +317,10 @@ def prepare_ensemble(
     states, weights, ids = kernel.draw(*_as_pure_mixture(initial, config.tol))
     rows, coarse, weights, states = kernel.apparatus(app, states, weights)
     kept = coarse == target
-    if weights[kept].sum() <= config.tol * weights.sum():
+    # Some system must keep more than tol of its weight.
+    system = ids[rows]
+    selected = np.bincount(system, weights * kept)
+    if not (selected > config.tol * np.bincount(system, weights)).any():
         raise EmptySelectionError(
             f"nothing returned eigenvalue {app.outcome_labels[target]}; the "
             "initial state may be orthogonal to its eigenspace, or a sampled "
@@ -356,20 +351,28 @@ def run_stage(
     by the mode's rule, and the trials with that outcome as the ensemble of
     a follow-up pass.  A given ``transcript`` receives the pass's records;
     only sampled rows, which stay one per system, make records.  Raises
-    :class:`RepeatabilityError` if the apparatus fails to reproduce the
-    target outcome.
+    :class:`RepeatabilityError` if a selected state lies outside the target
+    eigenspace or the apparatus fails to reproduce the target outcome.
     """
     kernel = _kernel(config, rng)
     n = aux.group_count
-    rows, first, weights = kernel.observe(
-        aux, probes, ensemble.states, ensemble.weights
-    )
-    # A trial is a system and a first outcome, keyed in system-major order.
+    rows, first, weights = kernel.observe(aux, ensemble.states, ensemble.weights)
+    # A trial is a system and a first outcome, keyed in system-major order;
+    # it counts when it holds more than tol of its system's weight.
     keys, trial = np.unique(ensemble.ids[rows] * n + first, return_inverse=True)
     weights = np.bincount(trial, weights)
-    live = weights > config.tol * weights.sum()
+    system_weight = np.bincount(ensemble.ids, ensemble.weights)
+    live = weights > config.tol * system_weight[keys // n]
     keys, weights = keys[live], weights[live]
     first = keys % n
+    outside = np.ones(n, dtype=bool)
+    outside[probes] = False
+    if outside[first].any():
+        raise RepeatabilityError(
+            "a selected state is not in the eigenspace of eigenvalue "
+            f"{app.outcome_labels[target]}; the apparatus does not measure "
+            "the base observable"
+        )
     # After a non-degenerate outcome the state is that outcome's eigenvector.
     vectors = np.ascontiguousarray(aux.stacked[0].T)
     trials = Ensemble(np.take(vectors, first, axis=0), weights, keys // n)
@@ -383,7 +386,7 @@ def run_stage(
             f"{app.outcome_labels[target]} on a selected state; it does not "
             "measure the base observable"
         )
-    rows2, second, weights = kernel.observe(aux, probes, states[kept], weights[kept])
+    rows2, second, weights = kernel.observe(aux, states[kept], weights[kept])
     trial = rows[kept][rows2]
     first_of, labels = first[trial], aux.eigenvalues
     if transcript is not None:
@@ -401,6 +404,12 @@ def run_stage(
     reached = table.sum(axis=1)
     moved = np.bincount(trial, weights * (second != first_of), len(first))
     mismatches = int(np.count_nonzero(moved > config.tol * reproduced))
+    # A second outcome has support when some trial reached it with more
+    # than tol of that trial's weight.
+    cells = np.bincount(trial * n + second, weights, len(first) * n)
+    heavy = np.flatnonzero(cells > config.tol * np.repeat(reproduced, n))
+    support = np.zeros((n, n), dtype=bool)
+    support[first[heavy // n], heavy % n] = True
     # Each first outcome's earliest trial gives the order of observation.
     seen = np.full(n, len(first))
     np.minimum.at(seen, first, np.arange(len(first)))
@@ -414,7 +423,7 @@ def run_stage(
         branch_support=tuple(
             (labels[a], tuple(
                 (labels[b], float(table[a, b] / reached[a]))
-                for b in np.flatnonzero(table[a] > config.tol * reached[a])
+                for b in np.flatnonzero(support[a])
             ))
             for a in np.flatnonzero(reached)
         ),

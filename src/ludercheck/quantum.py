@@ -286,33 +286,17 @@ def luders_channel(decomp: SpectralDecomposition, rho: DensityMatrix) -> Density
     return DensityMatrix(total)
 
 
-def _project(basis, starts, amps, blocks, weights):
-    """Row i of ``amps`` kept on block ``blocks[i]``, mapped back, renormalised.
-
-    ``weights`` holds each kept block's weight as a column.
-    """
-    block_of_column = np.bincount(starts[1:], minlength=basis.shape[1]).cumsum()
-    post = np.where(block_of_column == blocks[:, None], amps, 0.0) @ basis.T
-    # The basis is orthonormal, so the kept block's weight is |post|^2.
-    return post / np.sqrt(weights)
-
-
 def collapse(
-    basis: np.ndarray,
-    starts: np.ndarray,
-    states: np.ndarray,
-    u: np.ndarray,
-    project: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    basis: np.ndarray, starts: np.ndarray, states: np.ndarray, u: np.ndarray
+) -> np.ndarray:
     """Measure every row of ``states`` in blocks of an orthonormal basis.
 
     ``basis`` holds the basis vectors as columns, grouped into consecutive
     blocks that begin at the column indices ``starts``; ``states`` holds one
     normalised state vector per row.  Row ``i`` picks its block by inverse
     CDF of ``u[i]`` in [0, 1) over its Born block weights.  Returns the block
-    index of each row and the rows' renormalised projections onto their
-    blocks, or None for these when ``project`` is false.  Raises ValueError
-    if some row is numerically orthogonal to every block.
+    index of each row.  Raises ValueError if some row is numerically
+    orthogonal to every block.
     """
     amps = states @ basis.conj()
     weights = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
@@ -322,51 +306,38 @@ def collapse(
         raise ValueError("state is numerically orthogonal to every outcome")
     # Block k is chosen when cdf[k-1] <= u * total < cdf[k]; blocks of zero
     # weight are never chosen.
-    k = np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
-    chosen = np.take_along_axis(weights, k[:, None], axis=1)
-    return k, _project(basis, starts, amps, k, chosen) if project else None
+    return np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
 
 
 def branches(
-    basis: np.ndarray,
-    starts: np.ndarray,
-    states: np.ndarray,
-    weights: np.ndarray,
-    project: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    basis: np.ndarray, starts: np.ndarray, states: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`collapse` with every block of Born weight above DEFAULT_TOL enumerated.
 
     Row ``i`` of ``states`` carries the weight ``weights[i]``.  Returns, per
-    reached block ``b`` of row ``i`` in row-major order, ``i``, ``b``, the
-    weight ``weights[i] * |B_b^H v_i|^2`` and the renormalised projection,
-    or None in place of the projections when ``project`` is false.  Raises
-    ValueError as :func:`collapse` does.
+    reached block ``b`` of row ``i`` in row-major order, ``i``, ``b`` and the
+    weight ``weights[i] * |B_b^H v_i|^2``.  Raises ValueError as
+    :func:`collapse` does.
     """
     amps = states @ basis.conj()
     born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
     if np.any(born.sum(axis=1) <= DEFAULT_TOL):
         raise ValueError("state is numerically orthogonal to every outcome")
     rows, blocks = np.nonzero(born > DEFAULT_TOL)
-    born = born[rows, blocks]
-    post = None
-    if project:
-        post = _project(basis, starts, amps[rows], blocks, born[:, None])
-    return rows, blocks, weights[rows] * born, post
+    return rows, blocks, weights[rows] * born[rows, blocks]
 
 
 def measure_pure(
-    decomp: SpectralDecomposition, states: np.ndarray, rng: np.random.Generator,
-    project: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Measure every row of ``states`` projectively and collapse it.
+    decomp: SpectralDecomposition, states: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Measure every row of ``states`` projectively.
 
     One ``rng.random(len(states))`` draw picks the outcomes.  Returns the
-    outcome index of each row into ``decomp.eigenvalues`` and the
-    post-measurement rows (None when ``project`` is false).
+    outcome index of each row into ``decomp.eigenvalues``.
     """
     if states.shape[1] != decomp.dim:
         raise ValueError("state dimension does not match the observable")
-    return collapse(*decomp.stacked, states, rng.random(len(states)), project)
+    return collapse(*decomp.stacked, states, rng.random(len(states)))
 
 
 def build_spin_operator(

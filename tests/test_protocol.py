@@ -129,6 +129,10 @@ def test_prepare_ensemble_sampled_keeps_matching_systems():
     assert len(ens.states) == pytest.approx(200, abs=40)
     for state in ens.states:
         assert abs(np.vdot(PHI_PLUS, state)) == pytest.approx(1.0)
+    # a sampled system weighs one, so even a coarse tol keeps every match
+    coarse = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=300, tol=0.9)
+    same = prepare_ensemble(DEFAULT_PSI, app, 1, coarse, np.random.default_rng(1))
+    assert np.array_equal(same.ids, ens.ids)
 
 
 def test_prepare_ensemble_raises_when_nothing_matches():
@@ -170,6 +174,17 @@ def test_apparatus_without_the_target_outcome_fails_repeatability(mode):
     cfg = ProtocolConfig(mode=mode, seed=1, target_eigenvalue=0.0)
     with pytest.raises(RepeatabilityError, match="no outcome 0.0"):
         discriminate(DEFAULT_PSI, app, total_z(), cfg)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SAMPLED])
+def test_target_outcome_on_another_eigenspace_fails_repeatability(mode):
+    # the device has the outcome 0 on the span of |-+> and |-->, the
+    # observable on the span of |++> and |+->
+    app = make_luders(spectral_decompose(np.diag([1.0, 1.0, 0.0, 0.0])))
+    cfg = ProtocolConfig(mode=mode, ensemble_size=200, seed=1,
+                         target_eigenvalue=0.0)
+    with pytest.raises(RepeatabilityError, match="not in the eigenspace"):
+        discriminate(DEFAULT_PSI, app, np.diag([0.0, 0.0, 1.0, 1.0]), cfg)
 
 
 def test_exact_luders_two_spins():
@@ -332,11 +347,11 @@ def test_sampled_transcript_has_six_stage_kinds_and_ordering():
     assert apparatus.any() and np.all(records.labels[apparatus] == 0.0)
 
 
-def sampled_builtin(name):
+def sampled_builtin(name, **config):
     scenario = get_builtin(name)
     observable, _, app, initial = instantiate(scenario)
     cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=2000, seed=5,
-                         target_eigenvalue=scenario.target_eigenvalue)
+                         target_eigenvalue=scenario.target_eigenvalue, **config)
     return discriminate(initial, app, observable, cfg)
 
 
@@ -365,6 +380,14 @@ def test_sampled_evidence_is_pinned_for_a_fixed_seed():
         (2.0, ((2.0, 177 / 337), (1.0, 160 / 337))),
         (1.0, ((2.0, 166 / 327), (1.0, 161 / 327))),
     )
+
+
+def test_sampled_evidence_does_not_depend_on_tol():
+    # A sampled system weighs one however many were selected, so a coarse
+    # tol drops no trial and no rare second outcome.
+    for name in ("s2-vn-total-spin", "s3-consecutive"):
+        coarse = sampled_builtin(name, tol=1e-3)
+        assert coarse.evidence == sampled_builtin(name).evidence
 
 
 def test_sampled_runs_are_reproducible():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ludercheck.apparatus import make_luders
 from ludercheck.quantum import (
     DensityMatrix,
     PureState,
@@ -281,7 +282,9 @@ def luders_branches(d, rho):
     sum of w |r><r| over the reduced rows r.
     """
     w, v = np.linalg.eigh(rho)
-    rows, outcomes, weights, post = branches(*d.stacked, v.T, np.clip(w, 0.0, None))
+    rows, outcomes, weights, post = make_luders(d).branches(
+        v.T, np.clip(w, 0.0, None)
+    )
     probs = np.bincount(outcomes, weights, minlength=d.group_count)
     parts = np.zeros((d.group_count,) + rho.shape, dtype=complex)
     np.add.at(parts, outcomes, weights[:, None, None]
@@ -297,7 +300,7 @@ def test_born_distribution_on_maximally_mixed():
 
 def test_born_distribution_accepts_pure_state():
     d = spectral_decompose(total_z())
-    _, outcomes, probs, _ = branches(
+    _, outcomes, probs = branches(
         *d.stacked, PureState(PLUS_MINUS).vector[None, :], np.ones(1)
     )
     assert outcomes.tolist() == [d.group_index(0.0)]
@@ -307,7 +310,7 @@ def test_born_distribution_accepts_pure_state():
 def test_luders_update_keeps_superposition_within_eigenspace():
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + MINUS_PLUS + PLUS_PLUS) / np.sqrt(3)
-    rows, outcomes, weights, post = branches(*d.stacked, psi[None, :], np.ones(1))
+    rows, outcomes, weights, post = make_luders(d).branches(psi[None, :], np.ones(1))
     assert outcomes.tolist() == [0, 1]
     assert weights[1] == pytest.approx(2.0 / 3.0)
     # the post state is the pure projection |phi+>, not a mixture
@@ -329,10 +332,15 @@ def test_luders_channel_equals_branch_sum():
     assert mixed.matrix[1, 2] == pytest.approx(0.25)
 
 
-def test_measure_pure_collapses_and_renormalizes(rng):
+def test_measure_pure_collapses_and_renormalizes():
+    # measure_pure draws the outcome the Lüders apparatus reduces to
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    index, post = measure_pure(d, psi[None, :], rng)
+    index = measure_pure(d, psi[None, :], np.random.default_rng(3))
+    reduced, post = make_luders(d).measure_sampled(
+        psi[None, :], np.random.default_rng(3)
+    )
+    assert np.array_equal(reduced, index)
     label = d.eigenvalues[index[0]]
     assert label in (2.0, 0.0)
     assert np.isclose(np.linalg.norm(post[0]), 1.0)
@@ -343,7 +351,7 @@ def test_measure_pure_collapses_and_renormalizes(rng):
 def test_measure_pure_statistics(rng):
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    index, _ = measure_pure(d, np.tile(psi, (2000, 1)), rng)
+    index = measure_pure(d, np.tile(psi, (2000, 1)), rng)
     labels = np.take(d.eigenvalues, index)
     assert np.mean(labels == 2.0) == pytest.approx(0.5, abs=0.05)
 
@@ -360,32 +368,28 @@ def test_collapse_block_frequencies_match_born_weights():
     born = [np.linalg.norm(basis[:, lo:hi].conj().T @ psi) ** 2
             for lo, hi in KERNEL_SPANS]
     n = 10_000
-    k, _ = collapse(basis, KERNEL_STARTS, np.tile(psi, (n, 1)), rng.random(n))
+    k = collapse(basis, KERNEL_STARTS, np.tile(psi, (n, 1)), rng.random(n))
     counts = np.bincount(k, minlength=3)
     for count, p in zip(counts, born):
         assert abs(count - n * p) <= 5 * np.sqrt(n * p * (1 - p))
 
 
 def test_collapse_rows_are_unit_and_lie_in_their_block():
+    # an apparatus whose blocks span the kernel blocks reduces each row onto
+    # the block collapse picks with the same draws
     rng = np.random.default_rng(32)
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng) for _ in range(500)])
-    u = rng.random(500)
-    k, post = collapse(basis, KERNEL_STARTS, states, u)
+    k = collapse(basis, KERNEL_STARTS, states, np.random.default_rng(9).random(500))
+    base = spectral_decompose(basis @ np.diag([3.0, 3, 2, 1, 1, 1]) @ basis.conj().T)
+    reduced, post = make_luders(base).measure_sampled(states, np.random.default_rng(9))
+    assert np.array_equal(reduced, k)
     assert np.allclose(np.linalg.norm(post, axis=1), 1.0, atol=1e-12)
     for block, (lo, hi) in enumerate(KERNEL_SPANS):
         rows = post[k == block]
         assert len(rows) > 0
         projector = basis[:, lo:hi] @ basis[:, lo:hi].conj().T
         assert np.allclose(rows @ projector.T, rows, atol=1e-12)
-    # without the projections the same draws pick the same blocks, and the
-    # enumeration keeps its rows and weights
-    unprojected = collapse(basis, KERNEL_STARTS, states, u, project=False)
-    assert np.array_equal(unprojected[0], k) and unprojected[1] is None
-    full = branches(basis, KERNEL_STARTS, states, np.ones(500))
-    bare = branches(basis, KERNEL_STARTS, states, np.ones(500), project=False)
-    assert all(np.array_equal(x, y) for x, y in zip(full[:3], bare[:3]))
-    assert bare[3] is None
 
 
 def test_collapse_rejects_a_row_orthogonal_to_every_block():
@@ -592,7 +596,7 @@ def test_born_on_refined_observable_splits_plus_minus():
     # degeneracy-lifted observable
     ap = build_spin_operator(2, ((1.0, "ZI"), (1.0, "IZ"), (1.0, TOTAL_SPIN_SQ)))
     d = spectral_decompose(ap)
-    _, outcomes, probs, _ = branches(*d.stacked, PLUS_MINUS[None, :], np.ones(1))
+    _, outcomes, probs = branches(*d.stacked, PLUS_MINUS[None, :], np.ones(1))
     # the zero-probability outcomes 6 and 2 are dropped
     labels = np.take(d.eigenvalues, outcomes)
     assert labels == pytest.approx([4.0, 0.0], abs=1e-9)
