@@ -1,8 +1,11 @@
 """Command-line front end: run, list, and validate discrimination scenarios.
 
-Scenario files are JSON (schema_version 1).  Reports are deterministic for
-a fixed seed: rerunning the same scenario with the same seed produces the
-same bytes except for the wall-time field.
+Scenario files are JSON (schema_version 1).  Reports are JSON with
+``report_schema`` 2: with ``--transcript``, each measurement record is a
+``[system_id, stage, label]`` array and its timestamp is its position in the
+list.  Reports are deterministic for a fixed seed: rerunning the same
+scenario with the same seed produces the same bytes except for the
+wall-time field.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .scenarios import (
 )
 
 SCHEMA_VERSION = 1
+REPORT_SCHEMA = 2
 
 _EXIT_CODE = {Verdict.LUDERS: 0, Verdict.NON_LUDERS: 2, Verdict.INDETERMINATE: 3}
 
@@ -310,7 +314,12 @@ def scenario_to_document(scenario: Scenario,
 def build_report(result: Classification, config: ProtocolConfig,
                  scenario_name: str, wall_time_s: float,
                  include_transcript: bool) -> dict:
-    """The structured report; deterministic except for wall_time_s."""
+    """The structured report; deterministic except for wall_time_s.
+
+    With ``include_transcript`` the ``transcript`` field lists every
+    measurement record of ``result.transcript`` in order, each as
+    ``[system_id, stage_name, label]``; a record's timestamp is its index.
+    """
     stages = []
     for stage in result.evidence:
         stages.append({
@@ -326,6 +335,7 @@ def build_report(result: Classification, config: ProtocolConfig,
             "unprobed_labels": list(stage.unprobed_labels),
         })
     report = {
+        "report_schema": REPORT_SCHEMA,
         "scenario": scenario_name,
         "verdict": result.verdict.value,
         "detected_at": None if result.detected_at is None
@@ -349,12 +359,11 @@ def build_report(result: Classification, config: ProtocolConfig,
     if include_transcript:
         records = result.transcript
         report["transcript"] = [
-            {"system_id": sid, "stage": STAGE_NAMES[stage], "label": label,
-             "timestamp_index": i}
-            for i, (sid, stage, label) in enumerate(zip(
+            [sid, STAGE_NAMES[stage], label]
+            for sid, stage, label in zip(
                 records.system_ids.tolist(), records.stages.tolist(),
                 records.labels.tolist(),
-            ))
+            )
         ]
     return report
 

@@ -117,7 +117,9 @@ class Transcript:
 
     Record ``i`` is system ``system_ids[i]`` measured at stage
     ``STAGE_NAMES[stages[i]]`` with outcome ``labels[i]``; its timestamp is
-    its position ``i``.
+    its position ``i``.  The CLI report writes record ``i`` as the row
+    ``[system_ids[i], STAGE_NAMES[stages[i]], labels[i]]`` at index ``i``.
+    An exact run has no records.
     """
 
     system_ids: np.ndarray = field(

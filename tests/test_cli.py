@@ -11,7 +11,7 @@ from ludercheck.cli import (
     parse_scenario_document,
     scenario_to_document,
 )
-from ludercheck.protocol import Mode
+from ludercheck.protocol import STAGE_NAMES, Mode, ProtocolConfig, discriminate
 from ludercheck.scenarios import builtin_scenarios, get_builtin, instantiate
 
 
@@ -143,7 +143,6 @@ def test_builtin_documents_round_trip(name):
     doc = scenario_to_document(sc)
     parsed, config = parse_scenario_document(json.loads(json.dumps(doc)))
     observable, _, app, initial = instantiate(parsed)
-    from ludercheck.protocol import discriminate
     result = discriminate(initial, app, observable, config)
     assert result.verdict is sc.expected_verdict
     assert result.detected_at is sc.expected_detected_at
@@ -241,9 +240,58 @@ def test_main_transcript_flag(capsys, tmp_path):
                  "--transcript", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    assert report["transcript"]
-    record = report["transcript"][0]
-    assert set(record) == {"system_id", "stage", "label", "timestamp_index"}
+    assert report["report_schema"] == 2
+    rows = report["transcript"]
+    for row in rows:
+        assert isinstance(row, list) and len(row) == 3
+        system_id, stage, label = row
+        assert type(system_id) is int
+        assert stage in STAGE_NAMES
+        assert type(label) is float
+
+    sc = get_builtin("s1-luders-2spin")
+    observable, _, app, initial = instantiate(sc)
+    config = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=32, seed=2,
+                            target_eigenvalue=sc.target_eigenvalue)
+    records = discriminate(initial, app, observable, config).transcript
+    assert len(rows) == len(records)
+    # the row at index i is record i, so a row's position is its timestamp
+    expected = [
+        [int(sid), STAGE_NAMES[stage], float(label)]
+        for sid, stage, label in zip(records.system_ids, records.stages,
+                                     records.labels)
+    ]
+    assert rows == expected
+    # a Lüders run goes through both passes, so every stage is recorded
+    assert {row[1] for row in rows} == set(STAGE_NAMES)
+
+
+def test_main_transcript_report_is_deterministic(capsys, tmp_path):
+    out1 = tmp_path / "r1.json"
+    out2 = tmp_path / "r2.json"
+    argv = ["discriminate", "--builtin", "s2-vn-total-spin",
+            "--mode", "sampled", "--seed", "42", "--transcript"]
+    assert main(argv + ["--out", str(out1)]) == 2
+    assert main(argv + ["--out", str(out2)]) == 2
+    capsys.readouterr()
+
+    def stable(path):
+        return [line for line in path.read_bytes().splitlines()
+                if b"wall_time_s" not in line]
+
+    assert stable(out1) == stable(out2)
+    assert json.loads(out1.read_text())["transcript"]
+
+
+def test_main_exact_transcript_is_empty(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["discriminate", "--builtin", "s2-vn-total-spin",
+                 "--mode", "exact", "--seed", "5", "--transcript",
+                 "--out", str(out)]) == 2
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["report_schema"] == 2
+    assert report["transcript"] == []
 
 
 def test_main_entropy_seed_is_printed(capsys):
