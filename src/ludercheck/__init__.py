@@ -12,7 +12,6 @@ from .linalg import (
     apply_spectral_function,
     hermitian_eig,
     is_hermitian,
-    is_projector,
     projector_from_vectors,
 )
 from .quantum import (
@@ -73,7 +72,6 @@ __all__ = [
     "apply_spectral_function",
     "hermitian_eig",
     "is_hermitian",
-    "is_projector",
     "projector_from_vectors",
     "DensityMatrix",
     "PureState",

@@ -4,9 +4,12 @@ An apparatus measures a base observable, but internally it may resolve each
 degenerate eigenspace into finer blocks before reporting the coarse
 eigenvalue.  The refinement is construct-time data.  The public surface
 reports coarse outcomes, as indices into the base observable's eigenvalues,
-drawn one per row (``measure_sampled``) or enumerated with their weights
+drawn one per system (``measure_sampled``) or enumerated with their weights
 (``branches``), and the exact outcome-labelled channel on densities
-(``channel_exact``); never the block structure.
+(``channel_exact``); never the block structure.  States come as a table of
+distinct rows plus each system's row number in it, and the reduced states
+leave the same way: sampling reduces each reached pair of row and block
+once, enumeration gives each branch its own row.
 :meth:`MeasurementApparatus.reveal_refinement` exists solely for
 ground-truth oracles and gated diagnostics; the discrimination protocol
 must never call it.
@@ -28,6 +31,7 @@ from .quantum import (
     SpectralDecomposition,
     branches,
     collapse,
+    renumber,
 )
 
 
@@ -82,39 +86,47 @@ class MeasurementApparatus:
         return self._refinement
 
     def measure_sampled(
-        self, states: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure every row of ``states``: sample a block, project, renormalise.
+        self, table: np.ndarray, index: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Measure every system: sample a block, project, renormalise.
 
-        One ``rng.random(len(states))`` draw picks the blocks.  Returns the
-        coarse outcome of each row, as an index into :attr:`outcome_labels`,
-        and the reduced rows.
+        System ``i`` is in state ``table[index[i]]``.  One
+        ``rng.random(len(index))`` draw picks the blocks.  Returns the
+        coarse outcome of each system, as an index into
+        :attr:`outcome_labels`, and the reduced states as a table with each
+        system's row in it: one row per reached pair of table row and block,
+        in ascending order of the pair.
         """
-        if states.shape[1] != self.dim:
+        if table.shape[1] != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        u = rng.random(len(states))
-        blocks = collapse(self._basis, self._starts, states, u)
-        post = self._reduce(states, np.arange(len(states)), blocks)
-        return np.take(self._groups, blocks), post
+        u = rng.random(len(index))
+        blocks = collapse(self._basis, self._starts, table, index, u)
+        # Each reached pair of table row and block is reduced once.
+        n = len(self._starts)
+        pairs, post_index = renumber(index * n + blocks, len(table) * n)
+        post = self._reduce(table, *np.divmod(pairs, n))
+        return np.take(self._groups, blocks), post, post_index
 
     def branches(
-        self, states: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every reduction of every weighted row of ``states``, enumerated.
+        self, table: np.ndarray, index: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every reduction of every weighted row, enumerated.
 
+        Row ``i`` is in state ``table[index[i]]`` with weight ``weights[i]``.
         Returns each reached branch's source row, coarse outcome (an index
-        into :attr:`outcome_labels`), weight and reduced row, as
-        :func:`~ludercheck.quantum.branches` enumerates them.
+        into :attr:`outcome_labels`) and weight, as
+        :func:`~ludercheck.quantum.branches` enumerates them, and the reduced
+        states as a table with one row per branch, in branch order.
         """
-        if states.shape[1] != self.dim:
+        if table.shape[1] != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        rows, blocks, w = branches(self._basis, self._starts, states, weights)
-        post = self._reduce(states, rows, blocks)
-        return rows, np.take(self._groups, blocks), w, post
+        rows, blocks, w = branches(self._basis, self._starts, table, index, weights)
+        post = self._reduce(table, index[rows], blocks)
+        return rows, np.take(self._groups, blocks), w, post, np.arange(len(rows))
 
-    def _reduce(self, states, rows, blocks):
-        """Row ``rows[i]`` of ``states`` kept on block ``blocks[i]``, renormalised."""
-        amps = (states @ self._basis.conj())[rows]
+    def _reduce(self, table, rows, blocks):
+        """Table row ``rows[i]`` kept on block ``blocks[i]``, renormalised."""
+        amps = (table @ self._basis.conj())[rows]
         amps = np.where(self._block_of == blocks[:, None], amps, 0.0)
         # The basis is orthonormal, so the kept block's weight is |amps|^2.
         weights = (amps.real**2 + amps.imag**2).sum(axis=1, keepdims=True)

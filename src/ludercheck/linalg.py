@@ -48,11 +48,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def is_projector(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(a)
-    return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
-
-
 def hermitian_eig(
     a: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:

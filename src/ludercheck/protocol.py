@@ -13,14 +13,19 @@ hidden blocks happen to be diagonal in the ``sigma`` basis.  Consistency
 in both passes identifies the Lüders rule: exactly, in exact mode, and up
 to a quantified false-acceptance bound in sampled mode.
 
-Both modes run the same passes over weighted pure rows.  Each measurement
-layer (the selection, each auxiliary measurement, each apparatus use) is
-one kernel call on all rows at once, and outcomes stay integer indices
-until they reach the evidence and the transcript.  The mode picks the
-kernel and the reference rule, nothing else: sampled mode draws one branch
-per system through :func:`ludercheck.quantum.collapse`, exact mode
-enumerates every branch through :func:`ludercheck.quantum.branches` and so
-builds no density matrix.
+Both modes run the same passes over weighted pure rows, each held as a
+row number into a small table of distinct states: the initial state or its
+mixture components, the auxiliary eigenvectors after an auxiliary outcome,
+and the apparatus's reductions of those.  Each measurement layer (the
+selection, each auxiliary measurement, each apparatus use) is one kernel
+call on all rows at once; Born weights and reductions are computed once per
+table row, so per-system work is gathers of indices and weights, and
+outcomes stay integer indices until they reach the evidence and the
+transcript.  The mode picks the kernel and the reference rule, nothing
+else: sampled mode draws one branch per system through
+:func:`ludercheck.quantum.collapse`, exact mode enumerates every branch
+through :func:`ludercheck.quantum.branches` and so builds no density
+matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .quantum import (
     build_sigma,
     build_sigma_prime,
     measure_pure,
+    renumber,
     sigma_entries_in_group,
     spectral_decompose,
 )
@@ -191,14 +197,16 @@ class Classification:
 class Ensemble:
     """Systems selected for one protocol pass, as weighted pure rows.
 
-    Row ``i`` of ``states`` is a normalised pure state of system ``ids[i]``
-    and stands for ``weights[i]`` of the run.  Sampled mode keeps one row of
-    weight one per selected system, with its id in the unselected ensemble.
-    Exact mode follows a single system, id 0, over rows weighted by their
-    Born probabilities.
+    Row ``i`` is the normalised pure state ``table[index[i]]`` of system
+    ``ids[i]`` and stands for ``weights[i]`` of the run.  ``table`` holds
+    distinct states, which many rows may share and no row may need.  Sampled
+    mode keeps one row of weight one per selected system, with its id in the
+    unselected ensemble.  Exact mode follows a single system, id 0, over rows
+    weighted by their Born probabilities.
     """
 
-    states: np.ndarray
+    table: np.ndarray
+    index: np.ndarray
     weights: np.ndarray
     ids: np.ndarray
 
@@ -254,14 +262,14 @@ class _Sampled:
     def draw(self, cdf, components):
         """``size`` systems of weight one, each picking a mixture component."""
         pick = np.searchsorted(cdf, self.rng.random(self.size), side="right")
-        return components[pick], np.ones(self.size), np.arange(self.size)
+        return Ensemble(components, pick, np.ones(self.size), np.arange(self.size))
 
-    def observe(self, aux, states, weights):
-        return np.arange(len(states)), measure_pure(aux, states, self.rng), weights
+    def observe(self, aux, table, index, weights):
+        return np.arange(len(index)), measure_pure(aux, table, index, self.rng), weights
 
-    def apparatus(self, app, states, weights):
-        outcomes, post = app.measure_sampled(states, self.rng)
-        return np.arange(len(states)), outcomes, weights, post
+    def apparatus(self, app, table, index, weights):
+        outcomes, post, post_index = app.measure_sampled(table, index, self.rng)
+        return np.arange(len(index)), outcomes, weights, post, post_index
 
     def reference(self, first, weights):
         """The first system's outcome."""
@@ -273,13 +281,16 @@ class _Exact:
 
     def draw(self, cdf, components):
         """Every mixture component, weighted by its probability."""
-        return components, np.diff(cdf, prepend=0.0), np.zeros(len(cdf), dtype=np.int64)
+        return Ensemble(
+            components, np.arange(len(cdf)), np.diff(cdf, prepend=0.0),
+            np.zeros(len(cdf), dtype=np.int64),
+        )
 
-    def observe(self, aux, states, weights):
-        return branches(*aux.stacked, states, weights)
+    def observe(self, aux, table, index, weights):
+        return branches(*aux.stacked, table, index, weights)
 
-    def apparatus(self, app, states, weights):
-        return app.branches(states, weights)
+    def apparatus(self, app, table, index, weights):
+        return app.branches(table, index, weights)
 
     def reference(self, first, weights):
         """The largest-weight outcome; near ties go to the earliest label."""
@@ -290,10 +301,11 @@ def _kernel(config: ProtocolConfig, rng: np.random.Generator) -> _Sampled | _Exa
     """What the mode picks: the measurement kernels and the reference rule.
 
     ``draw`` builds the unselected ensemble from a mixture.  ``apparatus``
-    measures weighted rows and returns, per kept branch, its source row,
-    outcome index, weight and reduced row; ``observe`` does the same for a
-    non-degenerate auxiliary observable without the reduced rows, which are
-    its eigenvectors.  ``reference`` picks pass two's first outcome from
+    measures weighted rows ``table[index]`` and returns, per kept branch, its
+    source row, outcome index and weight, and the reduced states as a table
+    with each branch's row in it; ``observe`` does the same for a
+    non-degenerate auxiliary observable without the reduced states, which
+    are its eigenvectors.  ``reference`` picks pass two's first outcome from
     pass one's trial outcomes and weights.
     """
     if config.mode is Mode.SAMPLED:
@@ -316,11 +328,13 @@ def prepare_ensemble(
     branch of every mixture component and keeps the target outcome's rows.
     """
     kernel = _kernel(config, rng)
-    states, weights, ids = kernel.draw(*_as_pure_mixture(initial, config.tol))
-    rows, coarse, weights, states = kernel.apparatus(app, states, weights)
+    drawn = kernel.draw(*_as_pure_mixture(initial, config.tol))
+    rows, coarse, weights, table, index = kernel.apparatus(
+        app, drawn.table, drawn.index, drawn.weights
+    )
     kept = coarse == target
     # Some system must keep more than tol of its weight.
-    system = ids[rows]
+    system = drawn.ids[rows]
     selected = np.bincount(system, weights * kept)
     if not (selected > config.tol * np.bincount(system, weights)).any():
         raise EmptySelectionError(
@@ -328,7 +342,9 @@ def prepare_ensemble(
             "initial state may be orthogonal to its eigenspace, or a sampled "
             "ensemble too small -- retry with a larger ensemble_size"
         )
-    return Ensemble(states[kept], weights[kept], ids[rows[kept]])
+    # The selected systems' table holds only the states they are in.
+    used, index = renumber(index[kept], len(table))
+    return Ensemble(table[used], index, weights[kept], system[kept])
 
 
 def run_stage(
@@ -358,7 +374,9 @@ def run_stage(
     """
     kernel = _kernel(config, rng)
     n = aux.group_count
-    rows, first, weights = kernel.observe(aux, ensemble.states, ensemble.weights)
+    rows, first, weights = kernel.observe(
+        aux, ensemble.table, ensemble.index, ensemble.weights
+    )
     # A trial is a system and a first outcome, keyed in system-major order;
     # it counts when it holds more than tol of its system's weight.
     keys, trial = np.unique(ensemble.ids[rows] * n + first, return_inverse=True)
@@ -375,11 +393,15 @@ def run_stage(
             f"{app.outcome_labels[target]}; the apparatus does not measure "
             "the base observable"
         )
-    # After a non-degenerate outcome the state is that outcome's eigenvector.
-    vectors = np.ascontiguousarray(aux.stacked[0].T)
-    trials = Ensemble(np.take(vectors, first, axis=0), weights, keys // n)
+    # After a non-degenerate outcome the state is that outcome's eigenvector:
+    # the trials' table holds the reached ones.
+    vectors = aux.stacked[0].T
+    reached, index = renumber(first, n)
+    trials = Ensemble(vectors[reached], index, weights, keys // n)
 
-    rows, coarse, weights, states = kernel.apparatus(app, trials.states, trials.weights)
+    rows, coarse, weights, table, index = kernel.apparatus(
+        app, trials.table, trials.index, trials.weights
+    )
     kept = coarse == target
     reproduced = np.bincount(rows, weights * kept, len(first))
     if (reproduced < (1.0 - 1e-6) * trials.weights).any():
@@ -388,7 +410,7 @@ def run_stage(
             f"{app.outcome_labels[target]} on a selected state; it does not "
             "measure the base observable"
         )
-    rows2, second, weights = kernel.observe(aux, states[kept], weights[kept])
+    rows2, second, weights = kernel.observe(aux, table, index[kept], weights[kept])
     trial = rows[kept][rows2]
     first_of, labels = first[trial], aux.eigenvalues
     if transcript is not None:
@@ -433,8 +455,10 @@ def run_stage(
     )
     reference = kernel.reference(first, trials.weights)
     chosen = first == reference
+    # The chosen trials share one state, the reference outcome's eigenvector.
     return result, int(reference), Ensemble(
-        trials.states[chosen], trials.weights[chosen], trials.ids[chosen]
+        vectors[[reference]], np.zeros(np.count_nonzero(chosen), dtype=np.int64),
+        trials.weights[chosen], trials.ids[chosen],
     )
 
 

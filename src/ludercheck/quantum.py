@@ -3,8 +3,9 @@
 The central object is a :class:`SpectralDecomposition`: the distinct
 eigenvalues of a Hermitian observable together with their eigenprojectors
 and a canonical orthonormal basis per eigenspace.  On top of it sit the
-measurement kernels (:func:`collapse` draws one outcome per row,
-:func:`branches` enumerates them all), the non-selective Lüders channel, a
+measurement kernels over a table of distinct states and each system's row
+in it (:func:`collapse` draws one outcome per system, :func:`branches`
+enumerates them all), the non-selective Lüders channel, a
 builder for spin-chain observables, and the two auxiliary-observable
 constructions used by the discrimination protocol: a non-degenerate
 refinement ``sigma`` diagonal in the canonical eigenbasis, and a second
@@ -201,11 +202,6 @@ class Refinement:
     def is_luders(self) -> bool:
         return all(len(cells) == 1 for cells in self.blocks)
 
-    def is_full_von_neumann(self) -> bool:
-        return all(
-            all(len(cell) == 1 for cell in cells) for cells in self.blocks
-        )
-
 
 def _group_sorted_eigenvalues(w: np.ndarray, threshold: float) -> list[list[int]]:
     """Group indices of a descending eigenvalue array by gap <= threshold."""
@@ -286,58 +282,90 @@ def luders_channel(decomp: SpectralDecomposition, rho: DensityMatrix) -> Density
     return DensityMatrix(total)
 
 
-def collapse(
-    basis: np.ndarray, starts: np.ndarray, states: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Measure every row of ``states`` in blocks of an orthonormal basis.
+def renumber(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, which lie in ``0..size-1``, and each key's number.
 
-    ``basis`` holds the basis vectors as columns, grouped into consecutive
-    blocks that begin at the column indices ``starts``; ``states`` holds one
-    normalised state vector per row.  Row ``i`` picks its block by inverse
-    CDF of ``u[i]`` in [0, 1) over its Born block weights.  Returns the block
-    index of each row.  Raises ValueError if some row is numerically
-    orthogonal to every block.
+    Returns the distinct keys in ascending order and, per key, its position
+    among them, as ``np.unique(keys, return_inverse=True)`` does, in O(len(keys)
+    + size) with no sort.
     """
-    amps = states @ basis.conj()
-    weights = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
-    cdf = np.cumsum(weights, axis=1)
-    total = cdf[:, -1]
-    if np.any(total <= DEFAULT_TOL):
+    reached = np.zeros(size, dtype=bool)
+    reached[keys] = True
+    return reached.nonzero()[0], reached.cumsum()[keys] - 1
+
+
+def _born(
+    basis: np.ndarray, starts: np.ndarray, table: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """The Born weight of each block, for every row of ``table``.
+
+    Raises ValueError if a row that ``index`` refers to is numerically
+    orthogonal to every block; rows no one refers to are not checked.
+    """
+    amps = table @ basis.conj()
+    born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
+    if np.any(born.sum(axis=1)[index] <= DEFAULT_TOL):
         raise ValueError("state is numerically orthogonal to every outcome")
+    return born
+
+
+def collapse(
+    basis: np.ndarray,
+    starts: np.ndarray,
+    table: np.ndarray,
+    index: np.ndarray,
+    u: np.ndarray,
+) -> np.ndarray:
+    """Measure system ``i``, in state ``table[index[i]]``, in blocks of a basis.
+
+    ``basis`` holds orthonormal basis vectors as columns, grouped into
+    consecutive blocks that begin at the column indices ``starts``; ``table``
+    holds normalised state vectors as rows, which many systems may share.
+    The Born block weights are computed once per table row, and system ``i``
+    picks its block by inverse CDF of ``u[i]`` in [0, 1) over its row's
+    weights.  Returns the block index of each system.  Raises ValueError if
+    a row that some system is in is numerically orthogonal to every block.
+    """
+    cdf = np.cumsum(_born(basis, starts, table, index), axis=1)[index]
+    total = cdf[:, -1]
     # Block k is chosen when cdf[k-1] <= u * total < cdf[k]; blocks of zero
     # weight are never chosen.
     return np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
 
 
 def branches(
-    basis: np.ndarray, starts: np.ndarray, states: np.ndarray, weights: np.ndarray
+    basis: np.ndarray,
+    starts: np.ndarray,
+    table: np.ndarray,
+    index: np.ndarray,
+    weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`collapse` with every block of Born weight above DEFAULT_TOL enumerated.
 
-    Row ``i`` of ``states`` carries the weight ``weights[i]``.  Returns, per
-    reached block ``b`` of row ``i`` in row-major order, ``i``, ``b`` and the
-    weight ``weights[i] * |B_b^H v_i|^2``.  Raises ValueError as
-    :func:`collapse` does.
+    Row ``i``, in state ``table[index[i]]``, carries the weight
+    ``weights[i]``.  Returns, per reached block ``b`` of row ``i`` in
+    row-major order, ``i``, ``b`` and the weight ``weights[i] * |B_b^H v_i|^2``.
+    Raises ValueError as :func:`collapse` does.
     """
-    amps = states @ basis.conj()
-    born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
-    if np.any(born.sum(axis=1) <= DEFAULT_TOL):
-        raise ValueError("state is numerically orthogonal to every outcome")
+    born = _born(basis, starts, table, index)[index]
     rows, blocks = np.nonzero(born > DEFAULT_TOL)
     return rows, blocks, weights[rows] * born[rows, blocks]
 
 
 def measure_pure(
-    decomp: SpectralDecomposition, states: np.ndarray, rng: np.random.Generator
+    decomp: SpectralDecomposition,
+    table: np.ndarray,
+    index: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Measure every row of ``states`` projectively.
+    """Measure system ``i``, in state ``table[index[i]]``, projectively.
 
-    One ``rng.random(len(states))`` draw picks the outcomes.  Returns the
-    outcome index of each row into ``decomp.eigenvalues``.
+    One ``rng.random(len(index))`` draw picks the outcomes.  Returns the
+    outcome index of each system into ``decomp.eigenvalues``.
     """
-    if states.shape[1] != decomp.dim:
+    if table.shape[1] != decomp.dim:
         raise ValueError("state dimension does not match the observable")
-    return collapse(*decomp.stacked, states, rng.random(len(states)))
+    return collapse(*decomp.stacked, table, index, rng.random(len(index)))
 
 
 def build_spin_operator(

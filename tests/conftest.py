@@ -25,6 +25,11 @@ def random_state(dim, rng):
     return v / np.linalg.norm(v)
 
 
+def full_von_neumann(refinement):
+    """Whether every block of a refinement holds a single basis vector."""
+    return all(len(cell) == 1 for cells in refinement.blocks for cell in cells)
+
+
 def set_partitions(items):
     """All partitions of a list into unordered non-empty cells."""
     items = list(items)

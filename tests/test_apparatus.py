@@ -17,7 +17,7 @@ from ludercheck.quantum import (
     spectral_decompose,
 )
 
-from conftest import random_density, random_state, random_unitary
+from conftest import full_von_neumann, random_density, random_state, random_unitary
 
 from test_quantum import (
     MINUS_MINUS,
@@ -102,18 +102,20 @@ def test_channel_exact_branches_sum_to_identity_action(rng):
 
 def test_measure_sampled_is_repeatable(rng):
     app = phi_apparatus()
-    states = np.tile((PLUS_MINUS + PLUS_PLUS) / np.sqrt(2), (50, 1))
-    label, post = app.measure_sampled(states, rng)
-    label2, post2 = app.measure_sampled(post, rng)
+    table = ((PLUS_MINUS + PLUS_PLUS) / np.sqrt(2))[None, :]
+    label, post, index = app.measure_sampled(table, np.zeros(50, dtype=int), rng)
+    label2, post2, index2 = app.measure_sampled(post, index, rng)
     assert np.array_equal(label2, label)
-    overlaps = np.abs(np.sum(post.conj() * post2, axis=1))
+    overlaps = np.abs(np.sum(post[index].conj() * post2[index2], axis=1))
     assert overlaps == pytest.approx(np.ones(50))
 
 
 def test_measure_sampled_statistics_match_channel(rng):
     app = phi_apparatus()
-    states = np.tile(PLUS_MINUS, (3000, 1))
-    index, post = app.measure_sampled(states, rng)
+    index, table, rows = app.measure_sampled(
+        PLUS_MINUS[None, :], np.zeros(3000, dtype=int), rng
+    )
+    post = table[rows]
     labels = np.take(app.outcome_labels, index)
     counts = dict(zip(*np.unique(labels, return_counts=True)))
     overlaps = np.abs(post[labels == 0.0] @ PHI_PLUS.conj()) ** 2
@@ -123,10 +125,33 @@ def test_measure_sampled_statistics_match_channel(rng):
     assert set(np.round(overlaps, 6)) == {0.0, 1.0}
 
 
+def test_measure_sampled_reduces_each_row_and_block_once():
+    # 10^4 systems spread over 3 distinct states: the reduced table holds one
+    # row per reached pair of state and block, and each system's row there
+    # is its own state reduced onto a block of its outcome
+    from ludercheck.quantum import build_spin_operator
+    d = spectral_decompose(build_spin_operator(3, ((1.0, "ZII"), (1.0, "IZI"))))
+    app = make_partial(d, (((0, 1),), ((0,), (1, 3), (2,)), ((0,), (1,))))
+    ref = app.reveal_refinement()
+    rng = np.random.default_rng(36)
+    table = np.array([random_state(8, rng) for _ in range(3)])
+    index = rng.integers(0, 3, 10_000)
+    outcomes, post, post_index = app.measure_sampled(table, index, rng)
+    assert len(post) <= 3 * sum(len(cells) for cells in ref.blocks)
+    assert sorted(set(post_index.tolist())) == list(range(len(post)))
+    pairs = set(zip(index.tolist(), outcomes.tolist(), post_index.tolist()))
+    assert len(pairs) == len(post)
+    for row, k, p in pairs:
+        reductions = [ref.sub_projector(k, b) @ table[row]
+                      for b in range(ref.block_count(k))]
+        assert any(np.allclose(r / np.linalg.norm(r), post[p], atol=1e-12)
+                   for r in reductions)
+
+
 def test_reveal_refinement_reports_ground_truth():
     d = spectral_decompose(total_z())
     assert make_luders(d).reveal_refinement().is_luders()
-    assert phi_apparatus().reveal_refinement().is_full_von_neumann()
+    assert full_von_neumann(phi_apparatus().reveal_refinement())
     blocks = (((0,),), ((0, 1),), ((0,),))
     partial = make_partial(d, blocks)
     assert partial.reveal_refinement().block_count(1) == 1
@@ -143,9 +168,10 @@ def test_make_partial_three_spins_rank_two_blocks():
     app = make_partial(d, blocks)
     ref = app.reveal_refinement()
     assert ref.block_count(1) == 2
-    assert not ref.is_luders() and not ref.is_full_von_neumann()
+    assert not ref.is_luders() and not full_von_neumann(ref)
     sub = ref.sub_projector(1, 0)
     assert np.trace(sub).real == pytest.approx(2.0)
+    assert np.allclose(sub @ sub, sub, atol=1e-12)
 
 
 def test_sampled_frequencies_match_exact_channel():
@@ -156,7 +182,9 @@ def test_sampled_frequencies_match_exact_channel():
                     np.outer(state.vector, state.vector.conj())))}
     rng = np.random.default_rng(2024)
     n = 10_000
-    index, _ = app.measure_sampled(np.tile(state.vector, (n, 1)), rng)
+    index, _, _ = app.measure_sampled(
+        state.vector[None, :], np.zeros(n, dtype=int), rng
+    )
     labels, tallies = np.unique(np.take(app.outcome_labels, index),
                                 return_counts=True)
     counts = dict(zip(labels.tolist(), tallies.tolist()))
@@ -288,7 +316,10 @@ def test_branches_sum_to_the_exact_channel(spectrum):
         for states, weights in inputs:
             rho = (weights[:, None, None] * states[:, :, None]
                    * states[:, None, :].conj()).sum(axis=0)
-            rows, coarse, w, post = app.branches(states, weights)
+            rows, coarse, w, table, index = app.branches(
+                states, np.arange(len(states)), weights
+            )
+            post = table[index]
             want = app.channel_exact(DensityMatrix(rho))
             assert sorted(set(coarse.tolist())) == [
                 app.outcome_labels.index(lab) for lab, _, _ in want
@@ -311,4 +342,4 @@ def test_branches_sum_to_the_exact_channel(spectrum):
         assert 1 not in coarse.tolist()
         with pytest.raises(ValueError):
             app.branches(np.array([random_state(dim, rng), np.zeros(dim)]),
-                         np.array([0.5, 0.5]))
+                         np.arange(2), np.array([0.5, 0.5]))

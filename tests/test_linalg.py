@@ -11,7 +11,6 @@ from ludercheck.linalg import (
     as_vector,
     hermitian_eig,
     is_hermitian,
-    is_projector,
     projector_from_vectors,
 )
 
@@ -38,8 +37,8 @@ def test_predicates_on_simple_matrices():
     assert is_hermitian(h)
     assert not is_hermitian(h + np.array([[0, 1e-3], [0, 0]]))
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    assert is_projector(p)
-    assert not is_projector(2 * p)
+    assert is_hermitian(p) and np.allclose(p @ p, p)
+    assert not np.allclose((2 * p) @ (2 * p), 2 * p)
 
 
 def test_hermitian_eig_diagonal_matrix():

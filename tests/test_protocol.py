@@ -107,12 +107,13 @@ def test_prepare_ensemble_exact_selects_branch():
     app = make_luders(d)
     cfg = ProtocolConfig()
     ens = prepare_ensemble(DEFAULT_PSI, app, 1, cfg, None)
+    states = ens.table[ens.index]
     # one system, id 0, whose rows carry the selection probability 2/3
-    assert len(ens.states) >= 1 and not ens.ids.any()
+    assert len(states) >= 1 and not ens.ids.any()
     assert ens.weights.sum() == pytest.approx(2.0 / 3.0)
     # the kept rows make up the projection onto the degenerate eigenspace
-    kept = (ens.weights[:, None, None] * ens.states[:, :, None]
-            * ens.states[:, None, :].conj()).sum(axis=0) / ens.weights.sum()
+    kept = (ens.weights[:, None, None] * states[:, :, None]
+            * states[:, None, :].conj()).sum(axis=0) / ens.weights.sum()
     expected = np.outer(PHI_PLUS, PHI_PLUS.conj())
     assert np.allclose(kept, expected, atol=1e-12)
 
@@ -123,11 +124,12 @@ def test_prepare_ensemble_sampled_keeps_matching_systems():
     cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=300, seed=1)
     rng = np.random.default_rng(1)
     ens = prepare_ensemble(DEFAULT_PSI, app, 1, cfg, rng)
-    assert 0 < len(ens.states) < 300
+    states = ens.table[ens.index]
+    assert 0 < len(states) < 300
     assert np.all(ens.weights == 1.0) and np.all(np.diff(ens.ids) > 0)
     # around two thirds of preparations land in the target eigenspace
-    assert len(ens.states) == pytest.approx(200, abs=40)
-    for state in ens.states:
+    assert len(states) == pytest.approx(200, abs=40)
+    for state in states:
         assert abs(np.vdot(PHI_PLUS, state)) == pytest.approx(1.0)
     # a sampled system weighs one, so even a coarse tol keeps every match
     coarse = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=300, tol=0.9)
@@ -462,7 +464,7 @@ def test_prepare_ensemble_binomial_selection_at_scale():
     psi = PureState((PLUS_PLUS + PLUS_MINUS) / np.sqrt(2))
     ens = prepare_ensemble(psi, app, 1, cfg, rng)
     # keep probability one half: 5 sigma around 5000
-    assert abs(len(ens.states) - n / 2) <= 5 * np.sqrt(n / 4)
+    assert abs(len(ens.index) - n / 2) <= 5 * np.sqrt(n / 4)
 
 
 def test_sampled_twenty_systems_always_catch_the_basis_refiner():

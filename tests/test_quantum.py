@@ -19,12 +19,13 @@ from ludercheck.quantum import (
     _canonical_basis,
     luders_channel,
     measure_pure,
+    renumber,
     sigma_entries_in_group,
     spectral_decompose,
     spread_labels,
 )
 
-from conftest import random_density, random_state, random_unitary
+from conftest import full_von_neumann, random_density, random_state, random_unitary
 
 SQ2 = np.sqrt(2.0)
 
@@ -35,6 +36,9 @@ MINUS_PLUS = np.array([0, 0, 1, 0], dtype=complex)
 MINUS_MINUS = np.array([0, 0, 0, 1], dtype=complex)
 PHI_PLUS = (PLUS_MINUS + MINUS_PLUS) / SQ2
 PHI_MINUS = (PLUS_MINUS - MINUS_PLUS) / SQ2
+
+# one system in the only row of a one-row state table
+ONE_ROW = np.zeros(1, dtype=int)
 
 
 def total_z(sites=2):
@@ -282,9 +286,10 @@ def luders_branches(d, rho):
     sum of w |r><r| over the reduced rows r.
     """
     w, v = np.linalg.eigh(rho)
-    rows, outcomes, weights, post = make_luders(d).branches(
-        v.T, np.clip(w, 0.0, None)
+    rows, outcomes, weights, table, index = make_luders(d).branches(
+        v.T, np.arange(len(w)), np.clip(w, 0.0, None)
     )
+    post = table[index]
     probs = np.bincount(outcomes, weights, minlength=d.group_count)
     parts = np.zeros((d.group_count,) + rho.shape, dtype=complex)
     np.add.at(parts, outcomes, weights[:, None, None]
@@ -301,7 +306,7 @@ def test_born_distribution_on_maximally_mixed():
 def test_born_distribution_accepts_pure_state():
     d = spectral_decompose(total_z())
     _, outcomes, probs = branches(
-        *d.stacked, PureState(PLUS_MINUS).vector[None, :], np.ones(1)
+        *d.stacked, PureState(PLUS_MINUS).vector[None, :], ONE_ROW, np.ones(1)
     )
     assert outcomes.tolist() == [d.group_index(0.0)]
     assert probs == pytest.approx([1.0])
@@ -310,7 +315,10 @@ def test_born_distribution_accepts_pure_state():
 def test_luders_update_keeps_superposition_within_eigenspace():
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + MINUS_PLUS + PLUS_PLUS) / np.sqrt(3)
-    rows, outcomes, weights, post = make_luders(d).branches(psi[None, :], np.ones(1))
+    rows, outcomes, weights, table, index = make_luders(d).branches(
+        psi[None, :], ONE_ROW, np.ones(1)
+    )
+    post = table[index]
     assert outcomes.tolist() == [0, 1]
     assert weights[1] == pytest.approx(2.0 / 3.0)
     # the post state is the pure projection |phi+>, not a mixture
@@ -336,10 +344,11 @@ def test_measure_pure_collapses_and_renormalizes():
     # measure_pure draws the outcome the Lüders apparatus reduces to
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    index = measure_pure(d, psi[None, :], np.random.default_rng(3))
-    reduced, post = make_luders(d).measure_sampled(
-        psi[None, :], np.random.default_rng(3)
+    index = measure_pure(d, psi[None, :], ONE_ROW, np.random.default_rng(3))
+    reduced, table, rows = make_luders(d).measure_sampled(
+        psi[None, :], ONE_ROW, np.random.default_rng(3)
     )
+    post = table[rows]
     assert np.array_equal(reduced, index)
     label = d.eigenvalues[index[0]]
     assert label in (2.0, 0.0)
@@ -351,7 +360,7 @@ def test_measure_pure_collapses_and_renormalizes():
 def test_measure_pure_statistics(rng):
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    index = measure_pure(d, np.tile(psi, (2000, 1)), rng)
+    index = measure_pure(d, psi[None, :], np.zeros(2000, dtype=int), rng)
     labels = np.take(d.eigenvalues, index)
     assert np.mean(labels == 2.0) == pytest.approx(0.5, abs=0.05)
 
@@ -368,7 +377,8 @@ def test_collapse_block_frequencies_match_born_weights():
     born = [np.linalg.norm(basis[:, lo:hi].conj().T @ psi) ** 2
             for lo, hi in KERNEL_SPANS]
     n = 10_000
-    k = collapse(basis, KERNEL_STARTS, np.tile(psi, (n, 1)), rng.random(n))
+    k = collapse(basis, KERNEL_STARTS, psi[None, :], np.zeros(n, dtype=int),
+                 rng.random(n))
     counts = np.bincount(k, minlength=3)
     for count, p in zip(counts, born):
         assert abs(count - n * p) <= 5 * np.sqrt(n * p * (1 - p))
@@ -380,9 +390,14 @@ def test_collapse_rows_are_unit_and_lie_in_their_block():
     rng = np.random.default_rng(32)
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng) for _ in range(500)])
-    k = collapse(basis, KERNEL_STARTS, states, np.random.default_rng(9).random(500))
+    rows = np.arange(500)
+    k = collapse(basis, KERNEL_STARTS, states, rows,
+                 np.random.default_rng(9).random(500))
     base = spectral_decompose(basis @ np.diag([3.0, 3, 2, 1, 1, 1]) @ basis.conj().T)
-    reduced, post = make_luders(base).measure_sampled(states, np.random.default_rng(9))
+    reduced, table, index = make_luders(base).measure_sampled(
+        states, rows, np.random.default_rng(9)
+    )
+    post = table[index]
     assert np.array_equal(reduced, k)
     assert np.allclose(np.linalg.norm(post, axis=1), 1.0, atol=1e-12)
     for block, (lo, hi) in enumerate(KERNEL_SPANS):
@@ -397,7 +412,49 @@ def test_collapse_rejects_a_row_orthogonal_to_every_block():
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
     with pytest.raises(ValueError):
-        collapse(basis, KERNEL_STARTS, states, rng.random(3))
+        collapse(basis, KERNEL_STARTS, states, np.arange(3), rng.random(3))
+
+
+def test_collapse_over_a_table_matches_collapse_over_its_rows():
+    # drawing from each table row's CDF is the same as drawing from a copy
+    # of the row per system, for every u
+    rng = np.random.default_rng(34)
+    basis = random_unitary(6, rng)
+    for size in (1, 5, 40):
+        table = np.array([random_state(6, rng) for _ in range(size)])
+        index = rng.integers(0, size, 2000)
+        u = rng.random(2000)
+        k = collapse(basis, KERNEL_STARTS, table, index, u)
+        rows = collapse(basis, KERNEL_STARTS, table[index], np.arange(2000), u)
+        assert np.array_equal(k, rows)
+
+
+def test_renumber_matches_unique():
+    rng = np.random.default_rng(37)
+    for n, size in ((0, 4), (1, 1), (7, 30), (10_000, 24)):
+        keys = rng.integers(0, size, n)
+        distinct, number = renumber(keys, size)
+        want, inverse = np.unique(keys, return_inverse=True)
+        assert np.array_equal(distinct, want)
+        assert np.array_equal(number, inverse)
+
+
+def test_collapse_checks_only_the_table_rows_systems_refer_to():
+    rng = np.random.default_rng(35)
+    basis = random_unitary(6, rng)
+    table = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
+    with pytest.raises(ValueError):
+        collapse(basis, KERNEL_STARTS, table, np.array([0, 2, 1, 0]),
+                 rng.random(4))
+    # no system is in the zero row, so nothing is orthogonal to every block
+    k = collapse(basis, KERNEL_STARTS, table, np.array([0, 2, 2, 0]),
+                 rng.random(4))
+    assert k.shape == (4,)
+    rows, _, _ = branches(basis, KERNEL_STARTS, table, np.array([2, 0]),
+                          np.ones(2))
+    assert set(rows.tolist()) == {0, 1}
+    with pytest.raises(ValueError):
+        branches(basis, KERNEL_STARTS, table, np.array([2, 1]), np.ones(2))
 
 
 def test_build_spin_operator_two_site_sum():
@@ -449,7 +506,7 @@ def test_refinement_validates_block_structure():
     r = Refinement(base=d, basis=basis, blocks=blocks)
     assert r.block_count(1) == 2
     assert not r.is_luders()
-    assert r.is_full_von_neumann()
+    assert full_von_neumann(r)
     assert np.allclose(r.sub_projector(1, 0), np.diag([0, 1, 0, 0]))
 
 
@@ -459,7 +516,7 @@ def test_refinement_luders_shape():
     blocks = ((0,),), ((0, 1),), ((0,),)
     r = Refinement(base=d, basis=basis, blocks=blocks)
     assert r.is_luders()
-    assert not r.is_full_von_neumann()
+    assert not full_von_neumann(r)
 
 
 def test_refinement_rejects_wrong_span():
@@ -596,7 +653,9 @@ def test_born_on_refined_observable_splits_plus_minus():
     # degeneracy-lifted observable
     ap = build_spin_operator(2, ((1.0, "ZI"), (1.0, "IZ"), (1.0, TOTAL_SPIN_SQ)))
     d = spectral_decompose(ap)
-    _, outcomes, probs = branches(*d.stacked, PLUS_MINUS[None, :], np.ones(1))
+    _, outcomes, probs = branches(
+        *d.stacked, PLUS_MINUS[None, :], ONE_ROW, np.ones(1)
+    )
     # the zero-probability outcomes 6 and 2 are dropped
     labels = np.take(d.eigenvalues, outcomes)
     assert labels == pytest.approx([4.0, 0.0], abs=1e-9)

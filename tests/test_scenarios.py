@@ -15,7 +15,7 @@ from ludercheck.scenarios import (
     resolve_expression,
 )
 
-from conftest import random_unitary
+from conftest import full_von_neumann, random_unitary
 from test_quantum import MINUS_PLUS, PLUS_MINUS, total_z
 
 
@@ -36,7 +36,7 @@ def test_build_consecutive_single_site_z_pair():
     obs = (build_spin_operator(2, ((1.0, "ZI"),)),
            build_spin_operator(2, ((1.0, "IZ"),)))
     ref = build_consecutive(d, obs).reveal_refinement()
-    assert ref.is_full_von_neumann()
+    assert full_von_neumann(ref)
     assert ref.block_count(1) == 2
     # the refining vectors are the computational ones
     group = ref.basis[1]
@@ -54,7 +54,7 @@ def test_build_consecutive_first_observable_only():
     assert ref.block_count(1) == 2
     assert all(len(cell) == 2 for cell in ref.blocks[1])
     assert not ref.is_luders()
-    assert not ref.is_full_von_neumann()
+    assert not full_von_neumann(ref)
 
 
 def test_build_consecutive_rejects_noncommuting_refiner():
