@@ -18,7 +18,6 @@ must never call it.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -51,10 +50,10 @@ class MeasurementApparatus:
     def __init__(self, refinement: Refinement):
         self._refinement = refinement
         # Flat block layout: the columns of one unitary matrix, eigenspace
-        # after eigenspace and block after block inside each; the first
-        # column and the eigenspace of each block, the column bounds of each
-        # eigenspace, the block of each column, and a mask that is True
-        # where row and column lie in the same block.
+        # after eigenspace as in the base decomposition and block after
+        # block inside each; the first column and the eigenspace of each
+        # block, the block of each column, and a mask that is True where row
+        # and column lie in the same block.
         cols = []
         starts = []
         groups = []
@@ -68,7 +67,6 @@ class MeasurementApparatus:
         self._basis = np.column_stack(cols)
         self._starts = np.array(starts)
         self._groups = tuple(groups)
-        self._bounds = tuple(accumulate(refinement.base.multiplicities, initial=0))
         self._block_of = np.array(block_of)
         self._same_block = self._block_of[:, None] == self._block_of
 
@@ -148,14 +146,16 @@ class MeasurementApparatus:
         if state.dim != self.dim:
             raise ValueError("state dimension does not match the apparatus")
         b = self._basis
+        base = self._refinement.base
         r = b.conj().T @ state.matrix @ b
-        probs = np.add.reduceat(r.diagonal().real, self._bounds[:-1])
+        probs = np.add.reduceat(r.diagonal().real, base.starts)
         r = np.where(self._same_block, r, 0.0)
         out = []
         for k, prob in enumerate(probs.tolist()):
             if prob <= DEFAULT_TOL:
                 continue
-            lo, hi = self._bounds[k], self._bounds[k + 1]
+            lo = base.starts[k]
+            hi = lo + base.multiplicities[k]
             block = b[:, lo:hi]
             branch = block @ r[lo:hi, lo:hi] @ block.conj().T
             out.append((self.outcome_labels[k], prob, DensityMatrix(branch / prob)))
@@ -183,19 +183,16 @@ def make_full_von_neumann(
     eigenspace (``None`` entries keep the canonical one); the choice fixes
     which orthonormal directions the reduction projects onto.
     """
-    basis = []
-    for k, group in enumerate(base.eigenbasis):
-        choice = None
-        if eigenbasis_choice is not None:
-            if len(eigenbasis_choice) != base.group_count:
-                raise ValueError("need one basis choice (or None) per eigenspace")
-            choice = eigenbasis_choice[k]
-        if choice is None:
-            basis.append(group)
-        else:
-            basis.append(tuple(linalg.as_vector(v).copy() for v in choice))
+    if eigenbasis_choice is None:
+        eigenbasis_choice = (None,) * base.group_count
+    if len(eigenbasis_choice) != base.group_count:
+        raise ValueError("need one basis choice (or None) per eigenspace")
+    basis = tuple(
+        group if choice is None else tuple(linalg.as_vector(v).copy() for v in choice)
+        for group, choice in zip(base.eigenbasis, eigenbasis_choice)
+    )
     blocks = tuple(tuple((i,) for i in range(n)) for n in base.multiplicities)
-    return _device(base, tuple(basis), blocks)
+    return _device(base, basis, blocks)
 
 
 def make_partial(

@@ -352,7 +352,6 @@ def build_report(result: Classification, config: ProtocolConfig,
             "min_disturbance": config.min_disturbance,
             "confidence": config.confidence,
             "tol": config.tol,
-            "grouping_threshold": config.grouping_threshold,
         },
         "wall_time_s": wall_time_s,
     }

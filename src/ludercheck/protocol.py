@@ -103,7 +103,6 @@ class ProtocolConfig:
     min_disturbance: float = 0.5
     confidence: float = 1e-3
     tol: float = DEFAULT_TOL
-    grouping_threshold: float | None = None
     seed: int | None = None
 
     def validate(self):
@@ -287,7 +286,7 @@ class _Exact:
         )
 
     def observe(self, aux, table, index, weights):
-        return branches(*aux.stacked, table, index, weights)
+        return branches(aux.basis, aux.starts, table, index, weights)
 
     def apparatus(self, app, table, index, weights):
         return app.branches(table, index, weights)
@@ -352,7 +351,7 @@ def run_stage(
     aux: SpectralDecomposition,
     app: MeasurementApparatus,
     target: int,
-    probes: list[int],
+    probes: np.ndarray,
     kind: StageKind,
     config: ProtocolConfig,
     rng: np.random.Generator,
@@ -379,7 +378,9 @@ def run_stage(
     )
     # A trial is a system and a first outcome, keyed in system-major order;
     # it counts when it holds more than tol of its system's weight.
-    keys, trial = np.unique(ensemble.ids[rows] * n + first, return_inverse=True)
+    keys, trial = renumber(
+        ensemble.ids[rows] * n + first, (int(ensemble.ids.max()) + 1) * n
+    )
     weights = np.bincount(trial, weights)
     system_weight = np.bincount(ensemble.ids, ensemble.weights)
     live = weights > config.tol * system_weight[keys // n]
@@ -395,7 +396,7 @@ def run_stage(
         )
     # After a non-degenerate outcome the state is that outcome's eigenvector:
     # the trials' table holds the reached ones.
-    vectors = aux.stacked[0].T
+    vectors = aux.basis.T
     reached, index = renumber(first, n)
     trials = Ensemble(vectors[reached], index, weights, keys // n)
 
@@ -492,9 +493,7 @@ def discriminate(
     if config is None:
         config = ProtocolConfig()
     config.validate()
-    decomp = spectral_decompose(
-        observable, config.grouping_threshold, tol=config.tol
-    )
+    decomp = spectral_decompose(observable, tol=config.tol)
     if app.dim != decomp.dim:
         raise ValueError(
             f"the apparatus acts on dimension {app.dim}, the observable on "
@@ -523,21 +522,17 @@ def discriminate(
     transcript = [] if config.mode is Mode.SAMPLED else None
 
     ensemble = prepare_ensemble(initial, app, target, config, rng)
-    _, sigma = build_sigma(decomp)
-    inside = sigma_entries_in_group(decomp, sigma, k)
-    # sigma_prime keeps sigma's labels, so both share these outcome indices.
-    probes = [sigma.eigenvalues.index(label) for label, _ in inside]
+    sigma = build_sigma(decomp)
+    # sigma_prime keeps sigma's outcomes, so both share these indices.
+    probes = sigma_entries_in_group(decomp, sigma, k)
     first, reference, follow_up = run_stage(
         ensemble, sigma, app, target, probes, StageKind.SIGMA, config, rng,
         transcript,
     )
     evidence = (first,)
     if first.consistent:
-        _, sigma_prime = build_sigma_prime(
-            decomp, sigma, k, probes.index(reference), inside
-        )
         second, _, _ = run_stage(
-            follow_up, sigma_prime, app, target, probes,
+            follow_up, build_sigma_prime(sigma, probes), app, target, probes,
             StageKind.SIGMA_PRIME, config, rng, transcript,
         )
         evidence = (first, second)

@@ -1,16 +1,16 @@
 """States, observables, and the spectral structure behind projective measurement.
 
 The central object is a :class:`SpectralDecomposition`: the distinct
-eigenvalues of a Hermitian observable together with their eigenprojectors
-and a canonical orthonormal basis per eigenspace.  On top of it sit the
-measurement kernels over a table of distinct states and each system's row
-in it (:func:`collapse` draws one outcome per system, :func:`branches`
-enumerates them all), the non-selective Lüders channel, a
-builder for spin-chain observables, and the two auxiliary-observable
-constructions used by the discrimination protocol: a non-degenerate
-refinement ``sigma`` diagonal in the canonical eigenbasis, and a second
-refinement ``sigma_prime`` whose eigenvectors inside one eigenspace overlap
-every ``sigma`` eigenvector there.
+eigenvalues of a Hermitian observable, their eigenprojectors, and a canonical
+eigenbasis as one column matrix, eigenspace after eigenspace.  On top of it
+sit the measurement kernels over a table of distinct states and each
+system's row in it (:func:`collapse` draws one outcome per system,
+:func:`branches` enumerates them all), the non-selective Lüders channel, a
+builder for spin-chain observables, and the two auxiliary observables of the
+discrimination protocol, both column operations on that matrix: a
+non-degenerate refinement ``sigma`` diagonal in the canonical eigenbasis, and
+a second refinement ``sigma_prime`` whose eigenvectors inside one eigenspace
+overlap every ``sigma`` eigenvector there.
 """
 
 from __future__ import annotations
@@ -96,31 +96,44 @@ class DensityMatrix:
 class SpectralDecomposition:
     """Distinct eigenvalues, eigenprojectors, and a canonical eigenbasis.
 
-    Eigenvalues are sorted descending; ``eigenbasis[k]`` is an orthonormal
-    family spanning eigenspace ``k``, in a fixed order that every
-    construction downstream treats as canonical.  The projectors are
-    derived from it on first use.
+    Eigenvalues are sorted descending.  ``basis`` is a read-only unitary
+    matrix whose columns are the canonical eigenbasis, eigenspace after
+    eigenspace: eigenspace ``k`` owns the ``multiplicities[k]`` columns from
+    ``starts[k]``, in a fixed order that every construction downstream
+    treats as canonical.  ``(basis, starts)`` is the block layout the
+    measurement kernels take.  The per-eigenspace views and the projectors
+    are derived from it on first use.
     """
 
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    eigenbasis: tuple[tuple[np.ndarray, ...], ...]
+    basis: np.ndarray
 
     def __post_init__(self):
-        for group in self.eigenbasis:
-            for v in group:
-                v.setflags(write=False)
+        self.basis.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.eigenbasis[0][0].shape[0]
+        return self.basis.shape[0]
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The first column of each eigenspace in :attr:`basis`."""
+        return np.cumsum((0,) + self.multiplicities[:-1])
+
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, ...]:
+        """Read-only views of each eigenspace's basis vectors, as rows."""
+        return tuple(
+            self.basis[:, s : s + n].T for s, n in zip(self.starts, self.multiplicities)
+        )
 
     @cached_property
     def projectors(self) -> tuple[np.ndarray, ...]:
         """The read-only eigenprojectors P_k = B_k B_k^H, symmetrised."""
         out = []
-        for group in self.eigenbasis:
-            b = np.column_stack(group)
+        for s, n in zip(self.starts, self.multiplicities):
+            b = self.basis[:, s : s + n]
             p = b @ b.conj().T
             p = 0.5 * (p + p.conj().T)
             p.setflags(write=False)
@@ -138,13 +151,6 @@ class SpectralDecomposition:
         if diffs[k] > atol * (1.0 + abs(eigenvalue)):
             raise ValueError(f"no eigenvalue group near {eigenvalue}")
         return k
-
-    @cached_property
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All basis vectors as columns, plus the start offset of each group."""
-        cols = [v for group in self.eigenbasis for v in group]
-        starts = np.cumsum([0] + [len(g) for g in self.eigenbasis])[:-1]
-        return np.column_stack(cols), starts
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,7 @@ def _group_sorted_eigenvalues(w: np.ndarray, threshold: float) -> list[list[int]
     return groups
 
 
-def _canonical_basis(projector: np.ndarray, rank: int) -> tuple[np.ndarray, ...]:
+def _canonical_basis(projector: np.ndarray, rank: int) -> np.ndarray:
     """Gram-Schmidt over the columns P e_i of a projector, in index order.
 
     Columns whose residual falls below BASIS_RESIDUAL are skipped.  The
@@ -224,6 +230,7 @@ def _canonical_basis(projector: np.ndarray, rank: int) -> tuple[np.ndarray, ...]
     are found.  The result depends on the
     projector alone, not on the eigenvectors it was assembled from.  Each
     column is projected against all accepted vectors at once, twice (CGS2).
+    Returns the vectors as rows.
     """
     basis = np.empty((rank, projector.shape[0]), dtype=complex)
     found = 0
@@ -238,19 +245,17 @@ def _canonical_basis(projector: np.ndarray, rank: int) -> tuple[np.ndarray, ...]
             found += 1
             if found == rank:
                 break
-    return tuple(basis)
+    return basis
 
 
 def spectral_decompose(
-    observable: np.ndarray,
-    grouping_threshold: float | None = None,
-    tol: float = DEFAULT_TOL,
+    observable: np.ndarray, tol: float = DEFAULT_TOL
 ) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian observable with degeneracy grouping.
 
-    Eigenvalues whose spacing stays within ``grouping_threshold`` merge into a
-    single degenerate group; the default threshold is GROUPING_RELATIVE of the
-    spectral range.  Each group's eigenvalue is the mean of its members, its
+    Eigenvalues whose spacing stays within GROUPING_RELATIVE of the spectral
+    range (of 1, if the range is smaller) merge into a single degenerate
+    group.  Each group's eigenvalue is the mean of its members, its
     projector V_g V_g^H over the members' eigenvectors, and its canonical
     basis the Gram-Schmidt basis of the projector's columns, so that the basis
     inside a degenerate eigenspace does not depend on eigensolver rounding.
@@ -259,18 +264,17 @@ def spectral_decompose(
     w, v = linalg.hermitian_eig(observable, tol)
     if np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) > tol:
         raise ValueError("eigenvectors are not orthonormal within tolerance")
-    if grouping_threshold is None:
-        spread = float(w[0] - w[-1])
-        grouping_threshold = GROUPING_RELATIVE * max(1.0, spread)
-    groups = _group_sorted_eigenvalues(w, grouping_threshold)
-    eigenbasis = []
+    groups = _group_sorted_eigenvalues(
+        w, GROUPING_RELATIVE * max(1.0, float(w[0] - w[-1]))
+    )
+    rows = []
     for idx in groups:
         vg = v[:, idx[0] : idx[-1] + 1]
-        eigenbasis.append(_canonical_basis(vg @ vg.conj().T, len(idx)))
+        rows.append(_canonical_basis(vg @ vg.conj().T, len(idx)))
     return SpectralDecomposition(
         eigenvalues=tuple(float(np.mean(w[idx])) for idx in groups),
         multiplicities=tuple(len(idx) for idx in groups),
-        eigenbasis=tuple(eigenbasis),
+        basis=np.ascontiguousarray(np.concatenate(rows).T),
     )
 
 
@@ -291,7 +295,11 @@ def renumber(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     reached = np.zeros(size, dtype=bool)
     reached[keys] = True
-    return reached.nonzero()[0], reached.cumsum()[keys] - 1
+    distinct = reached.nonzero()[0]
+    # Only the reached entries are numbered; no pass over ``size`` integers.
+    number = np.empty(size, dtype=np.intp)
+    number[distinct] = np.arange(len(distinct))
+    return distinct, number[keys]
 
 
 def _born(
@@ -365,7 +373,9 @@ def measure_pure(
     """
     if table.shape[1] != decomp.dim:
         raise ValueError("state dimension does not match the observable")
-    return collapse(*decomp.stacked, table, index, rng.random(len(index)))
+    return collapse(
+        decomp.basis, decomp.starts, table, index, rng.random(len(index))
+    )
 
 
 def build_spin_operator(
@@ -419,21 +429,6 @@ def _total_spin_squared(sites: int) -> np.ndarray:
     return 0.5 * total
 
 
-def _rank_one_decomposition(
-    pairs: Sequence[tuple[float, np.ndarray]]
-) -> tuple[np.ndarray, SpectralDecomposition]:
-    """Assemble a non-degenerate observable from (label, unit vector) pairs."""
-    ordered = sorted(pairs, key=lambda lv: -lv[0])
-    labels = np.array([float(label) for label, _ in ordered])
-    v = np.column_stack([vec for _, vec in ordered])
-    decomp = SpectralDecomposition(
-        eigenvalues=tuple(labels.tolist()),
-        multiplicities=(1,) * len(ordered),
-        eigenbasis=tuple((col,) for col in v.T.copy()),
-    )
-    return (v * labels) @ v.conj().T, decomp
-
-
 def spread_labels(
     eigenvalues: Sequence[float], counts: Sequence[int]
 ) -> tuple[tuple[float, ...], ...]:
@@ -458,80 +453,63 @@ def spread_labels(
     raise ValueError("could not separate refined labels; spectrum too dense")
 
 
-def build_sigma(
-    decomp: SpectralDecomposition,
-) -> tuple[np.ndarray, SpectralDecomposition]:
-    """A non-degenerate observable diagonal in the canonical eigenbasis.
+def build_sigma(decomp: SpectralDecomposition) -> SpectralDecomposition:
+    """A non-degenerate refinement diagonal in the canonical eigenbasis.
 
     The vector at position ``alpha`` (1-based) of eigenspace ``k`` gets the
-    label ``a_k * S + alpha`` from :func:`spread_labels`.  The result
+    label ``a_k * S + alpha`` from :func:`spread_labels`; the outcomes are
+    the base basis columns in descending label order.  The observable
     commutes with the base observable and refines it maximally.
     """
-    labels = spread_labels(decomp.eigenvalues, decomp.multiplicities)
-    pairs = [
-        (label, vec)
-        for group_labels, group in zip(labels, decomp.eigenbasis)
-        for label, vec in zip(group_labels, group)
-    ]
-    return _rank_one_decomposition(pairs)
+    labels = np.concatenate(spread_labels(decomp.eigenvalues, decomp.multiplicities))
+    order = np.argsort(-labels, kind="stable")
+    return SpectralDecomposition(
+        eigenvalues=tuple(labels[order].tolist()),
+        multiplicities=(1,) * len(order),
+        basis=np.take(decomp.basis, order, axis=1),
+    )
 
 
 def sigma_entries_in_group(
     decomp: SpectralDecomposition, sigma: SpectralDecomposition, k: int
-) -> list[tuple[float, np.ndarray]]:
-    """The (label, vector) entries of a non-degenerate sigma inside eigenspace k.
+) -> np.ndarray:
+    """The outcome indices of a non-degenerate sigma inside eigenspace k, ascending.
 
     Raises ValueError if some sigma eigenvector straddles eigenspace ``k``,
     whether it lies mostly inside it or mostly outside.
     """
     if any(m != 1 for m in sigma.multiplicities):
         raise ValueError("auxiliary observable must be non-degenerate")
-    amps = np.column_stack(decomp.eigenbasis[k]).conj().T @ sigma.stacked[0]
+    amps = decomp.eigenbasis[k].conj() @ sigma.basis
     weights = (amps.real**2 + amps.imag**2).sum(axis=0)
     if np.any((weights > 1e-8) & (weights < 1.0 - 1e-8)):
         raise ValueError(
             "auxiliary eigenvector straddles eigenspaces; "
             "the auxiliary observable must commute with the base"
         )
-    return [
-        (sigma.eigenvalues[i], sigma.eigenbasis[i][0])
-        for i in np.flatnonzero(weights > 0.5)
-    ]
+    return np.flatnonzero(weights > 0.5)
 
 
 def build_sigma_prime(
-    decomp: SpectralDecomposition,
-    sigma: SpectralDecomposition,
-    k: int,
-    reference_index: int = 0,
-    inside: Sequence[tuple[float, np.ndarray]] | None = None,
-) -> tuple[np.ndarray, SpectralDecomposition]:
-    """A second non-degenerate refinement overlapping sigma inside eigenspace k.
+    sigma: SpectralDecomposition, probes: np.ndarray
+) -> SpectralDecomposition:
+    """A second non-degenerate refinement overlapping sigma on the ``probes``.
 
-    Within eigenspace ``k`` the eigenvectors become the discrete-Fourier
-    mixtures of sigma's eigenvectors there, so every new eigenvector has
-    overlap modulus exactly 1/sqrt(n_k) with every sigma eigenvector in the
-    eigenspace, the reference one included.  Outside eigenspace ``k`` the
-    observable coincides with sigma.  For n_k = 2 the mixtures are the
-    familiar pair (|s1> +- |s2>)/sqrt(2).  ``inside`` is
-    :func:`sigma_entries_in_group`, computed when not given.
+    ``probes`` are sigma's outcome indices inside one eigenspace, as
+    :func:`sigma_entries_in_group` gives them.  Their columns become the
+    discrete-Fourier mixtures of sigma's eigenvectors there, so every new
+    eigenvector has overlap modulus exactly 1/sqrt(n) with every probed
+    sigma eigenvector; every other column, and every label, stays sigma's.
+    For n = 2 the mixtures are the familiar pair (|s1> +- |s2>)/sqrt(2).
     """
-    if inside is None:
-        inside = sigma_entries_in_group(decomp, sigma, k)
-    n = len(inside)
+    n = len(probes)
     if n < 2:
         raise ValueError(
             "target eigenspace is non-degenerate; no second refinement exists "
             "and the discrimination outcome is indeterminate"
         )
-    if not 0 <= reference_index < n:
-        raise ValueError(f"reference index {reference_index} out of range 0..{n - 1}")
-    inside_labels = [label for label, _ in inside]
     omega = np.exp(2j * np.pi / n)
     dft = omega ** np.outer(np.arange(n), np.arange(n))
-    mixed = (np.column_stack([vec for _, vec in inside]) @ dft) / np.sqrt(n)
-    pairs = list(zip(inside_labels, mixed.T))
-    for label, (vec,) in zip(sigma.eigenvalues, sigma.eigenbasis):
-        if label not in inside_labels:
-            pairs.append((label, vec))
-    return _rank_one_decomposition(pairs)
+    basis = sigma.basis.copy()
+    basis[:, probes] = (np.take(sigma.basis, probes, axis=1) @ dft) / np.sqrt(n)
+    return SpectralDecomposition(sigma.eigenvalues, sigma.multiplicities, basis)

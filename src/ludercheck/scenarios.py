@@ -35,10 +35,6 @@ from .quantum import (
 
 TermList = tuple[tuple[float, str], ...]
 
-#: An observable is written either as weighted Pauli-string terms or as an
-#: explicit Hermitian matrix.
-Expression = "TermList | np.ndarray"
-
 
 def resolve_expression(sites: int | None, expr) -> np.ndarray:
     """Turn a term list or an explicit matrix into an operator matrix."""
@@ -150,26 +146,21 @@ def build_consecutive(
                 )
     basis = []
     blocks = []
-    for k, group in enumerate(base.eigenbasis):
-        cells = [np.column_stack(group)]
+    for group in base.eigenbasis:
+        # Each cell is a column block, which a refiner splits into one block
+        # per eigenspace of its restriction to the cell.
+        cells = [group.T]
         for m in mats:
             refined = []
             for cell in cells:
                 restricted = spectral_decompose(cell.conj().T @ m @ cell, tol=tol)
-                refined.extend(
-                    cell @ np.column_stack(sub) for sub in restricted.eigenbasis
-                )
+                refined.extend(cell @ sub.T for sub in restricted.eigenbasis)
             cells = refined
-        vectors = []
-        index_cells = []
-        offset = 0
-        for cell in cells:
-            width = cell.shape[1]
-            vectors.extend(cell[:, j].copy() for j in range(width))
-            index_cells.append(tuple(range(offset, offset + width)))
-            offset += width
-        basis.append(tuple(vectors))
-        blocks.append(tuple(index_cells))
+        bounds = np.cumsum([0] + [cell.shape[1] for cell in cells])
+        basis.append(np.hstack(cells).T)
+        blocks.append(tuple(
+            tuple(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
+        ))
     return MeasurementApparatus(
         Refinement(base=base, basis=tuple(basis), blocks=tuple(blocks))
     )

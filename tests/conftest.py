@@ -25,6 +25,11 @@ def random_state(dim, rng):
     return v / np.linalg.norm(v)
 
 
+def observable_matrix(decomp):
+    """The observable of a spectral decomposition, sum of a_i |b_i><b_i|."""
+    return (decomp.basis * decomp.eigenvalues) @ decomp.basis.conj().T
+
+
 def full_von_neumann(refinement):
     """Whether every block of a refinement holds a single basis vector."""
     return all(len(cell) == 1 for cells in refinement.blocks for cell in cells)

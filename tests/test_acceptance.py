@@ -30,6 +30,7 @@ from ludercheck.quantum import (
     build_sigma_prime,
     build_spin_operator,
     luders_channel,
+    sigma_entries_in_group,
     spectral_decompose,
 )
 from ludercheck.scenarios import builtin_scenarios, default_initial_state
@@ -261,8 +262,9 @@ def test_c7_second_pass_overlap_margins():
     for n, a in cases.items():
         d = spectral_decompose(a)
         k = next(i for i, m in enumerate(d.multiplicities) if m == n)
-        _, sd = build_sigma(d)
-        _, spd = build_sigma_prime(d, sd, k)
+        sd = build_sigma(d)
+        probes = sigma_entries_in_group(d, sd, k)
+        spd = build_sigma_prime(sd, probes)
         # positions of eigenspace k's vectors in the flat rank-one listing
         in_group = []
         offset = 0
@@ -271,6 +273,7 @@ def test_c7_second_pass_overlap_margins():
                 if g == k:
                     in_group.append(offset + j)
             offset += m
+        assert probes.tolist() == in_group
         s_vecs = [sd.eigenbasis[i][0] for i in in_group]
         sp_vecs = [spd.eigenbasis[i][0] for i in in_group]
         for sp in sp_vecs:
@@ -278,8 +281,8 @@ def test_c7_second_pass_overlap_margins():
                 worst = max(worst, abs(abs(np.vdot(s, sp)) - 1 / math.sqrt(n)))
     # for n = 2 the rotated probes are the symmetric/antisymmetric pair
     d = spectral_decompose(TOTAL_Z_2)
-    _, sd = build_sigma(d)
-    _, spd = build_sigma_prime(d, sd, 1)
+    sd = build_sigma(d)
+    spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 1))
     fidelities = []
     for i in (1, 2):
         vec = spd.eigenbasis[i][0]

@@ -246,6 +246,34 @@ def test_exact_partial_three_spin_blocks():
     assert result.detected_at is StageKind.SIGMA_PRIME
 
 
+def test_interleaved_sigma_labels():
+    # sigma's labels 10.012004, 10.004, 9.012004, 9.004 alternate between
+    # the two eigenspaces, so neither owns a contiguous range of outcomes.
+    a = np.diag([1.001, 1.001, 1.0, 1.0]).astype(complex)
+    d = spectral_decompose(a)
+    sigma = build_sigma(d)
+    assert sigma.eigenvalues == pytest.approx((10.012004, 10.004, 9.012004, 9.004))
+    for k, owned in enumerate(([0, 2], [1, 3])):
+        probes = sigma_entries_in_group(d, sigma, k)
+        assert probes.tolist() == owned
+        prime = build_sigma_prime(sigma, probes)
+        assert prime.eigenvalues == sigma.eigenvalues
+        rest = [i for i in range(4) if i not in owned]
+        assert np.array_equal(prime.basis[:, rest], sigma.basis[:, rest])
+        assert not np.allclose(prime.basis[:, owned], sigma.basis[:, owned])
+        for app in (make_luders(d), make_full_von_neumann(d)):
+            truth = classify_refinement_oracle(app.reveal_refinement(), k)
+            for mode in Mode:
+                result = discriminate(
+                    default_initial_state(d, k), app, a,
+                    ProtocolConfig(mode=mode, ensemble_size=400, seed=k,
+                                   target_eigenvalue=d.eigenvalues[k]),
+                )
+                assert result.verdict is truth
+                if truth is Verdict.NON_LUDERS:
+                    assert result.detected_at is StageKind.SIGMA_PRIME
+
+
 def test_exact_auto_target_picks_first_degenerate_group():
     d = spectral_decompose(total_z())
     result = discriminate(DEFAULT_PSI, make_luders(d), total_z(),
@@ -525,7 +553,10 @@ def reference_exact_discriminate(initial, app, observable, target_eigenvalue):
         return float(np.vdot(v, rho.matrix @ v).real)
 
     def run(rho, aux):
-        entries = sigma_entries_in_group(d, aux, k)
+        entries = [
+            (aux.eigenvalues[i], aux.eigenbasis[i][0])
+            for i in sigma_entries_in_group(d, aux, k)
+        ]
         weights = [weight(rho, v) for _, v in entries]
         probed = [i for i, w in enumerate(weights) if w > 1e-9]
         support, mismatches, states = [], 0, {}
@@ -551,7 +582,7 @@ def reference_exact_discriminate(initial, app, observable, target_eigenvalue):
     if isinstance(initial, PureState):
         initial = DensityMatrix(np.outer(initial.vector, initial.vector.conj()))
     _, rho = target_branch(initial)
-    _, sigma = build_sigma(d)
+    sigma = build_sigma(d)
     first, entries, weights, probed, states = run(rho, sigma)
     if first[2]:
         return (first,), None, StageKind.SIGMA
@@ -560,7 +591,7 @@ def reference_exact_discriminate(initial, app, observable, target_eigenvalue):
         if best is None or weights[i] > weights[best] + 1e-12:
             best = i
     reference = entries[best][0]
-    _, sigma_prime = build_sigma_prime(d, sigma, k, best)
+    sigma_prime = build_sigma_prime(sigma, sigma_entries_in_group(d, sigma, k))
     second, *_ = run(states[reference], sigma_prime)
     return (first, second), reference, (
         StageKind.SIGMA_PRIME if second[2] else None

@@ -25,7 +25,13 @@ from ludercheck.quantum import (
     spread_labels,
 )
 
-from conftest import full_von_neumann, random_density, random_state, random_unitary
+from conftest import (
+    full_von_neumann,
+    observable_matrix,
+    random_density,
+    random_state,
+    random_unitary,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -139,12 +145,16 @@ def test_canonical_basis_depends_on_the_eigenprojectors_only(spectrum):
     assert d1.multiplicities == d2.multiplicities
     for g1, g2 in zip(d1.eigenbasis, d2.eigenbasis):
         assert np.max(np.abs(np.array(g1) - np.array(g2))) <= 1e-9
-    sigma1, sd1 = build_sigma(d1)
-    sigma2, sd2 = build_sigma(d2)
+    sd1, sd2 = build_sigma(d1), build_sigma(d2)
+    sigma1, sigma2 = observable_matrix(sd1), observable_matrix(sd2)
     assert np.max(np.abs(sigma1 - sigma2)) <= 1e-9
     k = next(i for i, n in enumerate(d1.multiplicities) if n >= 2)
-    prime1, _ = build_sigma_prime(d1, sd1, k)
-    prime2, _ = build_sigma_prime(d2, sd2, k)
+    prime1 = observable_matrix(
+        build_sigma_prime(sd1, sigma_entries_in_group(d1, sd1, k))
+    )
+    prime2 = observable_matrix(
+        build_sigma_prime(sd2, sigma_entries_in_group(d2, sd2, k))
+    )
     assert np.max(np.abs(prime1 - prime2)) <= 1e-9
 
 
@@ -174,17 +184,6 @@ def test_derived_projectors_at_d64_with_degeneracies():
             assert np.max(np.abs(p @ q - want)) <= 1e-12
     rebuilt = sum(lam * p for lam, p in zip(d.eigenvalues, ps))
     assert np.max(np.abs(rebuilt - a)) <= 1e-9
-
-
-def test_build_sigma_matrix_is_its_labelled_rank_one_sum():
-    d = spectral_decompose(rotated_six_spin_total_z(32))
-    sigma, sd = build_sigma(d)
-    want = sum(
-        label * np.outer(v, v.conj())
-        for label, (v,) in zip(sd.eigenvalues, sd.eigenbasis)
-    )
-    assert np.max(np.abs(sigma - want)) <= 1e-12
-    assert list(sd.eigenvalues) == sorted(sd.eigenvalues, reverse=True)
 
 
 def mgs_canonical_basis(projector, rank):
@@ -306,7 +305,8 @@ def test_born_distribution_on_maximally_mixed():
 def test_born_distribution_accepts_pure_state():
     d = spectral_decompose(total_z())
     _, outcomes, probs = branches(
-        *d.stacked, PureState(PLUS_MINUS).vector[None, :], ONE_ROW, np.ones(1)
+        d.basis, d.starts, PureState(PLUS_MINUS).vector[None, :], ONE_ROW,
+        np.ones(1),
     )
     assert outcomes.tolist() == [d.group_index(0.0)]
     assert probs == pytest.approx([1.0])
@@ -529,7 +529,8 @@ def test_refinement_rejects_wrong_span():
 
 def test_build_sigma_labels_and_commutation():
     d = spectral_decompose(total_z())
-    sigma, sd = build_sigma(d)
+    sd = build_sigma(d)
+    sigma = observable_matrix(sd)
     # spread constant 4 * (1 + 2) = 12: labels 2*12+1, 1, 2, -2*12+1
     assert sd.eigenvalues == (25.0, 2.0, 1.0, -23.0)
     assert all(n == 1 for n in sd.multiplicities)
@@ -542,18 +543,18 @@ def test_build_sigma_eigenvectors_refine_base():
     u = random_unitary(4, rng)
     a = u @ np.diag([1.0, 1.0, -1.0, -1.0]) @ u.conj().T
     d = spectral_decompose(a)
-    sigma, sd = build_sigma(d)
+    sd = build_sigma(d)
+    sigma = observable_matrix(sd)
     assert np.allclose(sigma @ a, a @ sigma, atol=1e-9)
     assert sd.group_count == 4
 
 
 def test_sigma_entries_in_group_and_straddling_vectors():
     d = spectral_decompose(total_z())
-    _, sigma = build_sigma(d)
+    sigma = build_sigma(d)
     inside = sigma_entries_in_group(d, sigma, 1)
-    assert [label for label, _ in inside] == list(sigma.eigenvalues[1:3])
-    for (_, vec), (expected,) in zip(inside, sigma.eigenbasis[1:3]):
-        assert np.array_equal(vec, expected)
+    assert inside.tolist() == [1, 2]
+    assert [sigma.eigenvalues[i] for i in inside] == list(sigma.eigenvalues[1:3])
     # Fourier mixtures of |++>, |+->, |-+> have weight 2/3 in eigenspace 1
     # and 1/3 in eigenspace 0: mostly inside and mostly outside straddle.
     omega = np.exp(2j * np.pi / 3)
@@ -562,7 +563,7 @@ def test_sigma_entries_in_group_and_straddling_vectors():
         / np.sqrt(3)
         for j in range(3)
     ]
-    _, bad = build_sigma(spectral_decompose(
+    bad = build_sigma(spectral_decompose(
         sum((j + 1) * np.outer(v, v.conj()) for j, v in enumerate(mixed))
     ))
     for k in (0, 1):
@@ -572,8 +573,10 @@ def test_sigma_entries_in_group_and_straddling_vectors():
 
 def test_build_sigma_prime_mixes_within_target_group():
     d = spectral_decompose(total_z())
-    sigma, sd = build_sigma(d)
-    sp, spd = build_sigma_prime(d, sd, 1)
+    sd = build_sigma(d)
+    sigma = observable_matrix(sd)
+    spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 1))
+    sp = observable_matrix(spd)
     # same label set, same behaviour outside the target eigenspace
     assert spd.eigenvalues == sd.eigenvalues
     a = total_z()
@@ -593,8 +596,8 @@ def test_build_sigma_prime_mixes_within_target_group():
 def test_build_sigma_prime_dft_weights_follow_group_size():
     a = np.diag([5.0, 5.0, 5.0, 1.0])
     d = spectral_decompose(a)
-    _, sd = build_sigma(d)
-    _, spd = build_sigma_prime(d, sd, 0)
+    sd = build_sigma(d)
+    spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 0))
     group_labels = {sd.eigenvalues[i] for i in range(3)}
     for w, vec in zip(spd.eigenvalues, spd.eigenbasis):
         if w in group_labels:
@@ -603,9 +606,9 @@ def test_build_sigma_prime_dft_weights_follow_group_size():
 
 def test_build_sigma_prime_rejects_non_degenerate_group():
     d = spectral_decompose(total_z())
-    _, sd = build_sigma(d)
+    sd = build_sigma(d)
     with pytest.raises(ValueError):
-        build_sigma_prime(d, sd, 0)
+        build_sigma_prime(sd, sigma_entries_in_group(d, sd, 0))
 
 
 @settings(deadline=None, max_examples=25)
@@ -654,7 +657,7 @@ def test_born_on_refined_observable_splits_plus_minus():
     ap = build_spin_operator(2, ((1.0, "ZI"), (1.0, "IZ"), (1.0, TOTAL_SPIN_SQ)))
     d = spectral_decompose(ap)
     _, outcomes, probs = branches(
-        *d.stacked, PLUS_MINUS[None, :], ONE_ROW, np.ones(1)
+        d.basis, d.starts, PLUS_MINUS[None, :], ONE_ROW, np.ones(1)
     )
     # the zero-probability outcomes 6 and 2 are dropped
     labels = np.take(d.eigenvalues, outcomes)
@@ -685,10 +688,16 @@ def test_build_sigma_commutes_for_random_observables():
             vals = np.round(vals)
             a = (vecs * vals) @ vecs.conj().T
         d = spectral_decompose(a)
-        sigma, sd = build_sigma(d)
+        sd = build_sigma(d)
+        sigma = observable_matrix(sd)
         scale = max(1.0, np.linalg.norm(a)) * max(1.0, np.linalg.norm(sigma))
         assert np.max(np.abs(sigma @ a - a @ sigma)) <= 1e-10 * scale
         assert all(n == 1 for n in sd.multiplicities)
+        # descending labels over a column permutation of the base basis
+        assert list(sd.eigenvalues) == sorted(sd.eigenvalues, reverse=True)
+        assert sorted(v.tobytes() for v in sd.basis.T) == sorted(
+            v.tobytes() for v in d.basis.T
+        )
 
 
 def test_spectral_reassembly_at_larger_dimensions():
