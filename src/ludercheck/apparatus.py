@@ -5,11 +5,13 @@ degenerate eigenspace into finer blocks before reporting the coarse
 eigenvalue.  The refinement is construct-time data.  The public surface
 reports coarse outcomes, as indices into the base observable's eigenvalues,
 drawn one per system (``measure_sampled``) or enumerated with their weights
-(``branches``), and the exact outcome-labelled channel on densities
-(``channel_exact``); never the block structure.  States come as a table of
+(``branches``); never the block structure.  States come as a table of
 distinct rows plus each system's row number in it, and the reduced states
 leave the same way: sampling reduces each reached pair of row and block
-once, enumeration gives each branch its own row.
+once, enumeration gives each branch its own row.  ``channel_exact`` gives
+the same branches as density matrices; the protocol does not call it, and
+it stays as the density-matrix reference for the tests and the benchmark
+tracer.
 :meth:`MeasurementApparatus.reveal_refinement` exists solely for
 ground-truth oracles and gated diagnostics; the discrimination protocol
 must never call it.
@@ -22,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .linalg import DEFAULT_TOL
 from .quantum import (
     DensityMatrix,
@@ -135,6 +136,10 @@ class MeasurementApparatus:
     ) -> list[tuple[float, float, DensityMatrix]]:
         """The exact outcome-labelled channel: :meth:`branches` as densities.
 
+        The protocol never calls this.  It stays as the density-matrix
+        reference that the tests check :meth:`branches` against, and the
+        benchmark tracer patches it by name.
+
         Returns ``(label, probability, branch_state)`` per coarse outcome in
         descending label order, omitting outcomes of numerically zero
         probability.  Probabilities sum to one.  One pass: with B the block
@@ -188,7 +193,7 @@ def make_full_von_neumann(
     if len(eigenbasis_choice) != base.group_count:
         raise ValueError("need one basis choice (or None) per eigenspace")
     basis = tuple(
-        group if choice is None else tuple(linalg.as_vector(v).copy() for v in choice)
+        group if choice is None else choice
         for group, choice in zip(base.eigenbasis, eigenbasis_choice)
     )
     blocks = tuple(tuple((i,) for i in range(n)) for n in base.multiplicities)

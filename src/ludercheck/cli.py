@@ -214,7 +214,12 @@ def _parse_protocol(node, path: str) -> ProtocolConfig:
         kwargs["confidence"] = _expect_number(doc["confidence"], f"{path}.confidence")
     if "seed" in doc and doc["seed"] is not None:
         kwargs["seed"] = _expect_int(doc["seed"], f"{path}.seed")
-    return ProtocolConfig(**kwargs)
+    config = ProtocolConfig(**kwargs)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ScenarioFormatError(path, str(exc)) from exc
+    return config
 
 
 def parse_scenario_document(doc) -> tuple[Scenario, ProtocolConfig]:
@@ -255,60 +260,6 @@ def parse_scenario_document(doc) -> tuple[Scenario, ProtocolConfig]:
         target_eigenvalue=config.target_eigenvalue,
     )
     return scenario, config
-
-
-def scenario_to_document(scenario: Scenario,
-                         config: ProtocolConfig | None = None) -> dict:
-    """Serialise a scenario to the JSON document form (schema_version 1)."""
-
-    def expression_doc(expr):
-        if isinstance(expr, np.ndarray):
-            return {"matrix": [[[x.real, x.imag] for x in row] for row in expr]}
-        return {"terms": [[c, w] for c, w in expr]}
-
-    spec = scenario.apparatus_spec
-    if isinstance(spec, LudersSpec):
-        apparatus: dict[str, Any] = {"kind": "luders"}
-    elif isinstance(spec, FullVonNeumannSpec):
-        apparatus = {"kind": "full_von_neumann"}
-        if spec.eigenbasis is not None:
-            apparatus["eigenbasis"] = [
-                None if group is None else [
-                    [[complex(x).real, complex(x).imag] for x in vec] for vec in group
-                ]
-                for group in spec.eigenbasis
-            ]
-    elif isinstance(spec, PartialSpec):
-        apparatus = {"kind": "partial",
-                     "blocks": [[list(cell) for cell in group]
-                                for group in spec.blocks]}
-    elif isinstance(spec, ConsecutiveSpec):
-        apparatus = {"kind": "consecutive",
-                     "observables": [expression_doc(o) for o in spec.observables]}
-    else:
-        raise TypeError(f"unknown apparatus spec {spec!r}")
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "sites": scenario.sites,
-        "observable": expression_doc(scenario.observable_expr),
-        "apparatus": apparatus,
-        "initial_state": "auto" if scenario.initial_state is None else [
-            [complex(x).real, complex(x).imag] for x in scenario.initial_state
-        ],
-    }
-    if config is not None:
-        protocol: dict[str, Any] = {"mode": config.mode.value,
-                                    "ensemble_size": config.ensemble_size}
-        if config.target_eigenvalue is not None:
-            protocol["target_eigenvalue"] = config.target_eigenvalue
-        if config.seed is not None:
-            protocol["seed"] = config.seed
-        protocol["min_disturbance"] = config.min_disturbance
-        protocol["confidence"] = config.confidence
-        doc["protocol"] = protocol
-    elif scenario.target_eigenvalue is not None:
-        doc["protocol"] = {"target_eigenvalue": scenario.target_eigenvalue}
-    return doc
 
 
 def build_report(result: Classification, config: ProtocolConfig,

@@ -8,7 +8,7 @@ with a deterministic order and phase convention imposed on the result.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,16 +77,6 @@ def hermitian_eig(
     phase = np.ones(v.shape[1], dtype=complex)
     phase[cols] = np.conj(lead) / np.abs(lead)
     return w[::-1], v * phase
-
-
-def apply_spectral_function(
-    a: np.ndarray, f: Callable[[float], float], tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Apply a real function to a Hermitian matrix through its spectrum."""
-    w, v = hermitian_eig(a, tol)
-    fw = np.array([float(f(x)) for x in w])
-    out = (v * fw) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 def projector_from_vectors(

@@ -146,15 +146,6 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.system_ids)
 
-    def __eq__(self, other):
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        return (
-            np.array_equal(self.system_ids, other.system_ids)
-            and np.array_equal(self.stages, other.stages)
-            and np.array_equal(self.labels, other.labels)
-        )
-
 
 @dataclass(frozen=True)
 class StageResult:

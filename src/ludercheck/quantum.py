@@ -5,12 +5,13 @@ eigenvalues of a Hermitian observable, their eigenprojectors, and a canonical
 eigenbasis as one column matrix, eigenspace after eigenspace.  On top of it
 sit the measurement kernels over a table of distinct states and each
 system's row in it (:func:`collapse` draws one outcome per system,
-:func:`branches` enumerates them all), the non-selective Lüders channel, a
-builder for spin-chain observables, and the two auxiliary observables of the
-discrimination protocol, both column operations on that matrix: a
-non-degenerate refinement ``sigma`` diagonal in the canonical eigenbasis, and
-a second refinement ``sigma_prime`` whose eigenvectors inside one eigenspace
-overlap every ``sigma`` eigenvector there.
+:func:`branches` enumerates them all), a builder for spin-chain
+observables, and the two auxiliary observables of the discrimination
+protocol, both column operations on that matrix: a non-degenerate
+refinement ``sigma`` diagonal in the canonical eigenbasis, and a second
+refinement ``sigma_prime`` whose eigenvectors inside one eigenspace overlap
+every ``sigma`` eigenvector there.  The constructors freeze copies of the
+arrays they are given, never the caller's own arrays.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class PureState:
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -96,13 +93,13 @@ class DensityMatrix:
 class SpectralDecomposition:
     """Distinct eigenvalues, eigenprojectors, and a canonical eigenbasis.
 
-    Eigenvalues are sorted descending.  ``basis`` is a read-only unitary
-    matrix whose columns are the canonical eigenbasis, eigenspace after
-    eigenspace: eigenspace ``k`` owns the ``multiplicities[k]`` columns from
-    ``starts[k]``, in a fixed order that every construction downstream
-    treats as canonical.  ``(basis, starts)`` is the block layout the
-    measurement kernels take.  The per-eigenspace views and the projectors
-    are derived from it on first use.
+    Eigenvalues are sorted descending.  ``basis`` is a read-only C-ordered
+    copy of the given unitary matrix, whose columns are the canonical
+    eigenbasis, eigenspace after eigenspace: eigenspace ``k`` owns the
+    ``multiplicities[k]`` columns from ``starts[k]``, in a fixed order that
+    every construction downstream treats as canonical.  ``(basis, starts)``
+    is the block layout the measurement kernels take.  The per-eigenspace
+    views and the projectors are derived from it on first use.
     """
 
     eigenvalues: tuple[float, ...]
@@ -110,7 +107,9 @@ class SpectralDecomposition:
     basis: np.ndarray
 
     def __post_init__(self):
-        self.basis.setflags(write=False)
+        basis = np.array(self.basis, order="C")
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -163,11 +162,12 @@ class Refinement:
     index range.  Block ``(k, b)`` carries the sub-projector onto the span of
     its basis vectors.  One block per eigenspace is the Lüders rule; all
     singleton blocks is a full von Neumann measurement; anything between is
-    partial von Neumann.
+    partial von Neumann.  ``basis[k]`` is stored as a read-only complex
+    copy of the given vectors, as the rows of one matrix.
     """
 
     base: SpectralDecomposition
-    basis: tuple[tuple[np.ndarray, ...], ...]
+    basis: tuple[Sequence[np.ndarray], ...]
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
@@ -175,11 +175,13 @@ class Refinement:
             raise ValueError("need one basis family per eigenvalue group")
         if len(self.blocks) != self.base.group_count:
             raise ValueError("need one block partition per eigenvalue group")
+        frozen = []
         for k, group in enumerate(self.basis):
             n = self.base.multiplicities[k]
             if len(group) != n:
                 raise ValueError(f"group {k}: expected {n} basis vectors, got {len(group)}")
-            mat = np.column_stack([linalg.as_vector(v) for v in group])
+            rows = np.array([linalg.as_vector(v) for v in group])
+            mat = rows.T
             gram = mat.conj().T @ mat
             if np.max(np.abs(gram - np.eye(n))) > DEFAULT_TOL:
                 raise ValueError(f"group {k}: basis is not orthonormal")
@@ -190,23 +192,12 @@ class Refinement:
             seen = sorted(i for cell in cells for i in cell)
             if seen != list(range(n)) or any(len(cell) == 0 for cell in cells):
                 raise ValueError(f"group {k}: blocks are not a partition of 0..{n - 1}")
-            for v in group:
-                v.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
+            rows.setflags(write=False)
+            frozen.append(rows)
+        object.__setattr__(self, "basis", tuple(frozen))
 
     def block_count(self, k: int) -> int:
         return len(self.blocks[k])
-
-    def sub_projector(self, k: int, b: int) -> np.ndarray:
-        return linalg.projector_from_vectors(
-            [self.basis[k][i] for i in self.blocks[k][b]]
-        )
-
-    def is_luders(self) -> bool:
-        return all(len(cells) == 1 for cells in self.blocks)
 
 
 def _group_sorted_eigenvalues(w: np.ndarray, threshold: float) -> list[list[int]]:
@@ -274,16 +265,8 @@ def spectral_decompose(
     return SpectralDecomposition(
         eigenvalues=tuple(float(np.mean(w[idx])) for idx in groups),
         multiplicities=tuple(len(idx) for idx in groups),
-        basis=np.ascontiguousarray(np.concatenate(rows).T),
+        basis=np.concatenate(rows).T,
     )
-
-
-def luders_channel(decomp: SpectralDecomposition, rho: DensityMatrix) -> DensityMatrix:
-    """The non-selective Lüders channel: sum of all outcome branches."""
-    total = np.zeros((decomp.dim, decomp.dim), dtype=complex)
-    for p in decomp.projectors:
-        total += p @ rho.matrix @ p
-    return DensityMatrix(total)
 
 
 def renumber(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,24 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the references the tests check against.
+
+The references are not part of the package: the protocol never needs them.
+They state a quantity the direct way (a spectral function through the
+eigendecomposition, the Lüders channel as a sum of P rho P, a block's
+projector from its basis vectors), and the tests compare the package's own
+kernels with them.
+"""
 
 import numpy as np
 import pytest
+
+from ludercheck.cli import SCHEMA_VERSION
+from ludercheck.linalg import DEFAULT_TOL, hermitian_eig, projector_from_vectors
+from ludercheck.quantum import DensityMatrix
+from ludercheck.scenarios import (
+    ConsecutiveSpec,
+    FullVonNeumannSpec,
+    LudersSpec,
+    PartialSpec,
+)
 
 
 def random_unitary(dim, rng):
@@ -33,6 +50,86 @@ def observable_matrix(decomp):
 def full_von_neumann(refinement):
     """Whether every block of a refinement holds a single basis vector."""
     return all(len(cell) == 1 for cells in refinement.blocks for cell in cells)
+
+
+def is_luders(refinement):
+    """Whether every eigenspace of a refinement is a single block."""
+    return all(len(cells) == 1 for cells in refinement.blocks)
+
+
+def sub_projector(refinement, k, b):
+    """The projector onto block ``b`` of eigenspace ``k`` of a refinement."""
+    return projector_from_vectors(
+        [refinement.basis[k][i] for i in refinement.blocks[k][b]]
+    )
+
+
+def apply_spectral_function(a, f, tol=DEFAULT_TOL):
+    """Apply a real function to a Hermitian matrix through its spectrum."""
+    w, v = hermitian_eig(a, tol)
+    fw = np.array([float(f(x)) for x in w])
+    out = (v * fw) @ v.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def luders_channel(decomp, rho):
+    """The non-selective Lüders channel: sum of all outcome branches."""
+    total = np.zeros((decomp.dim, decomp.dim), dtype=complex)
+    for p in decomp.projectors:
+        total += p @ rho.matrix @ p
+    return DensityMatrix(total)
+
+
+def same_transcript(a, b):
+    """Whether two transcripts hold the same records in the same order."""
+    return (
+        np.array_equal(a.system_ids, b.system_ids)
+        and np.array_equal(a.stages, b.stages)
+        and np.array_equal(a.labels, b.labels)
+    )
+
+
+def scenario_to_document(scenario):
+    """Serialise a scenario to the JSON document form (schema_version 1)."""
+
+    def expression_doc(expr):
+        if isinstance(expr, np.ndarray):
+            return {"matrix": [[[x.real, x.imag] for x in row] for row in expr]}
+        return {"terms": [[c, w] for c, w in expr]}
+
+    spec = scenario.apparatus_spec
+    if isinstance(spec, LudersSpec):
+        apparatus = {"kind": "luders"}
+    elif isinstance(spec, FullVonNeumannSpec):
+        apparatus = {"kind": "full_von_neumann"}
+        if spec.eigenbasis is not None:
+            apparatus["eigenbasis"] = [
+                None if group is None else [
+                    [[complex(x).real, complex(x).imag] for x in vec] for vec in group
+                ]
+                for group in spec.eigenbasis
+            ]
+    elif isinstance(spec, PartialSpec):
+        apparatus = {"kind": "partial",
+                     "blocks": [[list(cell) for cell in group]
+                                for group in spec.blocks]}
+    elif isinstance(spec, ConsecutiveSpec):
+        apparatus = {"kind": "consecutive",
+                     "observables": [expression_doc(o) for o in spec.observables]}
+    else:
+        raise TypeError(f"unknown apparatus spec {spec!r}")
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "sites": scenario.sites,
+        "observable": expression_doc(scenario.observable_expr),
+        "apparatus": apparatus,
+        "initial_state": "auto" if scenario.initial_state is None else [
+            [complex(x).real, complex(x).imag] for x in scenario.initial_state
+        ],
+    }
+    if scenario.target_eigenvalue is not None:
+        doc["protocol"] = {"target_eigenvalue": scenario.target_eigenvalue}
+    return doc
 
 
 def set_partitions(items):

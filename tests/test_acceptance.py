@@ -29,13 +29,18 @@ from ludercheck.quantum import (
     build_sigma,
     build_sigma_prime,
     build_spin_operator,
-    luders_channel,
     sigma_entries_in_group,
     spectral_decompose,
 )
 from ludercheck.scenarios import builtin_scenarios, default_initial_state
 
-from conftest import random_density, random_unitary, set_partitions
+from conftest import (
+    apply_spectral_function,
+    luders_channel,
+    random_density,
+    random_unitary,
+    set_partitions,
+)
 
 
 SQ2 = np.sqrt(2.0)
@@ -102,7 +107,6 @@ def test_c1_exact_verdict_equals_oracle_for_every_partition():
 
 def test_c2_spectral_function_recovers_total_z():
     """Criterion 2: the cubic f maps the refined observable back to total z."""
-    from ludercheck.linalg import apply_spectral_function
     refined = build_spin_operator(
         2, ((1.0, "ZI"), (1.0, "IZ"), (1.0, TOTAL_SPIN_SQ)))
     f = lambda x: -(8.0 / 3.0) * x + x**2 - x**3 / 12.0

@@ -13,11 +13,18 @@ from ludercheck.quantum import (
     DensityMatrix,
     PureState,
     Refinement,
-    luders_channel,
     spectral_decompose,
 )
 
-from conftest import full_von_neumann, random_density, random_state, random_unitary
+from conftest import (
+    full_von_neumann,
+    is_luders,
+    luders_channel,
+    random_density,
+    random_state,
+    random_unitary,
+    sub_projector,
+)
 
 from test_quantum import (
     MINUS_MINUS,
@@ -142,7 +149,7 @@ def test_measure_sampled_reduces_each_row_and_block_once():
     pairs = set(zip(index.tolist(), outcomes.tolist(), post_index.tolist()))
     assert len(pairs) == len(post)
     for row, k, p in pairs:
-        reductions = [ref.sub_projector(k, b) @ table[row]
+        reductions = [sub_projector(ref, k, b) @ table[row]
                       for b in range(ref.block_count(k))]
         assert any(np.allclose(r / np.linalg.norm(r), post[p], atol=1e-12)
                    for r in reductions)
@@ -150,7 +157,7 @@ def test_measure_sampled_reduces_each_row_and_block_once():
 
 def test_reveal_refinement_reports_ground_truth():
     d = spectral_decompose(total_z())
-    assert make_luders(d).reveal_refinement().is_luders()
+    assert is_luders(make_luders(d).reveal_refinement())
     assert full_von_neumann(phi_apparatus().reveal_refinement())
     blocks = (((0,),), ((0, 1),), ((0,),))
     partial = make_partial(d, blocks)
@@ -168,8 +175,8 @@ def test_make_partial_three_spins_rank_two_blocks():
     app = make_partial(d, blocks)
     ref = app.reveal_refinement()
     assert ref.block_count(1) == 2
-    assert not ref.is_luders() and not full_von_neumann(ref)
-    sub = ref.sub_projector(1, 0)
+    assert not is_luders(ref) and not full_von_neumann(ref)
+    sub = sub_projector(ref, 1, 0)
     assert np.trace(sub).real == pytest.approx(2.0)
     assert np.allclose(sub @ sub, sub, atol=1e-12)
 
@@ -252,7 +259,7 @@ def per_block_channel(app, rho):
     out = []
     for k, label in enumerate(app.outcome_labels):
         acc = sum(
-            ref.sub_projector(k, b) @ rho @ ref.sub_projector(k, b)
+            sub_projector(ref, k, b) @ rho @ sub_projector(ref, k, b)
             for b in range(ref.block_count(k))
         )
         prob = float(np.trace(acc).real)
@@ -331,7 +338,7 @@ def test_branches_sum_to_the_exact_channel(spectrum):
                 assert np.max(np.abs(got - p * branch.matrix)) <= 1e-12
             # every block of Born weight above 1e-9 is reached, no other one
             born = np.array([
-                [np.linalg.norm(ref.sub_projector(k, b) @ s) ** 2
+                [np.linalg.norm(sub_projector(ref, k, b) @ s) ** 2
                  for k in range(base.group_count)
                  for b in range(ref.block_count(k))]
                 for s in states

@@ -5,14 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from ludercheck.cli import (
-    ScenarioFormatError,
-    main,
-    parse_scenario_document,
-    scenario_to_document,
-)
+from ludercheck.cli import ScenarioFormatError, main, parse_scenario_document
 from ludercheck.protocol import STAGE_NAMES, Mode, ProtocolConfig, discriminate
 from ludercheck.scenarios import builtin_scenarios, get_builtin, instantiate
+
+from conftest import scenario_to_document
 
 
 def minimal_doc(**overrides):
@@ -321,6 +318,17 @@ def test_main_validate_rejects_bad_file(capsys, tmp_path):
     path = write_doc(tmp_path, minimal_doc(schema_version=99))
     assert main(["validate", "--scenario", path]) == 1
     assert "$.schema_version" in capsys.readouterr().err
+
+
+def test_main_validate_rejects_protocol_that_discriminate_rejects(capsys, tmp_path):
+    # validate runs the same protocol checks as discriminate
+    doc = minimal_doc(protocol={"mode": "sampled", "ensemble_size": 0,
+                                "min_disturbance": 2.0})
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert "$.protocol" in err and "ensemble_size >= 1" in err
+    assert main(["discriminate", "--scenario", path]) == 1
 
 
 def test_main_validate_prints_eigenvalue_groups(capsys, tmp_path):

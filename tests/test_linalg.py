@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ludercheck.linalg import (
-    apply_spectral_function,
     as_matrix,
     as_vector,
     hermitian_eig,
@@ -14,7 +13,7 @@ from ludercheck.linalg import (
     projector_from_vectors,
 )
 
-from conftest import random_unitary
+from conftest import apply_spectral_function, random_unitary
 
 
 def test_as_matrix_rejects_non_square():
@@ -145,6 +144,8 @@ def test_hermitian_eig_degenerate_subspace_is_orthonormal():
     assert np.allclose(v.conj().T @ v, np.eye(6), atol=1e-10)
 
 
+# The apply_spectral_function tests check the conftest reference that
+# criterion 2 relies on.
 def test_apply_spectral_function_square():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     sq = apply_spectral_function(a, lambda x: x**2)

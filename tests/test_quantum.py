@@ -10,6 +10,7 @@ from ludercheck.quantum import (
     DensityMatrix,
     PureState,
     Refinement,
+    SpectralDecomposition,
     TOTAL_SPIN_SQ,
     branches,
     build_sigma,
@@ -17,7 +18,6 @@ from ludercheck.quantum import (
     build_spin_operator,
     collapse,
     _canonical_basis,
-    luders_channel,
     measure_pure,
     renumber,
     sigma_entries_in_group,
@@ -27,10 +27,13 @@ from ludercheck.quantum import (
 
 from conftest import (
     full_von_neumann,
+    is_luders,
+    luders_channel,
     observable_matrix,
     random_density,
     random_state,
     random_unitary,
+    sub_projector,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -325,6 +328,8 @@ def test_luders_update_keeps_superposition_within_eigenspace():
     assert abs(np.vdot(PHI_PLUS, post[1])) == pytest.approx(1.0, abs=1e-12)
 
 
+# The luders_channel tests check the conftest reference that criterion 6 and
+# the apparatus tests rely on.
 def test_luders_channel_equals_branch_sum():
     d = spectral_decompose(total_z())
     psi = (PLUS_PLUS + PLUS_MINUS + MINUS_PLUS + MINUS_MINUS) / 2
@@ -505,9 +510,26 @@ def test_refinement_validates_block_structure():
     blocks = ((0,),), ((0,), (1,)), ((0,),)
     r = Refinement(base=d, basis=basis, blocks=blocks)
     assert r.block_count(1) == 2
-    assert not r.is_luders()
+    assert not is_luders(r)
     assert full_von_neumann(r)
-    assert np.allclose(r.sub_projector(1, 0), np.diag([0, 1, 0, 0]))
+    assert np.allclose(sub_projector(r, 1, 0), np.diag([0, 1, 0, 0]))
+
+
+def test_constructors_freeze_copies_not_the_callers_arrays():
+    d = spectral_decompose(total_z())
+    v0, v1, v2, v3 = (v.copy() for v in (PLUS_PLUS, PLUS_MINUS, MINUS_PLUS,
+                                         MINUS_MINUS))
+    r = Refinement(base=d, basis=((v0,), (v1, v2), (v3,)),
+                   blocks=(((0,),), ((0,), (1,)), ((0,),)))
+    b = np.eye(4, dtype=complex)
+    s = SpectralDecomposition((1.0,), (4,), b)
+    assert all(v.flags.writeable for v in (v0, v1, v2, v3, b))
+    assert not any(v.flags.writeable for group in r.basis for v in group)
+    assert not s.basis.flags.writeable
+    v1[:] = MINUS_PLUS
+    b[:] = 0.0
+    assert np.array_equal(r.basis[1][0], PLUS_MINUS)
+    assert np.array_equal(s.basis, np.eye(4))
 
 
 def test_refinement_luders_shape():
@@ -515,7 +537,7 @@ def test_refinement_luders_shape():
     basis = (PLUS_PLUS,), (PLUS_MINUS, MINUS_PLUS), (MINUS_MINUS,)
     blocks = ((0,),), ((0, 1),), ((0,),)
     r = Refinement(base=d, basis=basis, blocks=blocks)
-    assert r.is_luders()
+    assert is_luders(r)
     assert not full_von_neumann(r)
 
 

@@ -15,7 +15,7 @@ from ludercheck.scenarios import (
     resolve_expression,
 )
 
-from conftest import full_von_neumann, random_unitary
+from conftest import full_von_neumann, is_luders, random_unitary
 from test_quantum import MINUS_PLUS, PLUS_MINUS, total_z
 
 
@@ -53,7 +53,7 @@ def test_build_consecutive_first_observable_only():
     ref = build_consecutive(d, (z1,)).reveal_refinement()
     assert ref.block_count(1) == 2
     assert all(len(cell) == 2 for cell in ref.blocks[1])
-    assert not ref.is_luders()
+    assert not is_luders(ref)
     assert not full_von_neumann(ref)
 
 
@@ -68,7 +68,7 @@ def test_build_consecutive_trivial_refiner_is_luders():
     d = spectral_decompose(total_z())
     identity = np.eye(4, dtype=complex)
     ref = build_consecutive(d, (identity,)).reveal_refinement()
-    assert ref.is_luders()
+    assert is_luders(ref)
 
 
 def test_build_consecutive_survives_basis_rotation(rng):
