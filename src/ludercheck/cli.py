@@ -214,12 +214,7 @@ def _parse_protocol(node, path: str) -> ProtocolConfig:
         kwargs["confidence"] = _expect_number(doc["confidence"], f"{path}.confidence")
     if "seed" in doc and doc["seed"] is not None:
         kwargs["seed"] = _expect_int(doc["seed"], f"{path}.seed")
-    config = ProtocolConfig(**kwargs)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ScenarioFormatError(path, str(exc)) from exc
-    return config
+    return ProtocolConfig(**kwargs)
 
 
 def parse_scenario_document(doc) -> tuple[Scenario, ProtocolConfig]:
@@ -450,6 +445,12 @@ def _cmd_list() -> int:
 
 def _cmd_validate(args) -> int:
     scenario, config = _load_scenario_file(args.scenario)
+    # discriminate validates after its command-line overrides; validate has
+    # none, so it checks the file's protocol block as written
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ScenarioFormatError("$.protocol", str(exc)) from exc
     observable, decomp, app, _ = instantiate(scenario)
     groups = ", ".join(
         f"{a:g} (n={n})"

@@ -162,12 +162,13 @@ class Refinement:
     index range.  Block ``(k, b)`` carries the sub-projector onto the span of
     its basis vectors.  One block per eigenspace is the Lüders rule; all
     singleton blocks is a full von Neumann measurement; anything between is
-    partial von Neumann.  ``basis[k]`` is stored as a read-only complex
-    copy of the given vectors, as the rows of one matrix.
+    partial von Neumann.  The constructor takes each ``basis[k]`` as a
+    sequence of vectors and stores a read-only complex copy of them as the
+    rows of one ``n_k x d`` matrix, so ``basis[k][i]`` is vector ``i``.
     """
 
     base: SpectralDecomposition
-    basis: tuple[Sequence[np.ndarray], ...]
+    basis: tuple[np.ndarray, ...]
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):

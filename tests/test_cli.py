@@ -331,6 +331,18 @@ def test_main_validate_rejects_protocol_that_discriminate_rejects(capsys, tmp_pa
     assert main(["discriminate", "--scenario", path]) == 1
 
 
+def test_main_discriminate_overrides_fix_protocol_before_validation(capsys, tmp_path):
+    # the command line may repair a protocol block that validate refuses
+    doc = minimal_doc(protocol={"mode": "sampled", "ensemble_size": 0,
+                                "target_eigenvalue": 0.0})
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 1
+    assert main(["discriminate", "--scenario", path, "--mode", "exact"]) == 0
+    assert main(["discriminate", "--scenario", path,
+                 "--ensemble-size", "200", "--seed", "3"]) == 0
+    assert "LUDERS" in capsys.readouterr().out
+
+
 def test_main_validate_prints_eigenvalue_groups(capsys, tmp_path):
     path = write_doc(tmp_path, minimal_doc())
     assert main(["validate", "--scenario", path]) == 0

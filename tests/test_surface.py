@@ -183,8 +183,14 @@ def _traced():
     raise AssertionError("benchmarks/tracing.py has no TARGETS")
 
 
-def _named_in_readme(name):
-    return re.search(rf"\b{re.escape(name)}\b", README_CODE) is not None
+def _named_in_readme(name, cls=None):
+    """Whether README code names a top-level name, or a method as
+    ``Class.method`` or as a call ``.method(``."""
+    if cls is None:
+        pattern = rf"\b{re.escape(name)}\b"
+    else:
+        pattern = rf"\b{re.escape(cls)}\.{re.escape(name)}\b|\.{re.escape(name)}\("
+    return re.search(pattern, README_CODE) is not None
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -199,8 +205,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 used.add(key)
     traced = _traced()
     orphans = sorted(
-        key for key, (_, name) in defs.items()
-        if key not in used and key not in traced and not _named_in_readme(name)
+        key for key, (cls, name) in defs.items()
+        if key not in used and key not in traced and not _named_in_readme(name, cls)
     )
     assert orphans == []
 
