@@ -98,12 +98,12 @@ class MeasurementApparatus:
         """
         if table.shape[1] != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        u = rng.random(len(index))
-        blocks = collapse(self._basis, self._starts, table, index, u)
+        amps = table @ self._basis.conj()
+        blocks = collapse(amps, self._starts, index, rng.random(len(index)))
         # Each reached pair of table row and block is reduced once.
         n = len(self._starts)
         pairs, post_index = renumber(index * n + blocks, len(table) * n)
-        post = self._reduce(table, *np.divmod(pairs, n))
+        post = self._reduce(amps, *np.divmod(pairs, n))
         return np.take(self._groups, blocks), post, post_index
 
     def branches(
@@ -119,13 +119,14 @@ class MeasurementApparatus:
         """
         if table.shape[1] != self.dim:
             raise ValueError("state dimension does not match the apparatus")
-        rows, blocks, w = branches(self._basis, self._starts, table, index, weights)
-        post = self._reduce(table, index[rows], blocks)
+        amps = table @ self._basis.conj()
+        rows, blocks, w = branches(amps, self._starts, index, weights)
+        post = self._reduce(amps, index[rows], blocks)
         return rows, np.take(self._groups, blocks), w, post, np.arange(len(rows))
 
-    def _reduce(self, table, rows, blocks):
-        """Table row ``rows[i]`` kept on block ``blocks[i]``, renormalised."""
-        amps = (table @ self._basis.conj())[rows]
+    def _reduce(self, amps, rows, blocks):
+        """Table row ``rows[i]``, as its amplitudes, kept on block ``blocks[i]``."""
+        amps = amps[rows]
         amps = np.where(self._block_of == blocks[:, None], amps, 0.0)
         # The basis is orthonormal, so the kept block's weight is |amps|^2.
         weights = (amps.real**2 + amps.imag**2).sum(axis=1, keepdims=True)

@@ -277,7 +277,7 @@ class _Exact:
         )
 
     def observe(self, aux, table, index, weights):
-        return branches(aux.basis, aux.starts, table, index, weights)
+        return branches(table @ aux.basis.conj(), aux.starts, index, weights)
 
     def apparatus(self, app, table, index, weights):
         return app.branches(table, index, weights)
@@ -337,6 +337,16 @@ def prepare_ensemble(
     return Ensemble(table[used], index, weights[kept], system[kept])
 
 
+def _merge(keys: np.ndarray, weights: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """Distinct ``keys`` (in ``0..size-1``) ascending, with their summed weights.
+
+    Strictly increasing keys (one sampled row per system) pass through unmerged."""
+    if (keys[1:] > keys[:-1]).all():
+        return keys, weights
+    keys, number = renumber(keys, size)
+    return keys, np.bincount(number, weights)
+
+
 def run_stage(
     ensemble: Ensemble,
     aux: SpectralDecomposition,
@@ -369,10 +379,9 @@ def run_stage(
     )
     # A trial is a system and a first outcome, keyed in system-major order;
     # it counts when it holds more than tol of its system's weight.
-    keys, trial = renumber(
-        ensemble.ids[rows] * n + first, (int(ensemble.ids.max()) + 1) * n
+    keys, weights = _merge(
+        ensemble.ids[rows] * n + first, weights, (int(ensemble.ids.max()) + 1) * n
     )
-    weights = np.bincount(trial, weights)
     system_weight = np.bincount(ensemble.ids, ensemble.weights)
     live = weights > config.tol * system_weight[keys // n]
     keys, weights = keys[live], weights[live]
@@ -422,10 +431,15 @@ def run_stage(
     mismatches = int(np.count_nonzero(moved > config.tol * reproduced))
     # A second outcome has support when some trial reached it with more
     # than tol of that trial's weight.
-    cells = np.bincount(trial * n + second, weights, len(first) * n)
-    heavy = np.flatnonzero(cells > config.tol * np.repeat(reproduced, n))
+    cells, cell_weights = _merge(trial * n + second, weights, len(first) * n)
+    heavy = cells[cell_weights > config.tol * reproduced[cells // n]]
     support = np.zeros((n, n), dtype=bool)
     support[first[heavy // n], heavy % n] = True
+    a, b = np.nonzero(support)
+    frequency = (table[a, b] / reached[a]).tolist()
+    support_of = {x: [] for x in np.flatnonzero(reached).tolist()}
+    for x, y, f in zip(a.tolist(), b.tolist(), frequency):
+        support_of[x].append((labels[y], f))
     # Each first outcome's earliest trial gives the order of observation.
     seen = np.full(n, len(first))
     np.minimum.at(seen, first, np.arange(len(first)))
@@ -437,11 +451,7 @@ def run_stage(
         mismatch_count=mismatches,
         trials=len(first),
         branch_support=tuple(
-            (labels[a], tuple(
-                (labels[b], float(table[a, b] / reached[a]))
-                for b in np.flatnonzero(support[a])
-            ))
-            for a in np.flatnonzero(reached)
+            (labels[a], tuple(pairs)) for a, pairs in support_of.items()
         ),
         unprobed_labels=tuple(labels[a] for a in probes if not reached[a]),
     )

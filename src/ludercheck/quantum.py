@@ -30,7 +30,9 @@ from .linalg import DEFAULT_TOL
 GROUPING_RELATIVE = 1e-6
 
 #: Gram-Schmidt residual below which a projector column adds no new
-#: direction to the canonical eigenbasis; well under 1/sqrt(MAX_DIM).
+#: direction to the canonical eigenbasis.  The d columns' squared residuals
+#: sum to the rank still missing and a skipped column holds at most this
+#: squared, so while d * BASIS_RESIDUAL**2 < 1 a later column clears it.
 BASIS_RESIDUAL = 1e-3
 
 _PAULI = {
@@ -181,7 +183,12 @@ class Refinement:
             n = self.base.multiplicities[k]
             if len(group) != n:
                 raise ValueError(f"group {k}: expected {n} basis vectors, got {len(group)}")
-            rows = np.array([linalg.as_vector(v) for v in group])
+            rows = [linalg.as_vector(v) for v in group]
+            for i, v in enumerate(rows):
+                if len(v) != self.base.dim:
+                    raise ValueError(f"group {k}: basis vector {i} has dimension {len(v)} "
+                                     f"but the observable has dimension {self.base.dim}")
+            rows = np.array(rows)
             mat = rows.T
             gram = mat.conj().T @ mat
             if np.max(np.abs(gram - np.eye(n))) > DEFAULT_TOL:
@@ -212,32 +219,54 @@ def _group_sorted_eigenvalues(w: np.ndarray, threshold: float) -> list[list[int]
     return groups
 
 
-def _canonical_basis(projector: np.ndarray, rank: int) -> np.ndarray:
-    """Gram-Schmidt over the columns P e_i of a projector, in index order.
+def _canonical_basis(v: np.ndarray, multiplicities: Sequence[int]) -> np.ndarray:
+    """Gram-Schmidt over the projector columns P_g e_i in index order, per eigenspace.
 
-    Columns whose residual falls below BASIS_RESIDUAL are skipped.  The
-    squared residuals of all columns sum to the rank still missing and each
-    skipped column holds less than BASIS_RESIDUAL**2 of it, so with dimension
-    <= 64 some later column always clears the threshold and ``rank`` vectors
-    are found.  The result depends on the
-    projector alone, not on the eigenvectors it was assembled from.  Each
-    column is projected against all accepted vectors at once, twice (CGS2).
-    Returns the vectors as rows.
+    ``v`` holds orthonormal eigenvectors as columns, n_g = ``multiplicities[g]``
+    of them (V_g) per eigenspace in turn.  V_g is an isometry, so the columns
+    c_i of V_g^H have the inner products of the P_g e_i = V_g c_i, and the
+    Gram-Schmidt runs on them.  Columns of residual at most BASIS_RESIDUAL are
+    skipped and no shorter column clears it later, so every eigenspace's
+    first n_g longer columns go into one identity-padded stack and one QR:
+    the |R_jj| are their residuals and, if all clear the threshold, Q with
+    column j turned by the phase of R_jj is the basis.  Otherwise the
+    eigenspace keeps the vectors before its first skipped column and goes on
+    after it the same way, against the kept vectors twice (CGS2).  The result
+    depends on the projectors alone.  Returns the V_g Q_g as columns, laid
+    out as ``v``'s.
     """
-    basis = np.empty((rank, projector.shape[0]), dtype=complex)
-    found = 0
-    for i in range(projector.shape[0]):
-        r = projector[:, i]
-        q = basis[:found]
-        r = r - (q.conj() @ r) @ q
-        r = r - (q.conj() @ r) @ q
-        norm = float(np.linalg.norm(r))
-        if norm > BASIS_RESIDUAL:
-            basis[found] = r / norm
-            found += 1
-            if found == rank:
-                break
-    return basis
+    n = np.array(multiplicities)
+    size = int(n.max())
+    group = np.repeat(np.arange(len(n)), n)
+    pos = np.arange(len(group)) - np.repeat(np.cumsum(n) - n, n)
+    # coords[i, g] is c_i of eigenspace g, zero-padded to the largest n_g.
+    coords = np.zeros((len(v), len(n) * size), dtype=complex)
+    coords[:, group * size + pos] = v.conj()
+    coords = coords.reshape(len(v), len(n), size)
+    live = (coords.real**2 + coords.imag**2).sum(axis=2) > BASIS_RESIDUAL**2
+    # The first n_g live columns of each eigenspace, eigenspace-major.
+    _, i = np.nonzero((live & (np.cumsum(live, axis=0) <= n)).T)
+    stack = np.tile(np.eye(size, dtype=complex), (len(n), 1, 1))
+    stack[group, :, pos] = coords[i, group]
+    q, r = np.linalg.qr(stack)
+    diag = r.diagonal(axis1=1, axis2=2)
+    q = q * (diag / np.where(diag == 0, 1.0, np.abs(diag)))[:, None, :]
+    skipped = (np.abs(diag) <= BASIS_RESIDUAL) & (np.arange(size) < n[:, None])
+    for g in np.flatnonzero(skipped.any(axis=1)):
+        m, j = n[g], int(np.argmax(skipped[g]))
+        kept, rest = q[g, :m, :j], np.flatnonzero(live[:, g])[j + 1 :]
+        while kept.shape[1] < m and len(rest):
+            block = coords[rest, g, :m].T
+            for _ in range(2):
+                block = block - kept @ (kept.conj().T @ block)
+            ok = np.linalg.norm(block, axis=0) > BASIS_RESIDUAL
+            qb, rb = np.linalg.qr(block[:, ok][:, : m - kept.shape[1]])
+            d = rb.diagonal()
+            j = int(np.argmax(np.append(np.abs(d), 0.0) <= BASIS_RESIDUAL))
+            kept = np.hstack([kept, qb[:, :j] * (d[:j] / np.abs(d[:j]))])
+            rest = rest[ok][j + 1 :]
+        q[g, :m, :m] = kept
+    return (coords.conj().transpose(1, 0, 2) @ q)[group, :, pos].T
 
 
 def spectral_decompose(
@@ -259,14 +288,10 @@ def spectral_decompose(
     groups = _group_sorted_eigenvalues(
         w, GROUPING_RELATIVE * max(1.0, float(w[0] - w[-1]))
     )
-    rows = []
-    for idx in groups:
-        vg = v[:, idx[0] : idx[-1] + 1]
-        rows.append(_canonical_basis(vg @ vg.conj().T, len(idx)))
     return SpectralDecomposition(
         eigenvalues=tuple(float(np.mean(w[idx])) for idx in groups),
         multiplicities=tuple(len(idx) for idx in groups),
-        basis=np.concatenate(rows).T,
+        basis=_canonical_basis(v, [len(idx) for idx in groups]),
     )
 
 
@@ -286,15 +311,12 @@ def renumber(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, number[keys]
 
 
-def _born(
-    basis: np.ndarray, starts: np.ndarray, table: np.ndarray, index: np.ndarray
-) -> np.ndarray:
-    """The Born weight of each block, for every row of ``table``.
+def _born(amps: np.ndarray, starts: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The Born weight of each block, for every row of amplitudes ``amps``.
 
     Raises ValueError if a row that ``index`` refers to is numerically
     orthogonal to every block; rows no one refers to are not checked.
     """
-    amps = table @ basis.conj()
     born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
     if np.any(born.sum(axis=1)[index] <= DEFAULT_TOL):
         raise ValueError("state is numerically orthogonal to every outcome")
@@ -302,23 +324,20 @@ def _born(
 
 
 def collapse(
-    basis: np.ndarray,
-    starts: np.ndarray,
-    table: np.ndarray,
-    index: np.ndarray,
-    u: np.ndarray,
+    amps: np.ndarray, starts: np.ndarray, index: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Measure system ``i``, in state ``table[index[i]]``, in blocks of a basis.
 
-    ``basis`` holds orthonormal basis vectors as columns, grouped into
-    consecutive blocks that begin at the column indices ``starts``; ``table``
-    holds normalised state vectors as rows, which many systems may share.
-    The Born block weights are computed once per table row, and system ``i``
+    ``amps = table @ basis.conj()`` holds the amplitudes of the table's
+    normalised state vectors, which many systems may share, in a basis of
+    orthonormal columns grouped into consecutive blocks that begin at the
+    column indices ``starts``.  The Born block weights are computed once
+    per table row, and system ``i``
     picks its block by inverse CDF of ``u[i]`` in [0, 1) over its row's
     weights.  Returns the block index of each system.  Raises ValueError if
     a row that some system is in is numerically orthogonal to every block.
     """
-    cdf = np.cumsum(_born(basis, starts, table, index), axis=1)[index]
+    cdf = np.cumsum(_born(amps, starts, index), axis=1)[index]
     total = cdf[:, -1]
     # Block k is chosen when cdf[k-1] <= u * total < cdf[k]; blocks of zero
     # weight are never chosen.
@@ -326,11 +345,7 @@ def collapse(
 
 
 def branches(
-    basis: np.ndarray,
-    starts: np.ndarray,
-    table: np.ndarray,
-    index: np.ndarray,
-    weights: np.ndarray,
+    amps: np.ndarray, starts: np.ndarray, index: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`collapse` with every block of Born weight above DEFAULT_TOL enumerated.
 
@@ -339,7 +354,7 @@ def branches(
     row-major order, ``i``, ``b`` and the weight ``weights[i] * |B_b^H v_i|^2``.
     Raises ValueError as :func:`collapse` does.
     """
-    born = _born(basis, starts, table, index)[index]
+    born = _born(amps, starts, index)[index]
     rows, blocks = np.nonzero(born > DEFAULT_TOL)
     return rows, blocks, weights[rows] * born[rows, blocks]
 
@@ -357,9 +372,8 @@ def measure_pure(
     """
     if table.shape[1] != decomp.dim:
         raise ValueError("state dimension does not match the observable")
-    return collapse(
-        decomp.basis, decomp.starts, table, index, rng.random(len(index))
-    )
+    amps = table @ decomp.basis.conj()
+    return collapse(amps, decomp.starts, index, rng.random(len(index)))
 
 
 def build_spin_operator(

@@ -371,6 +371,22 @@ def test_main_validate_rejects_overlapping_blocks(capsys, tmp_path):
     assert "partition" in capsys.readouterr().err
 
 
+def test_main_validate_rejects_basis_vectors_of_the_wrong_dimension(capsys, tmp_path):
+    # three-component vectors for the four-dimensional two-spin total z
+    doc = minimal_doc(apparatus={"kind": "full_von_neumann", "eigenbasis": [
+        None,
+        [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+         [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+        None,
+    ]})
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert ("group 1: basis vector 0 has dimension 3 but the observable has "
+            "dimension 4") in err
+    assert "broadcast" not in err
+
+
 def test_main_discriminate_sampled_mismatch_statistics(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code = main([

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ludercheck.apparatus import make_luders
+from ludercheck.linalg import hermitian_eig
 from ludercheck.quantum import (
     DensityMatrix,
     PureState,
@@ -204,21 +205,85 @@ def mgs_canonical_basis(projector, rank):
     return basis
 
 
+def assert_canonical_basis_matches_mgs(v, multiplicities):
+    """_canonical_basis(v, multiplicities) against the reference, per eigenspace."""
+    got = _canonical_basis(v, multiplicities)
+    assert got.shape == v.shape
+    for s, n in zip(np.cumsum(multiplicities) - multiplicities, multiplicities):
+        vg = v[:, s : s + n]
+        want = mgs_canonical_basis(vg @ vg.conj().T, n)
+        assert len(want) == n
+        assert np.max(np.abs(got[:, s : s + n].T - np.array(want))) <= 1e-12
+    return got
+
+
 def test_canonical_basis_matches_per_column_gram_schmidt():
     rng = np.random.default_rng(33)
-    projectors = [np.diag([0.0, 1, 0, 1, 1, 0, 0, 1]).astype(complex)]
     for dim, rank in ((4, 2), (8, 5), (64, 20), (64, 1)):
-        v = random_unitary(dim, rng)[:, :rank]
-        projectors.append(v @ v.conj().T)
-    for p in projectors:
-        rank = round(np.trace(p).real)
-        got = _canonical_basis(p, rank)
-        want = mgs_canonical_basis(p, rank)
-        assert len(got) == len(want) == rank
-        assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+        assert_canonical_basis_matches_mgs(random_unitary(dim, rng)[:, :rank], (rank,))
+    # several eigenspaces, one stack: a full basis of C^8 in blocks of 3, 1, 4
+    assert_canonical_basis_matches_mgs(random_unitary(8, rng), (3, 1, 4))
+
+
+def test_canonical_basis_skips_zero_columns_of_a_diagonal_projector():
     e = np.eye(8)
-    assert np.array_equal(np.array(_canonical_basis(projectors[0], 4)),
-                          e[[1, 3, 4, 7]])
+    v = e[:, [1, 3, 4, 7, 0, 2, 5, 6]].astype(complex)
+    assert np.array_equal(_canonical_basis(v, (4, 4)), v)
+    # any other eigenvectors of the same projectors give the same basis
+    w = np.zeros((8, 8), dtype=complex)
+    rng = np.random.default_rng(34)
+    w[:4, :4], w[4:, 4:] = random_unitary(4, rng), random_unitary(4, rng)
+    got = assert_canonical_basis_matches_mgs(v @ w, (4, 4))
+    assert np.max(np.abs(got - v)) <= 1e-12
+
+
+def test_canonical_basis_skips_a_parallel_column_inside_the_block():
+    # the two-spin triplet: P e_1 and P e_2 are both (e_1 + e_2) / 2, so
+    # column 2 is skipped after its block and column 3 completes the basis
+    triplet = np.zeros((4, 3), dtype=complex)
+    triplet[0, 0] = triplet[3, 2] = 1.0
+    triplet[1, 1] = triplet[2, 1] = np.sqrt(0.5)
+    singlet = np.array([[0.0], [np.sqrt(0.5)], [-np.sqrt(0.5)], [0.0]])
+    rng = np.random.default_rng(35)
+    v = np.hstack([triplet @ random_unitary(3, rng), singlet])
+    got = assert_canonical_basis_matches_mgs(v, (3, 1))
+    assert np.max(np.abs(got[:, :3] - triplet)) <= 1e-12
+
+
+def isometry_with_leading_rows(rows, dim):
+    """A dim x n isometry whose first rows are ``rows``; imaginary rows complete it."""
+    rows = np.asarray(rows, dtype=complex)
+    lam, u = np.linalg.eigh((np.eye(rows.shape[1]) - rows.conj().T @ rows).real)
+    rest = 1j * (np.sqrt(np.clip(lam, 0.0, None)) * u).T
+    v = np.vstack([rows, rest, np.zeros((dim - len(rows) - len(rest), rows.shape[1]))])
+    assert np.max(np.abs(v.conj().T @ v - np.eye(rows.shape[1]))) <= 1e-12
+    return v
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-5, 1 + 1e-5])
+def test_canonical_basis_at_the_residual_threshold(factor):
+    # column 1's residual against column 0 is factor * 1e-3
+    v = isometry_with_leading_rows([[0.5, 0.0], [0.5, 1e-3 * factor]], 5)
+    got = assert_canonical_basis_matches_mgs(v, (2,))
+    # an accepted column i leaves component i of its vector real and positive;
+    # below the threshold the imaginary column 2 gives the second vector
+    assert np.isclose(got[1, 1], 1e-3 * factor, rtol=0.0, atol=1e-12) == (factor > 1)
+    # column 0's norm is factor * 1e-3: below, column 1 gives the vector
+    v = isometry_with_leading_rows([[1e-3 * factor], [-0.6j]], 4)
+    got = assert_canonical_basis_matches_mgs(v, (1,))
+    assert np.isclose(got[1, 0], -0.6j if factor > 1 else 0.6, rtol=0.0, atol=1e-12)
+
+
+def test_canonical_basis_with_rank_one_eigenspaces():
+    rng = np.random.default_rng(36)
+    for dim in (1, 2, 8, 64):
+        assert_canonical_basis_matches_mgs(random_unitary(dim, rng), (1,) * dim)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34])
+def test_canonical_basis_of_rotated_six_spin_spectrum(seed):
+    _, v = hermitian_eig(rotated_six_spin_total_z(seed))
+    assert_canonical_basis_matches_mgs(v, (1, 6, 15, 20, 15, 6, 1))
 
 
 def pairwise_spread_labels(eigenvalues, counts):
@@ -307,9 +372,9 @@ def test_born_distribution_on_maximally_mixed():
 
 def test_born_distribution_accepts_pure_state():
     d = spectral_decompose(total_z())
+    table = PureState(PLUS_MINUS).vector[None, :]
     _, outcomes, probs = branches(
-        d.basis, d.starts, PureState(PLUS_MINUS).vector[None, :], ONE_ROW,
-        np.ones(1),
+        table @ d.basis.conj(), d.starts, ONE_ROW, np.ones(1)
     )
     assert outcomes.tolist() == [d.group_index(0.0)]
     assert probs == pytest.approx([1.0])
@@ -382,8 +447,8 @@ def test_collapse_block_frequencies_match_born_weights():
     born = [np.linalg.norm(basis[:, lo:hi].conj().T @ psi) ** 2
             for lo, hi in KERNEL_SPANS]
     n = 10_000
-    k = collapse(basis, KERNEL_STARTS, psi[None, :], np.zeros(n, dtype=int),
-                 rng.random(n))
+    k = collapse(psi[None, :] @ basis.conj(), KERNEL_STARTS,
+                 np.zeros(n, dtype=int), rng.random(n))
     counts = np.bincount(k, minlength=3)
     for count, p in zip(counts, born):
         assert abs(count - n * p) <= 5 * np.sqrt(n * p * (1 - p))
@@ -396,7 +461,7 @@ def test_collapse_rows_are_unit_and_lie_in_their_block():
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng) for _ in range(500)])
     rows = np.arange(500)
-    k = collapse(basis, KERNEL_STARTS, states, rows,
+    k = collapse(states @ basis.conj(), KERNEL_STARTS, rows,
                  np.random.default_rng(9).random(500))
     base = spectral_decompose(basis @ np.diag([3.0, 3, 2, 1, 1, 1]) @ basis.conj().T)
     reduced, table, index = make_luders(base).measure_sampled(
@@ -417,7 +482,7 @@ def test_collapse_rejects_a_row_orthogonal_to_every_block():
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
     with pytest.raises(ValueError):
-        collapse(basis, KERNEL_STARTS, states, np.arange(3), rng.random(3))
+        collapse(states @ basis.conj(), KERNEL_STARTS, np.arange(3), rng.random(3))
 
 
 def test_collapse_over_a_table_matches_collapse_over_its_rows():
@@ -429,8 +494,9 @@ def test_collapse_over_a_table_matches_collapse_over_its_rows():
         table = np.array([random_state(6, rng) for _ in range(size)])
         index = rng.integers(0, size, 2000)
         u = rng.random(2000)
-        k = collapse(basis, KERNEL_STARTS, table, index, u)
-        rows = collapse(basis, KERNEL_STARTS, table[index], np.arange(2000), u)
+        k = collapse(table @ basis.conj(), KERNEL_STARTS, index, u)
+        rows = collapse(table[index] @ basis.conj(), KERNEL_STARTS,
+                        np.arange(2000), u)
         assert np.array_equal(k, rows)
 
 
@@ -448,18 +514,16 @@ def test_collapse_checks_only_the_table_rows_systems_refer_to():
     rng = np.random.default_rng(35)
     basis = random_unitary(6, rng)
     table = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
+    amps = table @ basis.conj()
     with pytest.raises(ValueError):
-        collapse(basis, KERNEL_STARTS, table, np.array([0, 2, 1, 0]),
-                 rng.random(4))
+        collapse(amps, KERNEL_STARTS, np.array([0, 2, 1, 0]), rng.random(4))
     # no system is in the zero row, so nothing is orthogonal to every block
-    k = collapse(basis, KERNEL_STARTS, table, np.array([0, 2, 2, 0]),
-                 rng.random(4))
+    k = collapse(amps, KERNEL_STARTS, np.array([0, 2, 2, 0]), rng.random(4))
     assert k.shape == (4,)
-    rows, _, _ = branches(basis, KERNEL_STARTS, table, np.array([2, 0]),
-                          np.ones(2))
+    rows, _, _ = branches(amps, KERNEL_STARTS, np.array([2, 0]), np.ones(2))
     assert set(rows.tolist()) == {0, 1}
     with pytest.raises(ValueError):
-        branches(basis, KERNEL_STARTS, table, np.array([2, 1]), np.ones(2))
+        branches(amps, KERNEL_STARTS, np.array([2, 1]), np.ones(2))
 
 
 def test_build_spin_operator_two_site_sum():
@@ -679,7 +743,7 @@ def test_born_on_refined_observable_splits_plus_minus():
     ap = build_spin_operator(2, ((1.0, "ZI"), (1.0, "IZ"), (1.0, TOTAL_SPIN_SQ)))
     d = spectral_decompose(ap)
     _, outcomes, probs = branches(
-        d.basis, d.starts, PLUS_MINUS[None, :], ONE_ROW, np.ones(1)
+        PLUS_MINUS[None, :] @ d.basis.conj(), d.starts, ONE_ROW, np.ones(1)
     )
     # the zero-probability outcomes 6 and 2 are dropped
     labels = np.take(d.eigenvalues, outcomes)
