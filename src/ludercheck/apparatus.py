@@ -19,7 +19,6 @@ must never call it.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -33,11 +32,6 @@ from .quantum import (
     collapse,
     renumber,
 )
-
-
-def labels_close(a: float, b: float) -> bool:
-    """Whether two outcome labels agree within a relative tolerance of 1e-6."""
-    return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-6 * (1.0 + abs(b)))
 
 
 class MeasurementApparatus:

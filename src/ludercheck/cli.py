@@ -19,6 +19,7 @@ from typing import Any
 
 import numpy as np
 
+from .linalg import DEFAULT_TOL
 from .protocol import (
     STAGE_NAMES,
     Classification,
@@ -297,7 +298,7 @@ def build_report(result: Classification, config: ProtocolConfig,
             "target_eigenvalue": config.target_eigenvalue,
             "min_disturbance": config.min_disturbance,
             "confidence": config.confidence,
-            "tol": config.tol,
+            "tol": DEFAULT_TOL,
         },
         "wall_time_s": wall_time_s,
     }

@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-#: Absolute tolerance shared by predicates and consistency checks.
+#: Absolute tolerance of every predicate and consistency check; the protocol
+#: also drops a branch holding at most this share of its system's weight.
 DEFAULT_TOL = 1e-9
 
 #: Largest accepted Hilbert-space dimension (six spin-1/2 sites).
@@ -43,35 +44,34 @@ def as_vector(v) -> np.ndarray:
     return w
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     m = as_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= DEFAULT_TOL)
 
 
-def hermitian_eig(
-    a: np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and the
     columns of ``v`` the matching orthonormal eigenvectors.  Each
     eigenvector's global phase is fixed so that its first component with
-    modulus above ``tol`` is real and positive.  Inside a degenerate
+    modulus above DEFAULT_TOL is real and positive.  Inside a degenerate
     eigenspace the vectors are whatever LAPACK returns; callers that need a
     canonical basis there derive it from the eigenprojector
     (see :func:`ludercheck.quantum.spectral_decompose`).
 
-    Raises ValueError on non-Hermitian input.
+    Raises ValueError if an entry of ``a - a^H`` exceeds DEFAULT_TOL in
+    modulus.
     """
     m = as_matrix(a)
     mh = m.conj().T
-    if not np.max(np.abs(m - mh)) <= tol:
+    if not np.max(np.abs(m - mh)) <= DEFAULT_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(0.5 * (m + mh))
     v = v[:, ::-1]
     # Per column, rotate the global phase so that the first component with
-    # modulus above tol becomes real and positive.
-    significant = np.abs(v) > tol
+    # modulus above DEFAULT_TOL becomes real and positive.
+    significant = np.abs(v) > DEFAULT_TOL
     cols = np.flatnonzero(significant.any(axis=0))
     lead = v[significant[:, cols].argmax(axis=0), cols]
     phase = np.ones(v.shape[1], dtype=complex)
@@ -79,9 +79,7 @@ def hermitian_eig(
     return w[::-1], v * phase
 
 
-def projector_from_vectors(
-    vectors: Sequence[np.ndarray], tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def projector_from_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Orthogonal projector onto the span of an orthonormal vector family."""
     if len(vectors) == 0:
         raise ValueError("no vectors given")
@@ -91,7 +89,7 @@ def projector_from_vectors(
         raise ValueError("vectors have mixed dimensions")
     basis = np.column_stack(cols)
     gram = basis.conj().T @ basis
-    if np.max(np.abs(gram - np.eye(len(cols)))) > tol:
+    if np.max(np.abs(gram - np.eye(len(cols)))) > DEFAULT_TOL:
         raise ValueError("vectors are not orthonormal within tolerance")
     p = basis @ basis.conj().T
     return 0.5 * (p + p.conj().T)

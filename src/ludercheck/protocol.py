@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .apparatus import MeasurementApparatus, labels_close
+from .apparatus import MeasurementApparatus
 from .linalg import DEFAULT_TOL, hermitian_eig
 from .quantum import (
     DensityMatrix,
@@ -46,6 +46,7 @@ from .quantum import (
     branches,
     build_sigma,
     build_sigma_prime,
+    closest_label,
     measure_pure,
     renumber,
     sigma_entries_in_group,
@@ -94,7 +95,10 @@ class ProtocolConfig:
     ``target_eigenvalue`` of ``None`` selects the first degenerate
     eigenvalue in descending order.  ``min_disturbance`` is the per-system
     mismatch probability assumed of any non-Lüders apparatus when quoting
-    the sampled-mode false-acceptance bound ``(1 - p)**trials``.
+    the sampled-mode false-acceptance bound ``(1 - p)**trials``.  Every
+    numerical threshold is fixed: a branch that holds at most DEFAULT_TOL
+    of its system's weight is dropped, and the CLI report records that
+    constant as ``config.tol``.
     """
 
     mode: Mode = Mode.EXACT
@@ -102,7 +106,6 @@ class ProtocolConfig:
     target_eigenvalue: float | None = None
     min_disturbance: float = 0.5
     confidence: float = 1e-3
-    tol: float = DEFAULT_TOL
     seed: int | None = None
 
     def validate(self):
@@ -112,8 +115,6 @@ class ProtocolConfig:
             raise ValueError("min_disturbance must lie strictly between 0 and 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +154,8 @@ class StageResult:
 
     A trial is one system in sampled mode and one reached first auxiliary
     outcome (a probe) in exact mode.  ``mismatch_count`` counts the trials
-    whose second outcome differs from the first (with more than ``tol`` of
-    the trial's weight, in exact mode).  ``branch_support`` gives, per
+    whose second outcome differs from the first (with more than DEFAULT_TOL
+    of the trial's weight, in exact mode).  ``branch_support`` gives, per
     reached first outcome in label order, the distribution of the second
     outcome: empirical frequencies when sampled, Born weights when exact.
     Auxiliary outcomes of the target eigenspace that no trial reached are
@@ -224,7 +225,7 @@ def classify_refinement_oracle(refinement: Refinement, k: int) -> Verdict:
 
 
 def _as_pure_mixture(
-    initial: PureState | DensityMatrix, tol: float
+    initial: PureState | DensityMatrix,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve an initial state into a pure-state mixture.
 
@@ -234,8 +235,8 @@ def _as_pure_mixture(
     if isinstance(initial, PureState):
         return np.ones(1), initial.vector[None, :]
     # Mixture weights are the eigenvalues of the density matrix.
-    w, v = hermitian_eig(initial.matrix, tol)
-    keep = w > tol
+    w, v = hermitian_eig(initial.matrix)
+    keep = w > DEFAULT_TOL
     if not keep.any():
         raise ValueError("initial density matrix has no positive-weight component")
     cdf = np.cumsum(w[keep])
@@ -318,15 +319,15 @@ def prepare_ensemble(
     branch of every mixture component and keeps the target outcome's rows.
     """
     kernel = _kernel(config, rng)
-    drawn = kernel.draw(*_as_pure_mixture(initial, config.tol))
+    drawn = kernel.draw(*_as_pure_mixture(initial))
     rows, coarse, weights, table, index = kernel.apparatus(
         app, drawn.table, drawn.index, drawn.weights
     )
     kept = coarse == target
-    # Some system must keep more than tol of its weight.
+    # Some system must keep more than DEFAULT_TOL of its weight.
     system = drawn.ids[rows]
     selected = np.bincount(system, weights * kept)
-    if not (selected > config.tol * np.bincount(system, weights)).any():
+    if not (selected > DEFAULT_TOL * np.bincount(system, weights)).any():
         raise EmptySelectionError(
             f"nothing returned eigenvalue {app.outcome_labels[target]}; the "
             "initial state may be orthogonal to its eigenspace, or a sampled "
@@ -378,12 +379,12 @@ def run_stage(
         aux, ensemble.table, ensemble.index, ensemble.weights
     )
     # A trial is a system and a first outcome, keyed in system-major order;
-    # it counts when it holds more than tol of its system's weight.
+    # it counts when it holds more than DEFAULT_TOL of its system's weight.
     keys, weights = _merge(
         ensemble.ids[rows] * n + first, weights, (int(ensemble.ids.max()) + 1) * n
     )
     system_weight = np.bincount(ensemble.ids, ensemble.weights)
-    live = weights > config.tol * system_weight[keys // n]
+    live = weights > DEFAULT_TOL * system_weight[keys // n]
     keys, weights = keys[live], weights[live]
     first = keys % n
     outside = np.ones(n, dtype=bool)
@@ -428,11 +429,11 @@ def run_stage(
     table = table.reshape(n, n)
     reached = table.sum(axis=1)
     moved = np.bincount(trial, weights * (second != first_of), len(first))
-    mismatches = int(np.count_nonzero(moved > config.tol * reproduced))
+    mismatches = int(np.count_nonzero(moved > DEFAULT_TOL * reproduced))
     # A second outcome has support when some trial reached it with more
-    # than tol of that trial's weight.
+    # than DEFAULT_TOL of that trial's weight.
     cells, cell_weights = _merge(trial * n + second, weights, len(first) * n)
-    heavy = cells[cell_weights > config.tol * reproduced[cells // n]]
+    heavy = cells[cell_weights > DEFAULT_TOL * reproduced[cells // n]]
     support = np.zeros((n, n), dtype=bool)
     support[first[heavy // n], heavy % n] = True
     a, b = np.nonzero(support)
@@ -494,7 +495,7 @@ def discriminate(
     if config is None:
         config = ProtocolConfig()
     config.validate()
-    decomp = spectral_decompose(observable, tol=config.tol)
+    decomp = spectral_decompose(observable)
     if app.dim != decomp.dim:
         raise ValueError(
             f"the apparatus acts on dimension {app.dim}, the observable on "
@@ -510,10 +511,7 @@ def discriminate(
             transcript=Transcript(),
         )
     target_label = decomp.eigenvalues[k]
-    target = next((
-        i for i, label in enumerate(app.outcome_labels)
-        if labels_close(label, target_label)
-    ), None)
+    target = closest_label(app.outcome_labels, target_label)
     if target is None:
         raise RepeatabilityError(
             f"the apparatus has no outcome {target_label}; it does not "

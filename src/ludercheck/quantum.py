@@ -47,6 +47,17 @@ _PAULI = {
 TOTAL_SPIN_SQ = "TOTAL_SPIN_SQ"
 
 
+def closest_label(labels: Sequence[float], value: float) -> int | None:
+    """The index of the label closest to ``value``, the earliest on a tie.
+
+    None if that label is further than 1e-6 * (1 + |value|) away.  Outcome
+    labels and eigenvalue groups are looked up by this one rule.
+    """
+    diffs = [abs(label - value) for label in labels]
+    k = diffs.index(min(diffs))
+    return k if diffs[k] <= 1e-6 * (1.0 + abs(value)) else None
+
+
 @dataclass(frozen=True)
 class PureState:
     """A normalised state vector."""
@@ -71,13 +82,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
-        if not linalg.is_hermitian(m, DEFAULT_TOL):
+        if not linalg.is_hermitian(m):
             raise ValueError("density matrix is not Hermitian")
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > 1e-6:
             raise ValueError(f"density matrix trace {trace} is not 1")
-        # m + tol*I has a Cholesky factor exactly when every eigenvalue of m
-        # exceeds -tol.
+        # m + DEFAULT_TOL*I has a Cholesky factor exactly when every
+        # eigenvalue of m exceeds -DEFAULT_TOL.
         try:
             np.linalg.cholesky(m + DEFAULT_TOL * np.eye(m.shape[0]))
         except np.linalg.LinAlgError:
@@ -145,11 +156,10 @@ class SpectralDecomposition:
     def group_count(self) -> int:
         return len(self.eigenvalues)
 
-    def group_index(self, eigenvalue: float, atol: float = 1e-6) -> int:
-        """Index of the group whose eigenvalue is closest, within ``atol`` scaled."""
-        diffs = [abs(a - eigenvalue) for a in self.eigenvalues]
-        k = int(np.argmin(diffs))
-        if diffs[k] > atol * (1.0 + abs(eigenvalue)):
+    def group_index(self, eigenvalue: float) -> int:
+        """Index of the group whose eigenvalue is the :func:`closest_label`."""
+        k = closest_label(self.eigenvalues, eigenvalue)
+        if k is None:
             raise ValueError(f"no eigenvalue group near {eigenvalue}")
         return k
 
@@ -269,9 +279,7 @@ def _canonical_basis(v: np.ndarray, multiplicities: Sequence[int]) -> np.ndarray
     return (coords.conj().transpose(1, 0, 2) @ q)[group, :, pos].T
 
 
-def spectral_decompose(
-    observable: np.ndarray, tol: float = DEFAULT_TOL
-) -> SpectralDecomposition:
+def spectral_decompose(observable: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian observable with degeneracy grouping.
 
     Eigenvalues whose spacing stays within GROUPING_RELATIVE of the spectral
@@ -282,8 +290,8 @@ def spectral_decompose(
     inside a degenerate eigenspace does not depend on eigensolver rounding.
     On a diagonal observable it is the standard basis vectors in index order.
     """
-    w, v = linalg.hermitian_eig(observable, tol)
-    if np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) > tol:
+    w, v = linalg.hermitian_eig(observable)
+    if np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) > DEFAULT_TOL:
         raise ValueError("eigenvectors are not orthonormal within tolerance")
     groups = _group_sorted_eigenvalues(
         w, GROUPING_RELATIVE * max(1.0, float(w[0] - w[-1]))
@@ -413,18 +421,14 @@ def build_spin_operator(
 
 
 def _total_spin_squared(sites: int) -> np.ndarray:
-    dim = 2**sites
-    total = np.zeros((dim, dim), dtype=complex)
-    for letter in "XYZ":
-        component = np.zeros((dim, dim), dtype=complex)
-        for site in range(sites):
-            word = "".join(letter if i == site else "I" for i in range(sites))
-            factor = np.array([[1.0 + 0j]])
-            for w in word:
-                factor = np.kron(factor, _PAULI[w])
-            component += factor
-        total += component @ component
-    return 0.5 * total
+    components = (
+        build_spin_operator(sites, [
+            (1.0, "I" * site + letter + "I" * (sites - site - 1))
+            for site in range(sites)
+        ])
+        for letter in "XYZ"
+    )
+    return 0.5 * sum(c @ c for c in components)
 
 
 def spread_labels(

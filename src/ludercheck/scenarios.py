@@ -40,7 +40,7 @@ def resolve_expression(sites: int | None, expr) -> np.ndarray:
     """Turn a term list or an explicit matrix into an operator matrix."""
     if isinstance(expr, np.ndarray):
         m = linalg.as_matrix(expr)
-        if not linalg.is_hermitian(m, DEFAULT_TOL):
+        if not linalg.is_hermitian(m):
             raise ValueError("explicit observable matrix is not Hermitian")
         if sites is not None and m.shape[0] != 2**sites:
             raise ValueError(
@@ -112,9 +112,7 @@ def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def build_consecutive(
-    base: SpectralDecomposition,
-    observables: Sequence[np.ndarray],
-    tol: float = DEFAULT_TOL,
+    base: SpectralDecomposition, observables: Sequence[np.ndarray]
 ) -> MeasurementApparatus:
     """The apparatus realised by Lüders-measuring the observables in sequence.
 
@@ -132,15 +130,15 @@ def build_consecutive(
     for m in mats:
         if m.shape[0] != base.dim:
             raise ValueError("observable dimension does not match the base")
-        if not linalg.is_hermitian(m, tol):
+        if not linalg.is_hermitian(m):
             raise ValueError("consecutive observables must be Hermitian")
     scale = max(1.0, max(float(np.max(np.abs(m))) for m in mats))
     for i, a in enumerate(mats):
         for b in mats[i + 1 :]:
-            if _commutator_norm(a, b) > tol * scale * scale:
+            if _commutator_norm(a, b) > DEFAULT_TOL * scale * scale:
                 raise ValueError("consecutive observables must pairwise commute")
         for p in base.projectors:
-            if _commutator_norm(a, p) > tol * scale:
+            if _commutator_norm(a, p) > DEFAULT_TOL * scale:
                 raise ValueError(
                     "consecutive observables must commute with the base observable"
                 )
@@ -153,7 +151,7 @@ def build_consecutive(
         for m in mats:
             refined = []
             for cell in cells:
-                restricted = spectral_decompose(cell.conj().T @ m @ cell, tol=tol)
+                restricted = spectral_decompose(cell.conj().T @ m @ cell)
                 refined.extend(cell @ sub.T for sub in restricted.eigenbasis)
             cells = refined
         bounds = np.cumsum([0] + [cell.shape[1] for cell in cells])
@@ -184,11 +182,11 @@ def default_initial_state(
 
 
 def instantiate(
-    scenario: Scenario, tol: float = DEFAULT_TOL
+    scenario: Scenario,
 ) -> tuple[np.ndarray, SpectralDecomposition, MeasurementApparatus, PureState]:
     """Build the observable, its decomposition, the apparatus, and the state."""
     observable = scenario.observable()
-    decomp = spectral_decompose(observable, tol=tol)
+    decomp = spectral_decompose(observable)
     spec = scenario.apparatus_spec
     if isinstance(spec, LudersSpec):
         app = make_luders(decomp)
@@ -206,7 +204,7 @@ def instantiate(
         mats = [
             resolve_expression(scenario.sites, expr) for expr in spec.observables
         ]
-        app = build_consecutive(decomp, mats, tol)
+        app = build_consecutive(decomp, mats)
     else:
         raise TypeError(f"unknown apparatus spec {spec!r}")
     if scenario.initial_state is not None:

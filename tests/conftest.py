@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ludercheck.cli import SCHEMA_VERSION
-from ludercheck.linalg import DEFAULT_TOL, hermitian_eig, projector_from_vectors
+from ludercheck.linalg import hermitian_eig, projector_from_vectors
 from ludercheck.quantum import DensityMatrix
 from ludercheck.scenarios import (
     ConsecutiveSpec,
@@ -64,9 +64,9 @@ def sub_projector(refinement, k, b):
     )
 
 
-def apply_spectral_function(a, f, tol=DEFAULT_TOL):
+def apply_spectral_function(a, f):
     """Apply a real function to a Hermitian matrix through its spectrum."""
-    w, v = hermitian_eig(a, tol)
+    w, v = hermitian_eig(a)
     fw = np.array([float(f(x)) for x in w])
     out = (v * fw) @ v.conj().T
     return 0.5 * (out + out.conj().T)

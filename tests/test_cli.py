@@ -1,6 +1,8 @@
 """Tests for the command-line interface and the scenario file format."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,18 @@ def test_parse_minimal_document():
     assert config.mode is Mode.EXACT
     observable, decomp, app, initial = instantiate(scenario)
     assert decomp.eigenvalues == (2.0, 0.0, -2.0)
+
+
+def test_readme_scenario_example_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, flags=re.S).group(1)
+    scenario, config = parse_scenario_document(json.loads(block))
+    config.validate()
+    observable, decomp, app, initial = instantiate(scenario)
+    assert config.mode is Mode.SAMPLED
+    assert decomp.multiplicities == (1, 2, 1)
+    assert app.dim == observable.shape[0] == len(initial.vector) == 4
 
 
 def test_parse_rejects_unknown_fields():

@@ -17,6 +17,7 @@ from ludercheck.quantum import (
     build_sigma,
     build_sigma_prime,
     build_spin_operator,
+    closest_label,
     collapse,
     _canonical_basis,
     measure_pure,
@@ -342,8 +343,21 @@ def test_group_index_lookup():
     d = spectral_decompose(total_z())
     assert d.group_index(0.0) == 1
     assert d.group_index(2.0) == 0
-    with pytest.raises(ValueError):
-        d.group_index(1.0)
+    for missing in (1.0, float("nan")):
+        with pytest.raises(ValueError):
+            d.group_index(missing)
+
+
+def test_closest_label_tolerance_scales_with_the_value():
+    labels = (1e6, 2.0, 0.0)
+    assert closest_label(labels, 2.0 + 2e-6) == 1
+    assert closest_label(labels, 2.0 + 4e-6) is None
+    assert closest_label(labels, 1e-6) == 2
+    assert closest_label(labels, 1e6 + 0.5) == 0
+    assert closest_label(labels, 1e6 + 1.5) is None
+    # of two labels in reach the closer one wins, and a tie the earlier one
+    assert closest_label((1.0, 1.0 + 1e-6), 1.0 + 0.9e-6) == 1
+    assert closest_label((1.0 + 2**-20, 1.0 - 2**-20), 1.0) == 0
 
 
 def luders_branches(d, rho):
