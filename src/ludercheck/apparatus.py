@@ -2,7 +2,9 @@
 
 An apparatus measures a base observable, but internally it may resolve each
 degenerate eigenspace into finer blocks before reporting the coarse
-eigenvalue.  The refinement is construct-time data.  The public surface
+eigenvalue.  The refinement is construct-time data: a unitary whose
+columns run block after block, which the kernels measure in as it is, with
+no projector built.  The public surface
 reports coarse outcomes, as indices into the base observable's eigenvalues,
 drawn one per system (``measure_sampled``) or enumerated with their weights
 (``branches``); never the block structure.  States come as a table of
@@ -23,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import linalg
 from .linalg import DEFAULT_TOL
 from .quantum import (
     DensityMatrix,
@@ -44,26 +47,15 @@ class MeasurementApparatus:
 
     def __init__(self, refinement: Refinement):
         self._refinement = refinement
-        # Flat block layout: the columns of one unitary matrix, eigenspace
-        # after eigenspace as in the base decomposition and block after
-        # block inside each; the first column and the eigenspace of each
-        # block, the block of each column, and a mask that is True where row
-        # and column lie in the same block.
-        cols = []
-        starts = []
-        groups = []
-        block_of = []
-        for k, cells in enumerate(refinement.blocks):
-            for cell in cells:
-                block_of += [len(starts)] * len(cell)
-                starts.append(len(cols))
-                groups.append(k)
-                cols += [refinement.basis[k][i] for i in cell]
-        self._basis = np.column_stack(cols)
-        self._starts = np.array(starts)
-        self._groups = tuple(groups)
-        self._block_of = np.array(block_of)
-        self._same_block = self._block_of[:, None] == self._block_of
+        self._basis = refinement.basis
+        # The first column and the eigenspace of each block, and the block
+        # of each column.
+        sizes = [n for group in refinement.blocks for n in group]
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._groups = np.repeat(
+            np.arange(len(refinement.blocks)), [len(g) for g in refinement.blocks]
+        )
+        self._block_of = np.repeat(np.arange(len(sizes)), sizes)
 
     @property
     def dim(self) -> int:
@@ -149,7 +141,7 @@ class MeasurementApparatus:
         base = self._refinement.base
         r = b.conj().T @ state.matrix @ b
         probs = np.add.reduceat(r.diagonal().real, base.starts)
-        r = np.where(self._same_block, r, 0.0)
+        r = np.where(self._block_of[:, None] == self._block_of, r, 0.0)
         out = []
         for k, prob in enumerate(probs.tolist()):
             if prob <= DEFAULT_TOL:
@@ -162,15 +154,10 @@ class MeasurementApparatus:
         return out
 
 
-def _device(base: SpectralDecomposition, basis, blocks) -> MeasurementApparatus:
-    """An apparatus over ``basis`` and ``blocks``."""
-    return MeasurementApparatus(Refinement(base=base, basis=basis, blocks=blocks))
-
-
 def make_luders(base: SpectralDecomposition) -> MeasurementApparatus:
     """An apparatus that reduces by the Lüders rule: one block per eigenspace."""
-    blocks = tuple((tuple(range(n)),) for n in base.multiplicities)
-    return _device(base, base.eigenbasis, blocks)
+    blocks = tuple((n,) for n in base.multiplicities)
+    return MeasurementApparatus(Refinement(base, base.basis, blocks))
 
 
 def make_full_von_neumann(
@@ -187,12 +174,21 @@ def make_full_von_neumann(
         eigenbasis_choice = (None,) * base.group_count
     if len(eigenbasis_choice) != base.group_count:
         raise ValueError("need one basis choice (or None) per eigenspace")
-    basis = tuple(
-        group if choice is None else choice
-        for group, choice in zip(base.eigenbasis, eigenbasis_choice)
-    )
-    blocks = tuple(tuple((i,) for i in range(n)) for n in base.multiplicities)
-    return _device(base, basis, blocks)
+    basis = base.basis.copy()
+    for k, choice in enumerate(eigenbasis_choice):
+        if choice is None:
+            continue
+        n = base.multiplicities[k]
+        if len(choice) != n:
+            raise ValueError(f"group {k}: expected {n} basis vectors, got {len(choice)}")
+        for i, v in enumerate(choice):
+            v = linalg.as_vector(v)
+            if len(v) != base.dim:
+                raise ValueError(f"group {k}: basis vector {i} has dimension {len(v)} "
+                                 f"but the observable has dimension {base.dim}")
+            basis[:, base.starts[k] + i] = v
+    blocks = tuple((1,) * n for n in base.multiplicities)
+    return MeasurementApparatus(Refinement(base, basis, blocks))
 
 
 def make_partial(
@@ -205,7 +201,11 @@ def make_partial(
     Lüders-style coherence inside themselves, so the device is a partial
     von Neumann measurement in general.
     """
-    cells = tuple(
-        tuple(tuple(int(i) for i in cell) for cell in group) for group in blocks
-    )
-    return _device(base, base.eigenbasis, cells)
+    order = []
+    for k, (s, n, cells) in enumerate(zip(base.starts, base.multiplicities, blocks)):
+        flat = [int(i) for cell in cells for i in cell]
+        if sorted(flat) != list(range(n)) or any(len(cell) == 0 for cell in cells):
+            raise ValueError(f"group {k}: blocks are not a partition of 0..{n - 1}")
+        order += [s + i for i in flat]
+    sizes = tuple(tuple(len(cell) for cell in cells) for cells in blocks)
+    return MeasurementApparatus(Refinement(base, base.basis[:, order], sizes))

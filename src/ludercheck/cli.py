@@ -194,8 +194,7 @@ def _parse_apparatus(node, path: str):
 
 def _parse_protocol(node, path: str) -> ProtocolConfig:
     doc = _expect_object(node, path, {
-        "mode", "ensemble_size", "target_eigenvalue", "min_disturbance",
-        "confidence", "seed",
+        "mode", "ensemble_size", "target_eigenvalue", "min_disturbance", "seed",
     })
     kwargs: dict[str, Any] = {}
     if "mode" in doc:
@@ -211,8 +210,6 @@ def _parse_protocol(node, path: str) -> ProtocolConfig:
     if "min_disturbance" in doc:
         kwargs["min_disturbance"] = _expect_number(doc["min_disturbance"],
                                                    f"{path}.min_disturbance")
-    if "confidence" in doc:
-        kwargs["confidence"] = _expect_number(doc["confidence"], f"{path}.confidence")
     if "seed" in doc and doc["seed"] is not None:
         kwargs["seed"] = _expect_int(doc["seed"], f"{path}.seed")
     return ProtocolConfig(**kwargs)
@@ -297,7 +294,6 @@ def build_report(result: Classification, config: ProtocolConfig,
             "ensemble_size": config.ensemble_size,
             "target_eigenvalue": config.target_eigenvalue,
             "min_disturbance": config.min_disturbance,
-            "confidence": config.confidence,
             "tol": DEFAULT_TOL,
         },
         "wall_time_s": wall_time_s,

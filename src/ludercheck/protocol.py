@@ -105,7 +105,6 @@ class ProtocolConfig:
     ensemble_size: int = 1000
     target_eigenvalue: float | None = None
     min_disturbance: float = 0.5
-    confidence: float = 1e-3
     seed: int | None = None
 
     def validate(self):
@@ -113,8 +112,6 @@ class ProtocolConfig:
             raise ValueError("sampled mode needs ensemble_size >= 1")
         if not 0.0 < self.min_disturbance < 1.0:
             raise ValueError("min_disturbance must lie strictly between 0 and 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
 """States, observables, and the spectral structure behind projective measurement.
 
 The central object is a :class:`SpectralDecomposition`: the distinct
-eigenvalues of a Hermitian observable, their eigenprojectors, and a canonical
-eigenbasis as one column matrix, eigenspace after eigenspace.  On top of it
+eigenvalues of a Hermitian observable and a canonical eigenbasis as one
+column matrix, eigenspace after eigenspace.  A :class:`Refinement` cuts
+each eigenspace into blocks in the same column layout.  On top of them
 sit the measurement kernels over a table of distinct states and each
 system's row in it (:func:`collapse` draws one outcome per system,
 :func:`branches` enumerates them all), a builder for spin-chain
@@ -104,7 +105,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues, eigenprojectors, and a canonical eigenbasis.
+    """Distinct eigenvalues and a canonical eigenbasis.
 
     Eigenvalues are sorted descending.  ``basis`` is a read-only C-ordered
     copy of the given unitary matrix, whose columns are the canonical
@@ -112,7 +113,7 @@ class SpectralDecomposition:
     ``multiplicities[k]`` columns from ``starts[k]``, in a fixed order that
     every construction downstream treats as canonical.  ``(basis, starts)``
     is the block layout the measurement kernels take.  The per-eigenspace
-    views and the projectors are derived from it on first use.
+    views are derived from it on first use.
     """
 
     eigenvalues: tuple[float, ...]
@@ -140,18 +141,6 @@ class SpectralDecomposition:
             self.basis[:, s : s + n].T for s, n in zip(self.starts, self.multiplicities)
         )
 
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """The read-only eigenprojectors P_k = B_k B_k^H, symmetrised."""
-        out = []
-        for s, n in zip(self.starts, self.multiplicities):
-            b = self.basis[:, s : s + n]
-            p = b @ b.conj().T
-            p = 0.5 * (p + p.conj().T)
-            p.setflags(write=False)
-            out.append(p)
-        return tuple(out)
-
     @property
     def group_count(self) -> int:
         return len(self.eigenvalues)
@@ -168,51 +157,51 @@ class SpectralDecomposition:
 class Refinement:
     """The hidden structure of a measurement apparatus for a base observable.
 
-    Each eigenspace of the base observable is carved into blocks: ``basis[k]``
-    is an orthonormal family spanning eigenspace ``k`` (the canonical basis by
-    default, but any rotation is allowed) and ``blocks[k]`` partitions its
-    index range.  Block ``(k, b)`` carries the sub-projector onto the span of
-    its basis vectors.  One block per eigenspace is the Lüders rule; all
-    singleton blocks is a full von Neumann measurement; anything between is
-    partial von Neumann.  The constructor takes each ``basis[k]`` as a
-    sequence of vectors and stores a read-only complex copy of them as the
-    rows of one ``n_k x d`` matrix, so ``basis[k][i]`` is vector ``i``.
+    Each eigenspace of the base observable is carved into blocks, laid out
+    as the columns of the unitary ``basis``: eigenspace after eigenspace in
+    ``base`` order, so eigenspace ``k`` owns the ``base.multiplicities[k]``
+    columns from ``base.starts[k]``, and block after block inside each, with
+    ``blocks[k]`` the sizes of eigenspace ``k``'s blocks in order.  Block
+    ``(k, b)`` carries the sub-projector onto the span of its columns.  One
+    block per eigenspace is the Lüders rule; all blocks of size one is a
+    full von Neumann measurement; anything between is partial von Neumann.
+    Any orthonormal columns spanning each eigenspace are allowed, not only
+    the canonical ones.  The constructor stores a read-only C-ordered
+    complex copy of ``basis``.
     """
 
     base: SpectralDecomposition
-    basis: tuple[np.ndarray, ...]
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
+    basis: np.ndarray
+    blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.basis) != self.base.group_count:
-            raise ValueError("need one basis family per eigenvalue group")
-        if len(self.blocks) != self.base.group_count:
+        base = self.base
+        if len(self.blocks) != base.group_count:
             raise ValueError("need one block partition per eigenvalue group")
-        frozen = []
-        for k, group in enumerate(self.basis):
-            n = self.base.multiplicities[k]
-            if len(group) != n:
-                raise ValueError(f"group {k}: expected {n} basis vectors, got {len(group)}")
-            rows = [linalg.as_vector(v) for v in group]
-            for i, v in enumerate(rows):
-                if len(v) != self.base.dim:
-                    raise ValueError(f"group {k}: basis vector {i} has dimension {len(v)} "
-                                     f"but the observable has dimension {self.base.dim}")
-            rows = np.array(rows)
-            mat = rows.T
-            gram = mat.conj().T @ mat
-            if np.max(np.abs(gram - np.eye(n))) > DEFAULT_TOL:
-                raise ValueError(f"group {k}: basis is not orthonormal")
-            span = mat @ mat.conj().T
-            if np.max(np.abs(span - self.base.projectors[k])) > 1e-8:
-                raise ValueError(f"group {k}: basis does not span the eigenspace")
-            cells = self.blocks[k]
-            seen = sorted(i for cell in cells for i in cell)
-            if seen != list(range(n)) or any(len(cell) == 0 for cell in cells):
-                raise ValueError(f"group {k}: blocks are not a partition of 0..{n - 1}")
-            rows.setflags(write=False)
-            frozen.append(rows)
-        object.__setattr__(self, "basis", tuple(frozen))
+        basis = np.array(self.basis, dtype=complex, order="C")
+        if basis.shape != base.basis.shape:
+            raise ValueError(f"basis has shape {basis.shape}, "
+                             f"expected {base.basis.shape}")
+        group = np.repeat(np.arange(base.group_count), base.multiplicities)
+        bad = np.abs(basis.conj().T @ basis - np.eye(base.dim)) > DEFAULT_TOL
+        if bad.any():
+            k = group[np.argmax(bad.any(axis=0))]
+            raise ValueError(f"group {k}: basis is not orthonormal")
+        blocks = tuple(tuple(int(n) for n in sizes) for sizes in self.blocks)
+        for k, sizes in enumerate(blocks):
+            n = base.multiplicities[k]
+            if sum(sizes) != n or min(sizes) < 1:
+                raise ValueError(f"group {k}: block sizes {sizes} "
+                                 f"are not a partition of {n}")
+        # Orthonormal columns of eigenspace k with no weight outside it span it.
+        overlap = np.abs(base.basis.conj().T @ basis)
+        bad = (overlap > 1e-8) & (group[:, None] != group)
+        if bad.any():
+            k = group[np.argmax(bad.any(axis=0))]
+            raise ValueError(f"group {k}: basis does not span the eigenspace")
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "blocks", blocks)
 
     def block_count(self, k: int) -> int:
         return len(self.blocks[k])

@@ -107,10 +107,6 @@ class Scenario:
         return resolve_expression(self.sites, self.observable_expr)
 
 
-def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a @ b - b @ a)))
-
-
 def build_consecutive(
     base: SpectralDecomposition, observables: Sequence[np.ndarray]
 ) -> MeasurementApparatus:
@@ -133,35 +129,35 @@ def build_consecutive(
         if not linalg.is_hermitian(m):
             raise ValueError("consecutive observables must be Hermitian")
     scale = max(1.0, max(float(np.max(np.abs(m))) for m in mats))
+    b = base.basis
+    group = np.repeat(np.arange(base.group_count), base.multiplicities)
+    off = group[:, None] != group
     for i, a in enumerate(mats):
-        for b in mats[i + 1 :]:
-            if _commutator_norm(a, b) > DEFAULT_TOL * scale * scale:
+        for c in mats[i + 1 :]:
+            if np.max(np.abs(a @ c - c @ a)) > DEFAULT_TOL * scale * scale:
                 raise ValueError("consecutive observables must pairwise commute")
-        for p in base.projectors:
-            if _commutator_norm(a, p) > DEFAULT_TOL * scale:
-                raise ValueError(
-                    "consecutive observables must commute with the base observable"
-                )
-    basis = []
-    blocks = []
-    for group in base.eigenbasis:
+        # a commutes with the base exactly when B^H a B is block diagonal.
+        if np.max(np.abs(b.conj().T @ a @ b)[off], initial=0.0) > DEFAULT_TOL * scale:
+            raise ValueError(
+                "consecutive observables must commute with the base observable"
+            )
+    cells = []
+    for s, n in zip(base.starts, base.multiplicities):
         # Each cell is a column block, which a refiner splits into one block
         # per eigenspace of its restriction to the cell.
-        cells = [group.T]
+        refined = [b[:, s : s + n]]
         for m in mats:
-            refined = []
-            for cell in cells:
-                restricted = spectral_decompose(cell.conj().T @ m @ cell)
-                refined.extend(cell @ sub.T for sub in restricted.eigenbasis)
-            cells = refined
-        bounds = np.cumsum([0] + [cell.shape[1] for cell in cells])
-        basis.append(np.hstack(cells).T)
-        blocks.append(tuple(
-            tuple(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
-        ))
-    return MeasurementApparatus(
-        Refinement(base=base, basis=tuple(basis), blocks=tuple(blocks))
-    )
+            refined = [
+                cell @ sub.T
+                for cell in refined
+                for sub in spectral_decompose(cell.conj().T @ m @ cell).eigenbasis
+            ]
+        cells.append(refined)
+    return MeasurementApparatus(Refinement(
+        base,
+        np.hstack([cell for refined in cells for cell in refined]),
+        tuple(tuple(cell.shape[1] for cell in refined) for refined in cells),
+    ))
 
 
 def default_initial_state(
@@ -208,6 +204,11 @@ def instantiate(
     else:
         raise TypeError(f"unknown apparatus spec {spec!r}")
     if scenario.initial_state is not None:
+        if len(scenario.initial_state) != decomp.dim:
+            raise ValueError(
+                f"initial state has dimension {len(scenario.initial_state)} "
+                f"but the observable has dimension {decomp.dim}"
+            )
         state = PureState(np.asarray(scenario.initial_state, dtype=complex))
     else:
         if scenario.target_eigenvalue is not None:

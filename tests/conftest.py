@@ -2,9 +2,9 @@
 
 The references are not part of the package: the protocol never needs them.
 They state a quantity the direct way (a spectral function through the
-eigendecomposition, the Lüders channel as a sum of P rho P, a block's
-projector from its basis vectors), and the tests compare the package's own
-kernels with them.
+eigendecomposition, the eigenprojectors, the Lüders channel as a sum of
+P rho P, a block's projector from its basis vectors), and the tests compare
+the package's own kernels with them.
 """
 
 import numpy as np
@@ -47,20 +47,32 @@ def observable_matrix(decomp):
     return (decomp.basis * decomp.eigenvalues) @ decomp.basis.conj().T
 
 
+def projectors(decomp):
+    """The eigenprojectors P_k = B_k B_k^H of a spectral decomposition."""
+    return tuple(projector_from_vectors(group) for group in decomp.eigenbasis)
+
+
 def full_von_neumann(refinement):
     """Whether every block of a refinement holds a single basis vector."""
-    return all(len(cell) == 1 for cells in refinement.blocks for cell in cells)
+    return all(n == 1 for sizes in refinement.blocks for n in sizes)
 
 
 def is_luders(refinement):
     """Whether every eigenspace of a refinement is a single block."""
-    return all(len(cells) == 1 for cells in refinement.blocks)
+    return all(len(sizes) == 1 for sizes in refinement.blocks)
+
+
+def group_vectors(refinement, k):
+    """The basis vectors of eigenspace ``k`` of a refinement, as rows."""
+    start = refinement.base.starts[k]
+    return refinement.basis[:, start : start + refinement.base.multiplicities[k]].T
 
 
 def sub_projector(refinement, k, b):
     """The projector onto block ``b`` of eigenspace ``k`` of a refinement."""
+    lo = sum(refinement.blocks[k][:b])
     return projector_from_vectors(
-        [refinement.basis[k][i] for i in refinement.blocks[k][b]]
+        group_vectors(refinement, k)[lo : lo + refinement.blocks[k][b]]
     )
 
 
@@ -75,7 +87,7 @@ def apply_spectral_function(a, f):
 def luders_channel(decomp, rho):
     """The non-selective Lüders channel: sum of all outcome branches."""
     total = np.zeros((decomp.dim, decomp.dim), dtype=complex)
-    for p in decomp.projectors:
+    for p in projectors(decomp):
         total += p @ rho.matrix @ p
     return DensityMatrix(total)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ludercheck.apparatus import (
-    MeasurementApparatus,
     make_full_von_neumann,
     make_luders,
     make_partial,
@@ -12,7 +11,6 @@ from ludercheck.apparatus import (
 from ludercheck.quantum import (
     DensityMatrix,
     PureState,
-    Refinement,
     spectral_decompose,
 )
 
@@ -20,6 +18,7 @@ from conftest import (
     full_von_neumann,
     is_luders,
     luders_channel,
+    projectors,
     random_density,
     random_state,
     random_unitary,
@@ -144,7 +143,7 @@ def test_measure_sampled_reduces_each_row_and_block_once():
     table = np.array([random_state(8, rng) for _ in range(3)])
     index = rng.integers(0, 3, 10_000)
     outcomes, post, post_index = app.measure_sampled(table, index, rng)
-    assert len(post) <= 3 * sum(len(cells) for cells in ref.blocks)
+    assert len(post) <= 3 * sum(len(sizes) for sizes in ref.blocks)
     assert sorted(set(post_index.tolist())) == list(range(len(post)))
     pairs = set(zip(index.tolist(), outcomes.tolist(), post_index.tolist()))
     assert len(pairs) == len(post)
@@ -162,6 +161,20 @@ def test_reveal_refinement_reports_ground_truth():
     blocks = (((0,),), ((0, 1),), ((0,),))
     partial = make_partial(d, blocks)
     assert partial.reveal_refinement().block_count(1) == 1
+
+
+def test_builders_reject_malformed_choices():
+    d = spectral_decompose(total_z())
+    with pytest.raises(ValueError, match="group 1: blocks are not a partition of 0..1"):
+        make_partial(d, (((0,),), ((0,), (0, 1)), ((0,),)))
+    with pytest.raises(ValueError, match="group 1: blocks are not a partition of 0..1"):
+        make_partial(d, (((0,),), ((0, 1), ()), ((0,),)))
+    with pytest.raises(ValueError, match="one block partition per eigenvalue group"):
+        make_partial(d, (((0,),), ((0, 1),)))
+    with pytest.raises(ValueError, match="group 1: expected 2 basis vectors, got 1"):
+        make_full_von_neumann(d, (None, (PHI_PLUS,), None))
+    with pytest.raises(ValueError, match="group 1: basis vector 1 has dimension 3"):
+        make_full_von_neumann(d, (None, (PHI_PLUS, PHI_MINUS[:3]), None))
 
 
 def test_make_partial_three_spins_rank_two_blocks():
@@ -235,22 +248,17 @@ def test_channel_exact_on_maximally_mixed_weights_by_degeneracy():
 def rotated_partial_apparatus(spectrum, rng):
     """A Haar-rotated observable and an apparatus over random blocks.
 
-    Each eigenspace's canonical basis is rotated by a Haar unitary and cut
-    into a random number of consecutive cells of a random permutation.
+    The canonical columns of each eigenspace are permuted at random and cut
+    into a random number of consecutive cells, so that the cells, as index
+    sets of the canonical basis, are not contiguous in general.
     """
     u = random_unitary(len(spectrum), rng)
     base = spectral_decompose((u * np.asarray(spectrum, float)) @ u.conj().T)
-    basis = []
     blocks = []
-    for group in base.eigenbasis:
-        n = len(group)
-        rotated = np.column_stack(group) @ random_unitary(n, rng)
-        basis.append(tuple(rotated.T))
+    for n in base.multiplicities:
         cells = np.array_split(rng.permutation(n), rng.integers(1, n + 1))
         blocks.append(tuple(tuple(int(i) for i in cell) for cell in cells))
-    return MeasurementApparatus(
-        Refinement(base=base, basis=tuple(basis), blocks=tuple(blocks))
-    )
+    return make_partial(base, blocks)
 
 
 def per_block_channel(app, rho):
@@ -280,7 +288,7 @@ def test_channel_exact_matches_per_block_reference(spectrum):
         mixed = random_density(app.dim, rng)
         # The same state with eigenspace 1 projected out: that outcome has
         # zero probability and must be left out.
-        q = np.eye(app.dim) - app.reveal_refinement().base.projectors[1]
+        q = np.eye(app.dim) - projectors(app.reveal_refinement().base)[1]
         off = q @ mixed @ q
         for rho in (mixed, off / np.trace(off).real):
             got = app.channel_exact(DensityMatrix(rho))
@@ -311,7 +319,7 @@ def test_branches_sum_to_the_exact_channel(spectrum):
     # A pure state, a rank-3 mixture of non-orthogonal rows, and a pure state
     # with eigenspace 1 projected out, whose outcome must not be reached.
     off = random_state(dim, rng)
-    off = off - base.projectors[1] @ off
+    off = off - projectors(base)[1] @ off
     inputs = (
         (random_state(dim, rng)[None, :], np.ones(1)),
         (np.array([random_state(dim, rng) for _ in range(3)]),

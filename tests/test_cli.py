@@ -57,6 +57,12 @@ def test_parse_rejects_unknown_fields():
     assert "$.extra" in str(err.value)
 
 
+def test_parse_rejects_the_removed_confidence_key():
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario_document(minimal_doc(protocol={"confidence": 1e-3}))
+    assert "$.protocol.confidence: unknown field" in str(err.value)
+
+
 def test_parse_rejects_wrong_schema_version():
     with pytest.raises(ScenarioFormatError) as err:
         parse_scenario_document(minimal_doc(schema_version=2))
@@ -399,6 +405,16 @@ def test_main_validate_rejects_basis_vectors_of_the_wrong_dimension(capsys, tmp_
     assert ("group 1: basis vector 0 has dimension 3 but the observable has "
             "dimension 4") in err
     assert "broadcast" not in err
+
+
+def test_main_validate_rejects_an_initial_state_of_the_wrong_dimension(
+    capsys, tmp_path
+):
+    doc = minimal_doc(initial_state=[[1.0, 0.0], [0.0, 0.0]])
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 1
+    assert ("initial state has dimension 2 but the observable has dimension 4"
+            in capsys.readouterr().err)
 
 
 def test_main_discriminate_sampled_mismatch_statistics(capsys, tmp_path):

@@ -457,8 +457,6 @@ def test_config_validation():
         ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=0).validate()
     with pytest.raises(ValueError):
         ProtocolConfig(min_disturbance=0.0).validate()
-    with pytest.raises(ValueError):
-        ProtocolConfig(confidence=1.5).validate()
     ProtocolConfig().validate()
 
 

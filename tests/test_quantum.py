@@ -32,6 +32,7 @@ from conftest import (
     is_luders,
     luders_channel,
     observable_matrix,
+    projectors,
     random_density,
     random_state,
     random_unitary,
@@ -97,7 +98,7 @@ def test_spectral_decompose_two_spin_total_z():
     assert d.multiplicities == (1, 2, 1)
     assert d.group_count == 3
     # projector on the degenerate eigenspace
-    assert np.allclose(d.projectors[1], np.diag([0, 1, 1, 0]))
+    assert np.allclose(projectors(d)[1], np.diag([0, 1, 1, 0]))
 
 
 def test_spectral_decompose_groups_near_degenerate_pairs():
@@ -112,9 +113,9 @@ def test_spectral_decompose_resolution_completeness():
     u = random_unitary(5, rng)
     a = u @ np.diag([3.0, 3.0, 1.0, 1.0, -2.0]) @ u.conj().T
     d = spectral_decompose(a)
-    total = sum(d.projectors)
+    total = sum(projectors(d))
     assert np.allclose(total, np.eye(5), atol=1e-9)
-    recon = sum(w * p for w, p in zip(d.eigenvalues, d.projectors))
+    recon = sum(w * p for w, p in zip(d.eigenvalues, projectors(d)))
     assert np.allclose(recon, a, atol=1e-8)
 
 
@@ -176,12 +177,7 @@ def test_derived_projectors_at_d64_with_degeneracies():
     a = rotated_six_spin_total_z(31)
     d = spectral_decompose(a)
     assert d.multiplicities == (1, 6, 15, 20, 15, 6, 1)
-    ps = d.projectors
-    assert d.projectors is ps
-    for p in ps:
-        assert not p.flags.writeable
-        with pytest.raises(ValueError):
-            p[0, 0] = 0.0
+    ps = projectors(d)
     assert np.max(np.abs(sum(ps) - np.eye(64))) <= 1e-12
     for i, p in enumerate(ps):
         for j, q in enumerate(ps):
@@ -584,8 +580,8 @@ def test_refined_total_z_spectrum():
 
 def test_refinement_validates_block_structure():
     d = spectral_decompose(total_z())
-    basis = (PLUS_PLUS,), (PLUS_MINUS, MINUS_PLUS), (MINUS_MINUS,)
-    blocks = ((0,),), ((0,), (1,)), ((0,),)
+    basis = np.column_stack((PLUS_PLUS, PLUS_MINUS, MINUS_PLUS, MINUS_MINUS))
+    blocks = (1,), (1, 1), (1,)
     r = Refinement(base=d, basis=basis, blocks=blocks)
     assert r.block_count(1) == 2
     assert not is_luders(r)
@@ -595,36 +591,64 @@ def test_refinement_validates_block_structure():
 
 def test_constructors_freeze_copies_not_the_callers_arrays():
     d = spectral_decompose(total_z())
-    v0, v1, v2, v3 = (v.copy() for v in (PLUS_PLUS, PLUS_MINUS, MINUS_PLUS,
-                                         MINUS_MINUS))
-    r = Refinement(base=d, basis=((v0,), (v1, v2), (v3,)),
-                   blocks=(((0,),), ((0,), (1,)), ((0,),)))
+    v = np.column_stack((PLUS_PLUS, PLUS_MINUS, MINUS_PLUS, MINUS_MINUS))
+    r = Refinement(base=d, basis=v, blocks=((1,), (1, 1), (1,)))
     b = np.eye(4, dtype=complex)
     s = SpectralDecomposition((1.0,), (4,), b)
-    assert all(v.flags.writeable for v in (v0, v1, v2, v3, b))
-    assert not any(v.flags.writeable for group in r.basis for v in group)
+    assert v.flags.writeable and b.flags.writeable
+    assert not r.basis.flags.writeable
+    assert r.basis.flags.c_contiguous and r.basis.dtype == complex
     assert not s.basis.flags.writeable
-    v1[:] = MINUS_PLUS
+    v[:, 1] = MINUS_PLUS
     b[:] = 0.0
-    assert np.array_equal(r.basis[1][0], PLUS_MINUS)
+    assert np.array_equal(r.basis[:, 1], PLUS_MINUS)
     assert np.array_equal(s.basis, np.eye(4))
 
 
 def test_refinement_luders_shape():
     d = spectral_decompose(total_z())
-    basis = (PLUS_PLUS,), (PLUS_MINUS, MINUS_PLUS), (MINUS_MINUS,)
-    blocks = ((0,),), ((0, 1),), ((0,),)
-    r = Refinement(base=d, basis=basis, blocks=blocks)
+    basis = np.column_stack((PLUS_PLUS, PLUS_MINUS, MINUS_PLUS, MINUS_MINUS))
+    r = Refinement(base=d, basis=basis, blocks=((1,), (2,), (1,)))
     assert is_luders(r)
     assert not full_von_neumann(r)
 
 
 def test_refinement_rejects_wrong_span():
+    # unitary, but its eigenspace-1 columns mix |++> into |+->
     d = spectral_decompose(total_z())
-    basis = (PLUS_PLUS,), (PLUS_MINUS, PLUS_PLUS), (MINUS_MINUS,)
-    blocks = ((0,),), ((0, 1),), ((0,),)
-    with pytest.raises(ValueError):
+    basis = np.column_stack(((PLUS_PLUS + PLUS_MINUS) / SQ2,
+                             (PLUS_PLUS - PLUS_MINUS) / SQ2,
+                             MINUS_PLUS, MINUS_MINUS))
+    blocks = (1,), (2,), (1,)
+    with pytest.raises(ValueError, match="group 0: basis does not span"):
         Refinement(base=d, basis=basis, blocks=blocks)
+
+
+def test_refinement_rejects_columns_swapped_between_eigenspaces():
+    # still a unitary, so only the span check can catch it
+    d = spectral_decompose(total_z())
+    basis = np.column_stack((PLUS_MINUS, PLUS_PLUS, MINUS_PLUS, MINUS_MINUS))
+    with pytest.raises(ValueError, match="group 0: basis does not span the eigenspace"):
+        Refinement(base=d, basis=basis, blocks=((1,), (2,), (1,)))
+
+
+def test_refinement_rejects_block_sizes_that_are_not_a_partition():
+    d = spectral_decompose(total_z())
+    basis = np.column_stack((PLUS_PLUS, PLUS_MINUS, MINUS_PLUS, MINUS_MINUS))
+    for sizes in ((1,), (1, 2), (2, 0), ()):
+        with pytest.raises(ValueError, match="group 1: block sizes"):
+            Refinement(base=d, basis=basis, blocks=((1,), sizes, (1,)))
+    with pytest.raises(ValueError, match="one block partition per eigenvalue group"):
+        Refinement(base=d, basis=basis, blocks=((1,), (2,)))
+
+
+def test_refinement_rejects_a_non_unitary_basis():
+    d = spectral_decompose(total_z())
+    basis = np.column_stack((PLUS_PLUS, PLUS_MINUS, 1.001 * MINUS_PLUS, MINUS_MINUS))
+    with pytest.raises(ValueError, match="group 1: basis is not orthonormal"):
+        Refinement(base=d, basis=basis, blocks=((1,), (2,), (1,)))
+    with pytest.raises(ValueError, match="basis has shape"):
+        Refinement(base=d, basis=basis[:, :3], blocks=((1,), (2,), (1,)))
 
 
 def test_build_sigma_labels_and_commutation():
@@ -746,7 +770,7 @@ def test_born_probabilities_match_projector_traces(seed):
     d = spectral_decompose(a)
     rho = random_density(dim, rng)
     probs, _ = luders_branches(d, rho)
-    for prob, p in zip(probs, d.projectors):
+    for prob, p in zip(probs, projectors(d)):
         expected = np.trace(p @ rho).real
         assert prob == pytest.approx(max(expected, 0.0), abs=1e-9)
 
@@ -810,6 +834,6 @@ def test_spectral_reassembly_at_larger_dimensions():
         a = (a + a.conj().T) / 2
         d = spectral_decompose(a)
         rebuilt = sum(
-            lam * p for lam, p in zip(d.eigenvalues, d.projectors)
+            lam * p for lam, p in zip(d.eigenvalues, projectors(d))
         )
         assert np.max(np.abs(rebuilt - a)) <= 1e-9 * max(1.0, np.linalg.norm(a))

@@ -15,7 +15,7 @@ from ludercheck.scenarios import (
     resolve_expression,
 )
 
-from conftest import full_von_neumann, is_luders, random_unitary
+from conftest import full_von_neumann, group_vectors, is_luders, random_unitary
 from test_quantum import MINUS_PLUS, PLUS_MINUS, total_z
 
 
@@ -39,7 +39,7 @@ def test_build_consecutive_single_site_z_pair():
     assert full_von_neumann(ref)
     assert ref.block_count(1) == 2
     # the refining vectors are the computational ones
-    group = ref.basis[1]
+    group = group_vectors(ref, 1)
     overlaps = {round(abs(np.vdot(PLUS_MINUS, v)), 6) for v in group}
     assert overlaps == {0.0, 1.0}
 
@@ -52,7 +52,7 @@ def test_build_consecutive_first_observable_only():
     z1 = build_spin_operator(sites, ((1.0, "ZII"),))
     ref = build_consecutive(d, (z1,)).reveal_refinement()
     assert ref.block_count(1) == 2
-    assert all(len(cell) == 2 for cell in ref.blocks[1])
+    assert ref.blocks[1] == (2, 2)
     assert not is_luders(ref)
     assert not full_von_neumann(ref)
 
@@ -77,7 +77,7 @@ def test_build_consecutive_survives_basis_rotation(rng):
     a = u @ np.diag([3.0, 3.0, 3.0, -1.0]) @ u.conj().T
     refiner = u @ np.diag([1.0, 1.0, 0.0, 5.0]) @ u.conj().T
     ref = build_consecutive(spectral_decompose(a), (refiner,)).reveal_refinement()
-    counts = sorted(len(cell) for cell in ref.blocks[0])
+    counts = sorted(ref.blocks[0])
     assert counts == [1, 2]
 
 
@@ -114,7 +114,7 @@ def test_s2_uses_total_spin_eigenbasis():
     _, decomp, app, _ = instantiate(sc)
     ref = app.reveal_refinement()
     k = decomp.group_index(0.0)
-    group = ref.basis[k]
+    group = group_vectors(ref, k)
     phi_plus = (PLUS_MINUS + MINUS_PLUS) / np.sqrt(2)
     overlaps = sorted(round(abs(np.vdot(phi_plus, v)), 6) for v in group)
     assert overlaps == [0.0, 1.0]
@@ -127,7 +127,7 @@ def test_s4_targets_the_rank_two_blocks():
     k = decomp.group_index(0.0)
     ref = app.reveal_refinement()
     assert ref.block_count(k) == 2
-    assert all(len(cell) == 2 for cell in ref.blocks[k])
+    assert ref.blocks[k] == (2, 2)
 
 
 def test_consecutive_spec_accepts_term_lists():
