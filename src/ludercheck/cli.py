@@ -1,11 +1,11 @@
 """Command-line front end: run, list, and validate discrimination scenarios.
 
 Scenario files are JSON (schema_version 1).  Reports are JSON with
-``report_schema`` 2: with ``--transcript``, each measurement record is a
-``[system_id, stage, label]`` array and its timestamp is its position in the
-list.  Reports are deterministic for a fixed seed: rerunning the same
-scenario with the same seed produces the same bytes except for the
-wall-time field.
+``report_schema`` 3: with ``--transcript``, each measurement record is a
+``[system_id, stage, label]`` array, two per system and pass, and its
+timestamp is its position in the list.  Reports are deterministic for a
+fixed seed: rerunning the same scenario with the same seed produces the
+same bytes except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from typing import Any
@@ -44,7 +45,7 @@ from .scenarios import (
 )
 
 SCHEMA_VERSION = 1
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 _EXIT_CODE = {Verdict.LUDERS: 0, Verdict.NON_LUDERS: 2, Verdict.INDETERMINATE: 3}
 
@@ -285,9 +286,8 @@ def build_report(result: Classification, config: ProtocolConfig,
         "detected_at": None if result.detected_at is None
         else result.detected_at.value,
         "target_eigenvalue": result.target_eigenvalue,
-        "reference_label": result.reference_label,
         "stages": stages,
-        "false_acceptance_bound": result.false_acceptance_bound,
+        "false_acceptance_log10_bound": result.false_acceptance_log10_bound,
         "seed": config.seed,
         "config": {
             "mode": config.mode.value,
@@ -332,9 +332,10 @@ def _print_report(report: dict, out=None):
         if stage["unprobed_labels"]:
             labels = ", ".join(f"{x:g}" for x in stage["unprobed_labels"])
             print(f"  unprobed auxiliary outcomes: {labels}", file=out)
-    if report["false_acceptance_bound"] is not None:
-        print(f"false acceptance bound: {report['false_acceptance_bound']:.3g}",
-              file=out)
+    if report["false_acceptance_log10_bound"] is not None:
+        # Rounded up, so the printed power of ten is still a bound.
+        exponent = math.ceil(100 * report["false_acceptance_log10_bound"]) / 100
+        print(f"false acceptance bound: 10^{exponent:.2f}", file=out)
     if "transcript" in report:
         print(f"transcript: {len(report['transcript'])} measurement records",
               file=out)

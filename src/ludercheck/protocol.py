@@ -11,7 +11,11 @@ auxiliary ``sigma_prime`` whose eigenvectors overlap every ``sigma``
 eigenvector of the eigenspace, which catches the remaining case where the
 hidden blocks happen to be diagonal in the ``sigma`` basis.  Consistency
 in both passes identifies the Lüders rule: exactly, in exact mode, and up
-to a quantified false-acceptance bound in sampled mode.
+to a quantified false-acceptance bound in sampled mode.  Pass two reuses
+every trial of a consistent pass one, each already in the ``sigma``
+eigenvector of its first outcome; since ``sigma_prime`` is measured first
+and its eigenvectors are unbiased with respect to every such vector, no one
+``sigma`` outcome needs to be singled out.
 
 Both modes run the same passes over weighted pure rows, each held as a
 row number into a small table of distinct states: the initial state or its
@@ -21,11 +25,10 @@ selection, each auxiliary measurement, each apparatus use) is one kernel
 call on all rows at once; Born weights and reductions are computed once per
 table row, so per-system work is gathers of indices and weights, and
 outcomes stay integer indices until they reach the evidence and the
-transcript.  The mode picks the kernel and the reference rule, nothing
-else: sampled mode draws one branch per system through
-:func:`ludercheck.quantum.collapse`, exact mode enumerates every branch
-through :func:`ludercheck.quantum.branches` and so builds no density
-matrix.
+transcript.  The mode picks the kernel, nothing else: sampled mode draws
+one branch per system through :func:`ludercheck.quantum.collapse`, exact
+mode enumerates every branch through :func:`ludercheck.quantum.branches`
+and so builds no density matrix.
 """
 
 from __future__ import annotations
@@ -60,18 +63,16 @@ class Mode(Enum):
 
 
 class StageKind(Enum):
-    """A protocol pass; pass ``p`` records transcript stages ``3 * p + step``."""
+    """A protocol pass; pass ``p`` records transcript stages ``2 * p + step``."""
 
     SIGMA = "SIGMA"
     SIGMA_PRIME = "SIGMA_PRIME"
 
 
-#: Transcript stage names: per pass, the first auxiliary measurement, the
-#: apparatus, and the second auxiliary measurement.
-STAGE_NAMES = (
-    "SIGMA_1", "APPARATUS_A", "SIGMA_2",
-    "SIGMA_PRIME_1", "APPARATUS_A_2", "SIGMA_PRIME_2",
-)
+#: Transcript stage names: per pass, the auxiliary measurements before and
+#: after the apparatus.  The apparatus outcome is not recorded: in a
+#: completed run it is always the target eigenvalue.
+STAGE_NAMES = ("SIGMA_1", "SIGMA_2", "SIGMA_PRIME_1", "SIGMA_PRIME_2")
 
 
 class Verdict(Enum):
@@ -94,11 +95,11 @@ class ProtocolConfig:
 
     ``target_eigenvalue`` of ``None`` selects the first degenerate
     eigenvalue in descending order.  ``min_disturbance`` is the per-system
-    mismatch probability assumed of any non-Lüders apparatus when quoting
-    the sampled-mode false-acceptance bound ``(1 - p)**trials``.  Every
-    numerical threshold is fixed: a branch that holds at most DEFAULT_TOL
-    of its system's weight is dropped, and the CLI report records that
-    constant as ``config.tol``.
+    mismatch probability assumed of any non-Lüders apparatus, at the pass
+    that detects it, when quoting the sampled-mode false-acceptance bound
+    ``(1 - p)**trials``.  Every numerical threshold is fixed: a branch that
+    holds at most DEFAULT_TOL of its system's weight is dropped, and the CLI
+    report records that constant as ``config.tol``.
     """
 
     mode: Mode = Mode.EXACT
@@ -122,7 +123,8 @@ class Transcript:
     ``STAGE_NAMES[stages[i]]`` with outcome ``labels[i]``; its timestamp is
     its position ``i``.  The CLI report writes record ``i`` as the row
     ``[system_ids[i], STAGE_NAMES[stages[i]], labels[i]]`` at index ``i``.
-    An exact run has no records.
+    Each sampled system has two records per pass, its first and second
+    auxiliary outcomes.  An exact run has no records.
     """
 
     system_ids: np.ndarray = field(
@@ -170,15 +172,19 @@ class StageResult:
 
 @dataclass(frozen=True)
 class Classification:
-    """The protocol's verdict with its supporting evidence."""
+    """The protocol's verdict with its supporting evidence.
+
+    ``false_acceptance_log10_bound`` is set on a sampled LUDERS verdict:
+    ``log10`` of ``(1 - min_disturbance)**trials``, with ``trials`` the
+    fewest of any pass, kept as a logarithm so that it never underflows.
+    """
 
     verdict: Verdict
     detected_at: StageKind | None
     evidence: tuple[StageResult, ...]
-    false_acceptance_bound: float | None
+    false_acceptance_log10_bound: float | None
     transcript: Transcript
     target_eigenvalue: float | None = None
-    reference_label: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,10 +265,6 @@ class _Sampled:
         outcomes, post, post_index = app.measure_sampled(table, index, self.rng)
         return np.arange(len(index)), outcomes, weights, post, post_index
 
-    def reference(self, first, weights):
-        """The first system's outcome."""
-        return first[0]
-
 
 class _Exact:
     """Exact mode: one system over Born-weighted rows, every branch enumerated."""
@@ -280,21 +282,16 @@ class _Exact:
     def apparatus(self, app, table, index, weights):
         return app.branches(table, index, weights)
 
-    def reference(self, first, weights):
-        """The largest-weight outcome; near ties go to the earliest label."""
-        return first[np.argmax(weights >= weights.max() - 1e-12 * weights.sum())]
-
 
 def _kernel(config: ProtocolConfig, rng: np.random.Generator) -> _Sampled | _Exact:
-    """What the mode picks: the measurement kernels and the reference rule.
+    """What the mode picks: the measurement kernels.
 
     ``draw`` builds the unselected ensemble from a mixture.  ``apparatus``
     measures weighted rows ``table[index]`` and returns, per kept branch, its
     source row, outcome index and weight, and the reduced states as a table
     with each branch's row in it; ``observe`` does the same for a
     non-degenerate auxiliary observable without the reduced states, which
-    are its eigenvectors.  ``reference`` picks pass two's first outcome from
-    pass one's trial outcomes and weights.
+    are its eigenvectors.
     """
     if config.mode is Mode.SAMPLED:
         return _Sampled(config.ensemble_size, rng)
@@ -355,7 +352,7 @@ def run_stage(
     config: ProtocolConfig,
     rng: np.random.Generator,
     transcript: list[Transcript] | None = None,
-) -> tuple[StageResult, int, Ensemble]:
+) -> tuple[StageResult, Ensemble]:
     """One pass: auxiliary measurement, apparatus, auxiliary measurement again.
 
     ``target`` indexes ``app.outcome_labels`` and ``probes`` holds the
@@ -363,8 +360,8 @@ def run_stage(
     that reach the same first outcome are one state, since ``aux`` is
     non-degenerate, and merge into one trial.  Every row keeps its trial's
     index, and one weighted table of first against second outcomes gives
-    the evidence.  Returns the evidence, the reference first outcome picked
-    by the mode's rule, and the trials with that outcome as the ensemble of
+    the evidence.  Returns the evidence and the trials, each in its first
+    outcome's eigenvector, which after a consistent pass is the ensemble of
     a follow-up pass.  A given ``transcript`` receives the pass's records;
     only sampled rows, which stay one per system, make records.  Raises
     :class:`RepeatabilityError` if a selected state lies outside the target
@@ -394,9 +391,8 @@ def run_stage(
         )
     # After a non-degenerate outcome the state is that outcome's eigenvector:
     # the trials' table holds the reached ones.
-    vectors = aux.basis.T
     reached, index = renumber(first, n)
-    trials = Ensemble(vectors[reached], index, weights, keys // n)
+    trials = Ensemble(aux.basis.T[reached], index, weights, keys // n)
 
     rows, coarse, weights, table, index = kernel.apparatus(
         app, trials.table, trials.index, trials.weights
@@ -413,14 +409,11 @@ def run_stage(
     trial = rows[kept][rows2]
     first_of, labels = first[trial], aux.eigenvalues
     if transcript is not None:
-        # Per system, its three records in measurement order.
+        # Per system, its two records in measurement order.
         transcript.append(Transcript(
-            np.repeat(trials.ids, 3),
-            np.tile(3 * tuple(StageKind).index(kind) + np.arange(3), len(first)),
-            np.column_stack([
-                np.take(labels, first), np.take(app.outcome_labels, coarse),
-                np.take(labels, second),
-            ]).ravel(),
+            np.repeat(trials.ids, 2),
+            np.tile(2 * tuple(StageKind).index(kind) + np.arange(2), len(first)),
+            np.column_stack([np.take(labels, first), np.take(labels, second)]).ravel(),
         ))
     table = np.bincount(first_of * n + second, weights, minlength=n * n)
     table = table.reshape(n, n)
@@ -453,13 +446,7 @@ def run_stage(
         ),
         unprobed_labels=tuple(labels[a] for a in probes if not reached[a]),
     )
-    reference = kernel.reference(first, trials.weights)
-    chosen = first == reference
-    # The chosen trials share one state, the reference outcome's eigenvector.
-    return result, int(reference), Ensemble(
-        vectors[[reference]], np.zeros(np.count_nonzero(chosen), dtype=np.int64),
-        trials.weights[chosen], trials.ids[chosen],
-    )
+    return result, trials
 
 
 def resolve_target(decomp: SpectralDecomposition, config: ProtocolConfig) -> int | None:
@@ -504,7 +491,7 @@ def discriminate(
             verdict=Verdict.INDETERMINATE,
             detected_at=None,
             evidence=(),
-            false_acceptance_bound=None,
+            false_acceptance_log10_bound=None,
             transcript=Transcript(),
         )
     target_label = decomp.eigenvalues[k]
@@ -521,27 +508,29 @@ def discriminate(
     sigma = build_sigma(decomp)
     # sigma_prime keeps sigma's outcomes, so both share these indices.
     probes = sigma_entries_in_group(decomp, sigma, k)
-    first, reference, follow_up = run_stage(
+    first, trials = run_stage(
         ensemble, sigma, app, target, probes, StageKind.SIGMA, config, rng,
         transcript,
     )
     evidence = (first,)
     if first.consistent:
-        second, _, _ = run_stage(
-            follow_up, build_sigma_prime(sigma, probes), app, target, probes,
+        second, _ = run_stage(
+            trials, build_sigma_prime(sigma, probes), app, target, probes,
             StageKind.SIGMA_PRIME, config, rng, transcript,
         )
         evidence = (first, second)
     detected = next((s.stage for s in evidence if not s.consistent), None)
     bound = None
     if detected is None and config.mode is Mode.SAMPLED:
-        bound = (1.0 - config.min_disturbance) ** sum(s.trials for s in evidence)
+        # Either pass alone may have to detect, so only one pass's trials count.
+        bound = min(s.trials for s in evidence) * math.log10(
+            1.0 - config.min_disturbance
+        )
     return Classification(
         verdict=Verdict.LUDERS if detected is None else Verdict.NON_LUDERS,
         detected_at=detected,
         evidence=evidence,
-        false_acceptance_bound=bound,
+        false_acceptance_log10_bound=bound,
         transcript=Transcript.concatenate(transcript or []),
         target_eigenvalue=target_label,
-        reference_label=sigma.eigenvalues[reference] if first.consistent else None,
     )

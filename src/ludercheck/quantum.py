@@ -334,11 +334,15 @@ def collapse(
     weights.  Returns the block index of each system.  Raises ValueError if
     a row that some system is in is numerically orthogonal to every block.
     """
-    cdf = np.cumsum(_born(amps, starts, index), axis=1)[index]
-    total = cdf[:, -1]
+    cdf = np.cumsum(_born(amps, starts, index), axis=1).T
     # Block k is chosen when cdf[k-1] <= u * total < cdf[k]; blocks of zero
-    # weight are never chosen.
-    return np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
+    # weight are never chosen.  Gathering one column at a time builds nothing
+    # of size systems x blocks.
+    threshold = u * cdf[-1][index]
+    chosen = np.zeros(len(index), dtype=np.intp)
+    for column in cdf:
+        chosen += column[index] <= threshold
+    return chosen
 
 
 def branches(

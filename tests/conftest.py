@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ludercheck.cli import SCHEMA_VERSION
-from ludercheck.linalg import hermitian_eig, projector_from_vectors
+from ludercheck.linalg import DEFAULT_TOL, hermitian_eig, projector_from_vectors
 from ludercheck.quantum import DensityMatrix
 from ludercheck.scenarios import (
     ConsecutiveSpec,
@@ -74,6 +74,36 @@ def sub_projector(refinement, k, b):
     return projector_from_vectors(
         group_vectors(refinement, k)[lo : lo + refinement.blocks[k][b]]
     )
+
+
+class KrausDevice:
+    """A black box given by Kraus operators, outside the refinement model.
+
+    ``kraus`` lists ``(outcome, K)`` pairs, with ``outcome`` an index into
+    ``outcome_labels``.  The device exposes only what exact-mode
+    ``discriminate`` calls: ``dim``, ``outcome_labels`` and ``branches``.
+    """
+
+    def __init__(self, outcome_labels, kraus):
+        self.outcome_labels = tuple(outcome_labels)
+        self._outcomes = np.array([k for k, _ in kraus])
+        self._ops = np.array([op for _, op in kraus])
+        self.dim = self._ops.shape[1]
+        completeness = np.einsum("kji,kjl->il", self._ops.conj(), self._ops)
+        assert np.allclose(completeness, np.eye(self.dim), atol=1e-12)
+
+    def branches(self, table, index, weights):
+        """Row v of weight w goes to K v / |K v| with weight w |K v|^2.
+
+        Branches of |K v|^2 at most DEFAULT_TOL are dropped, as the
+        apparatus drops them; the rest come in row-major order.
+        """
+        images = np.einsum("kij,rj->rki", self._ops, table[index])
+        norms = (np.abs(images) ** 2).sum(axis=2)
+        rows, ops = np.nonzero(norms > DEFAULT_TOL)
+        post = images[rows, ops] / np.sqrt(norms[rows, ops])[:, None]
+        return (rows, self._outcomes[ops], weights[rows] * norms[rows, ops],
+                post, np.arange(len(rows)))
 
 
 def apply_spectral_function(a, f):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the scenario file format."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -244,10 +245,29 @@ def test_main_report_floats_round_trip(capsys, tmp_path):
                  "--seed", "7", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    bound = report["false_acceptance_bound"]
+    bound = report["false_acceptance_log10_bound"]
     # repr round trip: the JSON text encodes the exact float
     assert json.loads(json.dumps(bound)) == bound
-    assert 0.0 < bound < 1.0
+    assert -math.inf < bound < 0.0
+
+
+def test_main_sampled_bound_is_finite_at_ten_thousand_systems(capsys, tmp_path):
+    # 0.5**N underflows to zero past N of about 1075; its logarithm does not
+    out = tmp_path / "r.json"
+    assert main(["discriminate", "--builtin", "s1-luders-2spin",
+                 "--mode", "sampled", "--seed", "3", "--ensemble-size", "10000",
+                 "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    trials = report["stages"][0]["trials"]
+    assert trials > 1100
+    assert [s["trials"] for s in report["stages"]] == [trials, trials]
+    bound = report["false_acceptance_log10_bound"]
+    assert bound == pytest.approx(trials * math.log10(0.5), rel=1e-12)
+    (line,) = [x for x in text.splitlines() if x.startswith("false acceptance")]
+    exponent = float(line.split("10^")[1])
+    # printed rounded up, never below the bound itself
+    assert bound <= exponent <= bound + 0.01
 
 
 def test_main_transcript_flag(capsys, tmp_path):
@@ -257,7 +277,7 @@ def test_main_transcript_flag(capsys, tmp_path):
                  "--transcript", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    assert report["report_schema"] == 2
+    assert report["report_schema"] == 3
     rows = report["transcript"]
     for row in rows:
         assert isinstance(row, list) and len(row) == 3
@@ -307,7 +327,7 @@ def test_main_exact_transcript_is_empty(capsys, tmp_path):
                  "--out", str(out)]) == 2
     capsys.readouterr()
     report = json.loads(out.read_text())
-    assert report["report_schema"] == 2
+    assert report["report_schema"] == 3
     assert report["transcript"] == []
 
 

@@ -510,6 +510,44 @@ def test_collapse_over_a_table_matches_collapse_over_its_rows():
         assert np.array_equal(k, rows)
 
 
+def test_collapse_matches_the_cdf_rule_at_its_boundaries():
+    # The rule on the full systems x blocks CDF: block k is chosen when
+    # cdf[k-1] <= u * total < cdf[k].  Amplitudes 0.5 and 1 give dyadic block
+    # weights, so u * total lands exactly on CDF values, and blocks 1 and 3
+    # of the first and third rows, and 0 and 4 of the second, weigh zero.
+    starts = np.array([0, 1, 2, 4, 5])
+
+    def cdf_rule(amps, index, u):
+        born = np.add.reduceat(np.abs(amps) ** 2, starts, axis=1)
+        cdf = np.cumsum(born, axis=1)[index]
+        chosen = np.count_nonzero(cdf <= (u * cdf[:, -1])[:, None], axis=1)
+        return chosen, born[index, chosen]
+
+    amps = np.array([
+        [0.5, 0, 0.5, 0.5, 0, 0.5],    # weights 1/4, 0, 1/2, 0, 1/4
+        [0, 0.5, 0.5, 0.5, 0.5, 0],    # weights 0, 1/4, 1/2, 1/4, 0
+        [1.0, 0, 1.0, 1.0, 0, 1.0],    # weights 1, 0, 2, 0, 1: total 4
+    ], dtype=complex)
+    u = np.array([0.0, 0.25, 0.5, 0.75, 1 - 2.0**-53, 0.1, 0.9])
+    index = np.repeat(np.arange(3), len(u))
+    u = np.tile(u, 3)
+    want, weight = cdf_rule(amps, index, u)
+    got = collapse(amps, starts, index, u)
+    assert np.array_equal(got, want)
+    assert np.all(weight > 0)
+    assert got.tolist()[:5] == [0, 2, 2, 4, 4]
+    assert got.tolist()[7:12] == [1, 2, 2, 3, 3]
+    # random tables with zero-weight blocks, against the same rule
+    rng = np.random.default_rng(35)
+    amps = np.array([random_state(6, rng) for _ in range(8)])
+    amps[:, [1, 4]] = 0.0
+    index = rng.integers(0, 8, 5000)
+    u = rng.random(5000)
+    got = collapse(amps, starts, index, u)
+    assert np.array_equal(got, cdf_rule(amps, index, u)[0])
+    assert not np.isin(got, [1, 3]).any()
+
+
 def test_renumber_matches_unique():
     rng = np.random.default_rng(37)
     for n, size in ((0, 4), (1, 1), (7, 30), (10_000, 24)):
