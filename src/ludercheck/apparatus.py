@@ -4,16 +4,15 @@ An apparatus measures a base observable, but internally it may resolve each
 degenerate eigenspace into finer blocks before reporting the coarse
 eigenvalue.  The refinement is construct-time data: a unitary whose
 columns run block after block, which the kernels measure in as it is, with
-no projector built.  The public surface
-reports coarse outcomes, as indices into the base observable's eigenvalues,
-drawn one per system (``measure_sampled``) or enumerated with their weights
-(``branches``); never the block structure.  States come as a table of
-distinct rows plus each system's row number in it, and the reduced states
-leave the same way: sampling reduces each reached pair of row and block
-once, enumeration gives each branch its own row.  ``channel_exact`` gives
-the same branches as density matrices; the protocol does not call it, and
-it stays as the density-matrix reference for the tests and the benchmark
-tracer.
+no projector built.  The protocol asks an apparatus for nothing but
+``dim``, ``outcome_labels`` and ``branches``, in either mode.  States come
+as a table of distinct rows plus each weighted row's number in it, and
+``branches`` enumerates every reduction with its weight and its coarse
+outcome, an index into the base observable's eigenvalues; never the block
+structure.  Sampled mode draws one branch per system from them.
+``measure_sampled`` draws the same way and ``channel_exact`` gives the
+branches as density matrices; the protocol calls neither, and they stay as
+references for the tests and names for the benchmark tracer.
 :meth:`MeasurementApparatus.reveal_refinement` exists solely for
 ground-truth oracles and gated diagnostics; the discrimination protocol
 must never call it.
@@ -32,8 +31,7 @@ from .quantum import (
     Refinement,
     SpectralDecomposition,
     branches,
-    collapse,
-    renumber,
+    pick_branches,
 )
 
 
@@ -73,24 +71,22 @@ class MeasurementApparatus:
     def measure_sampled(
         self, table: np.ndarray, index: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Measure every system: sample a block, project, renormalise.
+        """Measure every system: :meth:`branches` of every table row, one drawn.
 
         System ``i`` is in state ``table[index[i]]``.  One
-        ``rng.random(len(index))`` draw picks the blocks.  Returns the
-        coarse outcome of each system, as an index into
-        :attr:`outcome_labels`, and the reduced states as a table with each
-        system's row in it: one row per reached pair of table row and block,
-        in ascending order of the pair.
+        ``rng.random(len(index))`` draw picks the branches by
+        :func:`~ludercheck.quantum.pick_branches`.  Returns the coarse
+        outcome of each system, as an index into :attr:`outcome_labels`, and
+        the reduced states as a table with each system's row in it.  The
+        protocol draws the same way without this method, which stays for the
+        benchmark tracer.
         """
-        if table.shape[1] != self.dim:
-            raise ValueError("state dimension does not match the apparatus")
-        amps = table @ self._basis.conj()
-        blocks = collapse(amps, self._starts, index, rng.random(len(index)))
-        # Each reached pair of table row and block is reduced once.
-        n = len(self._starts)
-        pairs, post_index = renumber(index * n + blocks, len(table) * n)
-        post = self._reduce(amps, *np.divmod(pairs, n))
-        return np.take(self._groups, blocks), post, post_index
+        every = np.arange(len(table))
+        rows, outcomes, weights, post, post_index = self.branches(
+            table, every, np.ones(len(table))
+        )
+        pick = pick_branches(rows, weights, index, rng.random(len(index)))
+        return outcomes[pick], post, post_index[pick]
 
     def branches(
         self, table: np.ndarray, index: np.ndarray, weights: np.ndarray

@@ -25,10 +25,15 @@ selection, each auxiliary measurement, each apparatus use) is one kernel
 call on all rows at once; Born weights and reductions are computed once per
 table row, so per-system work is gathers of indices and weights, and
 outcomes stay integer indices until they reach the evidence and the
-transcript.  The mode picks the kernel, nothing else: sampled mode draws
-one branch per system through :func:`ludercheck.quantum.collapse`, exact
-mode enumerates every branch through :func:`ludercheck.quantum.branches`
-and so builds no density matrix.
+transcript.  The protocol asks the apparatus for nothing but ``dim``,
+``outcome_labels`` and ``branches``.  Each layer enumerates its branches,
+the apparatus's through ``branches`` and an auxiliary observable's through
+:func:`ludercheck.quantum.measure_pure`, and the mode decides only what is
+kept of them: exact mode keeps every weighted branch and so builds no
+density matrix, sampled mode enumerates every table row once and draws one
+branch per system through :func:`ludercheck.quantum.pick_branches`.  A
+block of Born weight at most DEFAULT_TOL is dropped in either mode, so it
+is never drawn.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -46,11 +52,11 @@ from .quantum import (
     PureState,
     Refinement,
     SpectralDecomposition,
-    branches,
     build_sigma,
     build_sigma_prime,
     closest_label,
     measure_pure,
+    pick_branches,
     renumber,
     sigma_entries_in_group,
     spectral_decompose,
@@ -258,12 +264,12 @@ class _Sampled:
         pick = np.searchsorted(cdf, self.rng.random(self.size), side="right")
         return Ensemble(components, pick, np.ones(self.size), np.arange(self.size))
 
-    def observe(self, aux, table, index, weights):
-        return np.arange(len(index)), measure_pure(aux, table, index, self.rng), weights
-
-    def apparatus(self, app, table, index, weights):
-        outcomes, post, post_index = app.measure_sampled(table, index, self.rng)
-        return np.arange(len(index)), outcomes, weights, post, post_index
+    def measure(self, kernel, table, index, weights):
+        """Enumerate every table row's branches once, then draw one per system."""
+        every = np.arange(len(table))
+        rows, outcomes, w, post, post_index = kernel(table, every, np.ones(len(table)))
+        pick = pick_branches(rows, w, index, self.rng.random(len(index)))
+        return np.arange(len(index)), outcomes[pick], weights, post, post_index[pick]
 
 
 class _Exact:
@@ -276,22 +282,20 @@ class _Exact:
             np.zeros(len(cdf), dtype=np.int64),
         )
 
-    def observe(self, aux, table, index, weights):
-        return branches(table @ aux.basis.conj(), aux.starts, index, weights)
-
-    def apparatus(self, app, table, index, weights):
-        return app.branches(table, index, weights)
+    def measure(self, kernel, table, index, weights):
+        return kernel(table, index, weights)
 
 
 def _kernel(config: ProtocolConfig, rng: np.random.Generator) -> _Sampled | _Exact:
-    """What the mode picks: the measurement kernels.
+    """What the mode picks: how an enumerating measurement is used.
 
-    ``draw`` builds the unselected ensemble from a mixture.  ``apparatus``
-    measures weighted rows ``table[index]`` and returns, per kept branch, its
-    source row, outcome index and weight, and the reduced states as a table
-    with each branch's row in it; ``observe`` does the same for a
-    non-degenerate auxiliary observable without the reduced states, which
-    are its eigenvectors.
+    ``draw`` builds the unselected ensemble from a mixture.  ``measure``
+    runs an enumerating kernel, ``app.branches`` or a partial
+    :func:`~ludercheck.quantum.measure_pure`, on weighted rows
+    ``table[index]`` and returns what the kernel returns for the branches it
+    keeps: each one's source row, outcome index and weight, and the reduced
+    states as a table with each branch's row in it.  Exact mode keeps every
+    branch, sampled mode one drawn branch per row.
     """
     if config.mode is Mode.SAMPLED:
         return _Sampled(config.ensemble_size, rng)
@@ -314,8 +318,8 @@ def prepare_ensemble(
     """
     kernel = _kernel(config, rng)
     drawn = kernel.draw(*_as_pure_mixture(initial))
-    rows, coarse, weights, table, index = kernel.apparatus(
-        app, drawn.table, drawn.index, drawn.weights
+    rows, coarse, weights, table, index = kernel.measure(
+        app.branches, drawn.table, drawn.index, drawn.weights
     )
     kept = coarse == target
     # Some system must keep more than DEFAULT_TOL of its weight.
@@ -330,16 +334,6 @@ def prepare_ensemble(
     # The selected systems' table holds only the states they are in.
     used, index = renumber(index[kept], len(table))
     return Ensemble(table[used], index, weights[kept], system[kept])
-
-
-def _merge(keys: np.ndarray, weights: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """Distinct ``keys`` (in ``0..size-1``) ascending, with their summed weights.
-
-    Strictly increasing keys (one sampled row per system) pass through unmerged."""
-    if (keys[1:] > keys[:-1]).all():
-        return keys, weights
-    keys, number = renumber(keys, size)
-    return keys, np.bincount(number, weights)
 
 
 def run_stage(
@@ -369,14 +363,17 @@ def run_stage(
     """
     kernel = _kernel(config, rng)
     n = aux.group_count
-    rows, first, weights = kernel.observe(
-        aux, ensemble.table, ensemble.index, ensemble.weights
+    observe = partial(measure_pure, aux)
+    rows, first, weights, _, _ = kernel.measure(
+        observe, ensemble.table, ensemble.index, ensemble.weights
     )
     # A trial is a system and a first outcome, keyed in system-major order;
     # it counts when it holds more than DEFAULT_TOL of its system's weight.
-    keys, weights = _merge(
-        ensemble.ids[rows] * n + first, weights, (int(ensemble.ids.max()) + 1) * n
-    )
+    # Strictly increasing keys (one sampled row per system) need no merge.
+    keys = ensemble.ids[rows] * n + first
+    if not (keys[1:] > keys[:-1]).all():
+        keys, number = renumber(keys, (int(ensemble.ids.max()) + 1) * n)
+        weights = np.bincount(number, weights)
     system_weight = np.bincount(ensemble.ids, ensemble.weights)
     live = weights > DEFAULT_TOL * system_weight[keys // n]
     keys, weights = keys[live], weights[live]
@@ -394,8 +391,8 @@ def run_stage(
     reached, index = renumber(first, n)
     trials = Ensemble(aux.basis.T[reached], index, weights, keys // n)
 
-    rows, coarse, weights, table, index = kernel.apparatus(
-        app, trials.table, trials.index, trials.weights
+    rows, coarse, weights, table, index = kernel.measure(
+        app.branches, trials.table, trials.index, trials.weights
     )
     kept = coarse == target
     reproduced = np.bincount(rows, weights * kept, len(first))
@@ -405,7 +402,9 @@ def run_stage(
             f"{app.outcome_labels[target]} on a selected state; it does not "
             "measure the base observable"
         )
-    rows2, second, weights = kernel.observe(aux, table, index[kept], weights[kept])
+    rows2, second, weights, _, _ = kernel.measure(
+        observe, table, index[kept], weights[kept]
+    )
     trial = rows[kept][rows2]
     first_of, labels = first[trial], aux.eigenvalues
     if transcript is not None:
@@ -420,13 +419,10 @@ def run_stage(
     reached = table.sum(axis=1)
     moved = np.bincount(trial, weights * (second != first_of), len(first))
     mismatches = int(np.count_nonzero(moved > DEFAULT_TOL * reproduced))
-    # A second outcome has support when some trial reached it with more
-    # than DEFAULT_TOL of that trial's weight.
-    cells, cell_weights = _merge(trial * n + second, weights, len(first) * n)
-    heavy = cells[cell_weights > DEFAULT_TOL * reproduced[cells // n]]
-    support = np.zeros((n, n), dtype=bool)
-    support[first[heavy // n], heavy % n] = True
-    a, b = np.nonzero(support)
+    # A second outcome has support when it holds more than DEFAULT_TOL of its
+    # first outcome's weight: an exact run's first outcome is one trial, and
+    # a sampled trial weighs one.
+    a, b = np.nonzero(table > DEFAULT_TOL * reached[:, None])
     frequency = (table[a, b] / reached[a]).tolist()
     support_of = {x: [] for x in np.flatnonzero(reached).tolist()}
     for x, y, f in zip(a.tolist(), b.tolist(), frequency):

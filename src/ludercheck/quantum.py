@@ -5,8 +5,9 @@ eigenvalues of a Hermitian observable and a canonical eigenbasis as one
 column matrix, eigenspace after eigenspace.  A :class:`Refinement` cuts
 each eigenspace into blocks in the same column layout.  On top of them
 sit the measurement kernels over a table of distinct states and each
-system's row in it (:func:`collapse` draws one outcome per system,
-:func:`branches` enumerates them all), a builder for spin-chain
+row's number in it (:func:`branches` enumerates every outcome of every row,
+and :func:`pick_branches` draws one of them per system by inverse CDF, so
+sampling is enumeration plus one draw), a builder for spin-chain
 observables, and the two auxiliary observables of the discrimination
 protocol, both column operations on that matrix: a non-degenerate
 refinement ``sigma`` diagonal in the canonical eigenbasis, and a second
@@ -308,73 +309,72 @@ def renumber(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, number[keys]
 
 
-def _born(amps: np.ndarray, starts: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The Born weight of each block, for every row of amplitudes ``amps``.
-
-    Raises ValueError if a row that ``index`` refers to is numerically
-    orthogonal to every block; rows no one refers to are not checked.
-    """
-    born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
-    if np.any(born.sum(axis=1)[index] <= DEFAULT_TOL):
-        raise ValueError("state is numerically orthogonal to every outcome")
-    return born
-
-
-def collapse(
-    amps: np.ndarray, starts: np.ndarray, index: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Measure system ``i``, in state ``table[index[i]]``, in blocks of a basis.
-
-    ``amps = table @ basis.conj()`` holds the amplitudes of the table's
-    normalised state vectors, which many systems may share, in a basis of
-    orthonormal columns grouped into consecutive blocks that begin at the
-    column indices ``starts``.  The Born block weights are computed once
-    per table row, and system ``i``
-    picks its block by inverse CDF of ``u[i]`` in [0, 1) over its row's
-    weights.  Returns the block index of each system.  Raises ValueError if
-    a row that some system is in is numerically orthogonal to every block.
-    """
-    cdf = np.cumsum(_born(amps, starts, index), axis=1).T
-    # Block k is chosen when cdf[k-1] <= u * total < cdf[k]; blocks of zero
-    # weight are never chosen.  Gathering one column at a time builds nothing
-    # of size systems x blocks.
-    threshold = u * cdf[-1][index]
-    chosen = np.zeros(len(index), dtype=np.intp)
-    for column in cdf:
-        chosen += column[index] <= threshold
-    return chosen
-
-
 def branches(
     amps: np.ndarray, starts: np.ndarray, index: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`collapse` with every block of Born weight above DEFAULT_TOL enumerated.
+    """Every block of Born weight above DEFAULT_TOL, for every weighted row.
 
-    Row ``i``, in state ``table[index[i]]``, carries the weight
-    ``weights[i]``.  Returns, per reached block ``b`` of row ``i`` in
-    row-major order, ``i``, ``b`` and the weight ``weights[i] * |B_b^H v_i|^2``.
-    Raises ValueError as :func:`collapse` does.
+    ``amps = table @ basis.conj()`` holds the amplitudes of the table's
+    normalised state vectors, which many rows may share, in a basis of
+    orthonormal columns grouped into consecutive blocks that begin at the
+    column indices ``starts``.  Row ``i``, in state ``table[index[i]]``,
+    carries the weight ``weights[i]``.  Returns, per reached block ``b`` of
+    row ``i`` in row-major order, ``i``, ``b`` and the weight
+    ``weights[i] * |B_b^H v_i|^2``.  Raises ValueError if a row is
+    numerically orthogonal to every block.
     """
-    born = _born(amps, starts, index)[index]
+    born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)[index]
+    if np.any(born.sum(axis=1) <= DEFAULT_TOL):
+        raise ValueError("state is numerically orthogonal to every outcome")
     rows, blocks = np.nonzero(born > DEFAULT_TOL)
     return rows, blocks, weights[rows] * born[rows, blocks]
+
+
+def pick_branches(
+    rows: np.ndarray, weights: np.ndarray, index: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Draw one branch per system from its table row's enumerated branches.
+
+    ``rows`` (ascending) and ``weights`` list the branches of a table's rows,
+    as :func:`branches` returns them.  System ``i``, in row ``index[i]``,
+    takes that row's branch ``b`` when cdf[b-1] <= ``u[i]`` * total < cdf[b]
+    over the row's branch weights, for ``u[i]`` in [0, 1); a branch of zero
+    weight is never taken.  Returns each system's branch, as an index into
+    ``rows``.
+    """
+    first = np.searchsorted(rows, np.arange(rows[-1] + 1))
+    position = np.arange(len(rows)) - first[rows]
+    padded = np.zeros((len(first), position.max() + 1))
+    padded[rows, position] = weights
+    cdf = np.cumsum(padded, axis=1).T
+    # Gathering one column at a time builds nothing of size systems x branches.
+    threshold = u * cdf[-1][index]
+    chosen = first[index]
+    for column in cdf:
+        chosen += column[index] <= threshold
+    return chosen
 
 
 def measure_pure(
     decomp: SpectralDecomposition,
     table: np.ndarray,
     index: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Measure system ``i``, in state ``table[index[i]]``, projectively.
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Measure weighted rows ``table[index]`` projectively, every branch enumerated.
 
-    One ``rng.random(len(index))`` draw picks the outcomes.  Returns the
-    outcome index of each system into ``decomp.eigenvalues``.
+    Returns what :meth:`~ludercheck.apparatus.MeasurementApparatus.branches`
+    returns: each reached branch's source row, outcome index into
+    ``decomp.eigenvalues`` and weight, as :func:`branches` enumerates them,
+    and the reduced states as a table with each branch's row in it.  That
+    table is the rows of ``decomp.basis.T``, which are the reduced states
+    when ``decomp`` is non-degenerate, as an auxiliary observable is.
     """
     if table.shape[1] != decomp.dim:
         raise ValueError("state dimension does not match the observable")
     amps = table @ decomp.basis.conj()
-    return collapse(amps, decomp.starts, index, rng.random(len(index)))
+    rows, outcomes, w = branches(amps, decomp.starts, index, weights)
+    return rows, outcomes, w, decomp.basis.T, outcomes
 
 
 def build_spin_operator(

@@ -80,8 +80,8 @@ class KrausDevice:
     """A black box given by Kraus operators, outside the refinement model.
 
     ``kraus`` lists ``(outcome, K)`` pairs, with ``outcome`` an index into
-    ``outcome_labels``.  The device exposes only what exact-mode
-    ``discriminate`` calls: ``dim``, ``outcome_labels`` and ``branches``.
+    ``outcome_labels``.  The device exposes only what ``discriminate``
+    calls in either mode: ``dim``, ``outcome_labels`` and ``branches``.
     """
 
     def __init__(self, outcome_labels, kraus):

@@ -1,5 +1,6 @@
 """Tests for the three-pass discrimination protocol."""
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -677,37 +678,35 @@ def test_exact_passes_match_the_channel_reference_on_six_spins():
             assert_exact_matches_reference(initial, app, a, d.eigenvalues[k])
 
 
-def s1_kraus_run(kraus):
-    """Exact discriminate on s1's observable at target 0 with a Kraus device."""
+def s1_kraus_run(kraus, config=None):
+    """discriminate on s1's observable at target 0 with a Kraus device."""
     observable, d, _, initial = instantiate(get_builtin("s1-luders-2spin"))
     device = KrausDevice(d.eigenvalues, kraus(d))
+    config = ProtocolConfig() if config is None else config
     return discriminate(initial, device, observable,
-                        ProtocolConfig(target_eigenvalue=0.0))
+                        dataclasses.replace(config, target_eigenvalue=0.0))
 
 
-@pytest.mark.parametrize("theta, verdict, detected_at", [
-    (0.0, Verdict.LUDERS, None),
-    (1e-3, Verdict.NON_LUDERS, StageKind.SIGMA_PRIME),
-    (0.3, Verdict.NON_LUDERS, StageKind.SIGMA_PRIME),
-])
-def test_exact_kraus_luders_then_a_phase(theta, verdict, detected_at):
-    # Lüders, then e^{i theta} on one vector of the target eigenspace, which
-    # is a sigma eigenvector: pass one cannot see the phase, pass two can
+def luders_then_a_phase(theta):
+    """Lüders, then e^{i theta} on one vector of the target eigenspace.
+
+    That vector is a sigma eigenvector: pass one cannot see the phase, pass
+    two can.
+    """
     def kraus(d):
         k = d.group_index(0.0)
         v = d.eigenbasis[k][0]
         phase = np.eye(d.dim) + (np.exp(1j * theta) - 1) * np.outer(v, v.conj())
         return [(j, phase @ p) for j, p in enumerate(projectors(d))]
 
-    result = s1_kraus_run(kraus)
-    assert result.verdict is verdict
-    assert result.detected_at is detected_at
+    return kraus
 
 
-@pytest.mark.parametrize("q", [1e-6, 1e-2, 0.5])
-def test_exact_kraus_luders_mixed_with_a_random_von_neumann(q):
-    # with probability q the device measures the target eigenspace in a
-    # random basis, which disturbs sigma eigenvectors already
+def luders_mixed_with_a_random_von_neumann(q):
+    """Lüders, or with probability q the target eigenspace in a random basis.
+
+    The random basis disturbs sigma eigenvectors already.
+    """
     def kraus(d):
         k = d.group_index(0.0)
         rotated = d.eigenbasis[k].T @ random_unitary(2, np.random.default_rng(7))
@@ -716,16 +715,64 @@ def test_exact_kraus_luders_mixed_with_a_random_von_neumann(q):
         ops += [(k, np.sqrt(q) * np.outer(b, b.conj())) for b in rotated.T]
         return ops
 
-    result = s1_kraus_run(kraus)
+    return kraus
+
+
+def does_not_repeat(d):
+    """Outcome j is reported, but the state leaves for a rotated eigenspace."""
+    u = random_unitary(d.dim, np.random.default_rng(8))
+    return [(j, u @ p) for j, p in enumerate(projectors(d))]
+
+
+@pytest.mark.parametrize("theta, verdict, detected_at", [
+    (0.0, Verdict.LUDERS, None),
+    (1e-3, Verdict.NON_LUDERS, StageKind.SIGMA_PRIME),
+    (0.3, Verdict.NON_LUDERS, StageKind.SIGMA_PRIME),
+])
+def test_exact_kraus_luders_then_a_phase(theta, verdict, detected_at):
+    result = s1_kraus_run(luders_then_a_phase(theta))
+    assert result.verdict is verdict
+    assert result.detected_at is detected_at
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-2, 0.5])
+def test_exact_kraus_luders_mixed_with_a_random_von_neumann(q):
+    result = s1_kraus_run(luders_mixed_with_a_random_von_neumann(q))
     assert result.verdict is Verdict.NON_LUDERS
     assert result.detected_at is StageKind.SIGMA
 
 
 def test_exact_kraus_device_that_does_not_repeat_fails():
-    # outcome j is reported, but the state leaves for a rotated eigenspace
-    def kraus(d):
-        u = random_unitary(d.dim, np.random.default_rng(8))
-        return [(j, u @ p) for j, p in enumerate(projectors(d))]
-
     with pytest.raises(RepeatabilityError):
-        s1_kraus_run(kraus)
+        s1_kraus_run(does_not_repeat)
+
+
+# Sampled mode asks the device for nothing but dim, outcome_labels and
+# branches too.  Each size gives at least 20 expected mismatches to a
+# disturbing device, so the verdict does not hinge on the seed; theta = 1e-3
+# and q = 1e-6 disturb too little to be seen at these sizes.
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kraus, size, verdict, detected_at", [
+    (luders_then_a_phase(0.0), 2000, Verdict.LUDERS, None),
+    (luders_then_a_phase(0.3), 2000, Verdict.NON_LUDERS, StageKind.SIGMA_PRIME),
+    (luders_mixed_with_a_random_von_neumann(0.5), 2000,
+     Verdict.NON_LUDERS, StageKind.SIGMA),
+    (luders_mixed_with_a_random_von_neumann(1e-2), 10_000,
+     Verdict.NON_LUDERS, StageKind.SIGMA),
+], ids=["phase-0", "phase-0.3", "mixed-0.5", "mixed-0.01"])
+def test_sampled_kraus_devices(kraus, size, verdict, detected_at, seed):
+    config = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=size, seed=seed)
+    result = s1_kraus_run(kraus, config)
+    assert result.verdict is verdict
+    assert result.detected_at is detected_at
+    if verdict is Verdict.LUDERS:
+        assert [s.mismatch_count for s in result.evidence] == [0, 0]
+        assert result.false_acceptance_log10_bound < 0
+    else:
+        assert result.evidence[-1].mismatch_count > 0
+
+
+def test_sampled_kraus_device_that_does_not_repeat_fails():
+    config = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=2000, seed=0)
+    with pytest.raises(RepeatabilityError):
+        s1_kraus_run(does_not_repeat, config)

@@ -18,9 +18,9 @@ from ludercheck.quantum import (
     build_sigma_prime,
     build_spin_operator,
     closest_label,
-    collapse,
     _canonical_basis,
     measure_pure,
+    pick_branches,
     renumber,
     sigma_entries_in_group,
     spectral_decompose,
@@ -421,33 +421,51 @@ def test_luders_channel_equals_branch_sum():
 
 
 def test_measure_pure_collapses_and_renormalizes():
-    # measure_pure draws the outcome the Lüders apparatus reduces to
+    # one draw over measure_pure's branches picks the outcome the Lüders
+    # apparatus reduces to with the same draw
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    index = measure_pure(d, psi[None, :], ONE_ROW, np.random.default_rng(3))
-    reduced, table, rows = make_luders(d).measure_sampled(
+    rows, outcomes, weights, _, _ = measure_pure(d, psi[None, :], ONE_ROW, np.ones(1))
+    assert rows.tolist() == [0, 0]
+    assert [d.eigenvalues[k] for k in outcomes] == [2.0, 0.0]
+    assert weights == pytest.approx([0.5, 0.5])
+    pick = pick_branches(rows, weights, ONE_ROW, np.random.default_rng(3).random(1))
+    reduced, table, index = make_luders(d).measure_sampled(
         psi[None, :], ONE_ROW, np.random.default_rng(3)
     )
-    post = table[rows]
-    assert np.array_equal(reduced, index)
-    label = d.eigenvalues[index[0]]
-    assert label in (2.0, 0.0)
+    post = table[index]
+    assert np.array_equal(reduced, outcomes[pick])
     assert np.isclose(np.linalg.norm(post[0]), 1.0)
-    if label == 0.0:
+    if d.eigenvalues[reduced[0]] == 0.0:
         assert abs(np.vdot(PLUS_MINUS, post[0])) == pytest.approx(1.0)
+    # a non-degenerate observable's reduced states are its eigenvectors
+    sigma = build_sigma(d)
+    rows, outcomes, _, table, index = measure_pure(
+        sigma, psi[None, :], ONE_ROW, np.ones(1)
+    )
+    assert np.array_equal(table[index], sigma.basis.T[outcomes])
 
 
 def test_measure_pure_statistics(rng):
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    index = measure_pure(d, psi[None, :], np.zeros(2000, dtype=int), rng)
-    labels = np.take(d.eigenvalues, index)
+    rows, outcomes, weights, _, _ = measure_pure(d, psi[None, :], ONE_ROW, np.ones(1))
+    pick = pick_branches(rows, weights, np.zeros(2000, dtype=int), rng.random(2000))
+    labels = np.take(d.eigenvalues, outcomes[pick])
     assert np.mean(labels == 2.0) == pytest.approx(0.5, abs=0.05)
 
 
-# collapse kernel: a random orthonormal basis of C^6 in blocks of 2, 1 and 3
+# The sampling kernel, branches then pick_branches: a random orthonormal
+# basis of C^6 in blocks of 2, 1 and 3
 KERNEL_STARTS = np.array([0, 2, 3])
 KERNEL_SPANS = ((0, 2), (2, 3), (3, 6))
+
+
+def sampled_blocks(amps, starts, index, u):
+    """Each system's block: every table row's branches, then one drawn."""
+    every = np.arange(len(amps))
+    rows, blocks, weights = branches(amps, starts, every, np.ones(len(amps)))
+    return blocks[pick_branches(rows, weights, index, u)]
 
 
 def test_collapse_block_frequencies_match_born_weights():
@@ -457,8 +475,8 @@ def test_collapse_block_frequencies_match_born_weights():
     born = [np.linalg.norm(basis[:, lo:hi].conj().T @ psi) ** 2
             for lo, hi in KERNEL_SPANS]
     n = 10_000
-    k = collapse(psi[None, :] @ basis.conj(), KERNEL_STARTS,
-                 np.zeros(n, dtype=int), rng.random(n))
+    k = sampled_blocks(psi[None, :] @ basis.conj(), KERNEL_STARTS,
+                       np.zeros(n, dtype=int), rng.random(n))
     counts = np.bincount(k, minlength=3)
     for count, p in zip(counts, born):
         assert abs(count - n * p) <= 5 * np.sqrt(n * p * (1 - p))
@@ -466,13 +484,13 @@ def test_collapse_block_frequencies_match_born_weights():
 
 def test_collapse_rows_are_unit_and_lie_in_their_block():
     # an apparatus whose blocks span the kernel blocks reduces each row onto
-    # the block collapse picks with the same draws
+    # the block the kernel picks with the same draws
     rng = np.random.default_rng(32)
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng) for _ in range(500)])
     rows = np.arange(500)
-    k = collapse(states @ basis.conj(), KERNEL_STARTS, rows,
-                 np.random.default_rng(9).random(500))
+    k = sampled_blocks(states @ basis.conj(), KERNEL_STARTS, rows,
+                       np.random.default_rng(9).random(500))
     base = spectral_decompose(basis @ np.diag([3.0, 3, 2, 1, 1, 1]) @ basis.conj().T)
     reduced, table, index = make_luders(base).measure_sampled(
         states, rows, np.random.default_rng(9)
@@ -492,7 +510,8 @@ def test_collapse_rejects_a_row_orthogonal_to_every_block():
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
     with pytest.raises(ValueError):
-        collapse(states @ basis.conj(), KERNEL_STARTS, np.arange(3), rng.random(3))
+        sampled_blocks(states @ basis.conj(), KERNEL_STARTS, np.arange(3),
+                       rng.random(3))
 
 
 def test_collapse_over_a_table_matches_collapse_over_its_rows():
@@ -504,9 +523,9 @@ def test_collapse_over_a_table_matches_collapse_over_its_rows():
         table = np.array([random_state(6, rng) for _ in range(size)])
         index = rng.integers(0, size, 2000)
         u = rng.random(2000)
-        k = collapse(table @ basis.conj(), KERNEL_STARTS, index, u)
-        rows = collapse(table[index] @ basis.conj(), KERNEL_STARTS,
-                        np.arange(2000), u)
+        k = sampled_blocks(table @ basis.conj(), KERNEL_STARTS, index, u)
+        rows = sampled_blocks(table[index] @ basis.conj(), KERNEL_STARTS,
+                              np.arange(2000), u)
         assert np.array_equal(k, rows)
 
 
@@ -532,7 +551,7 @@ def test_collapse_matches_the_cdf_rule_at_its_boundaries():
     index = np.repeat(np.arange(3), len(u))
     u = np.tile(u, 3)
     want, weight = cdf_rule(amps, index, u)
-    got = collapse(amps, starts, index, u)
+    got = sampled_blocks(amps, starts, index, u)
     assert np.array_equal(got, want)
     assert np.all(weight > 0)
     assert got.tolist()[:5] == [0, 2, 2, 4, 4]
@@ -543,9 +562,21 @@ def test_collapse_matches_the_cdf_rule_at_its_boundaries():
     amps[:, [1, 4]] = 0.0
     index = rng.integers(0, 8, 5000)
     u = rng.random(5000)
-    got = collapse(amps, starts, index, u)
+    got = sampled_blocks(amps, starts, index, u)
     assert np.array_equal(got, cdf_rule(amps, index, u)[0])
     assert not np.isin(got, [1, 3]).any()
+
+
+def test_pick_branches_over_rows_of_different_branch_counts():
+    # Row 0 has one branch, row 1 two that no system refers to, and row 2
+    # three of weights 1, 0 and 3 (cdf 1, 1, 4): u * total = 1 lands on the
+    # CDF value shared by branches 3 and 4, and the zero-weight branch 4 is
+    # never taken.
+    rows = np.array([0, 1, 1, 2, 2, 2])
+    weights = np.array([0.7, 0.5, 0.5, 1.0, 0.0, 3.0])
+    index = np.array([0, 0, 2, 2, 2, 2, 2])
+    u = np.array([0.0, 1 - 2.0**-53, 0.0, 0.2499, 0.25, 0.5, 1 - 2.0**-53])
+    assert pick_branches(rows, weights, index, u).tolist() == [0, 0, 3, 3, 5, 5, 5]
 
 
 def test_renumber_matches_unique():
@@ -558,16 +589,15 @@ def test_renumber_matches_unique():
         assert np.array_equal(number, inverse)
 
 
-def test_collapse_checks_only_the_table_rows_systems_refer_to():
+def test_branches_checks_every_row_it_enumerates():
+    # Sampled mode enumerates every table row, so an orthogonal row raises
+    # even when no system is in it; enumerating other rows does not.
     rng = np.random.default_rng(35)
     basis = random_unitary(6, rng)
     table = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
     amps = table @ basis.conj()
     with pytest.raises(ValueError):
-        collapse(amps, KERNEL_STARTS, np.array([0, 2, 1, 0]), rng.random(4))
-    # no system is in the zero row, so nothing is orthogonal to every block
-    k = collapse(amps, KERNEL_STARTS, np.array([0, 2, 2, 0]), rng.random(4))
-    assert k.shape == (4,)
+        sampled_blocks(amps, KERNEL_STARTS, np.array([0, 2, 2, 0]), rng.random(4))
     rows, _, _ = branches(amps, KERNEL_STARTS, np.array([2, 0]), np.ones(2))
     assert set(rows.tolist()) == {0, 1}
     with pytest.raises(ValueError):
