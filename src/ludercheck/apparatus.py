@@ -3,16 +3,17 @@
 An apparatus measures a base observable, but internally it may resolve each
 degenerate eigenspace into finer blocks before reporting the coarse
 eigenvalue.  The refinement is construct-time data: a unitary whose
-columns run block after block, which the kernels measure in as it is, with
-no projector built.  The protocol asks an apparatus for nothing but
-``dim``, ``outcome_labels`` and ``branches``, in either mode.  States come
-as a table of distinct rows plus each weighted row's number in it, and
-``branches`` enumerates every reduction with its weight and its coarse
-outcome, an index into the base observable's eigenvalues; never the block
-structure.  Sampled mode draws one branch per system from them.
-``measure_sampled`` draws the same way and ``channel_exact`` gives the
-branches as density matrices; the protocol calls neither, and they stay as
-references for the tests and names for the benchmark tracer.
+columns run block after block, which the one reduction kernel,
+:func:`~ludercheck.quantum.reductions`, measures in as it is.  The protocol
+asks an apparatus for nothing but ``dim``, ``outcome_labels`` and
+``branches``, in either mode.  ``branches`` enumerates every reduction of a
+table of distinct rows with its weight and its coarse outcome, an index
+into the base observable's eigenvalues, never the block structure; a
+rank-one block reduces every state to its basis column, so a von Neumann
+device's reductions are a few shared rows.  ``measure_sampled`` draws one
+branch per system and ``channel_exact`` gives the branches as density
+matrices; the protocol calls neither, and they stay as references for the
+tests and names for the benchmark tracer.
 :meth:`MeasurementApparatus.reveal_refinement` exists solely for
 ground-truth oracles and gated diagnostics; the discrimination protocol
 must never call it.
@@ -30,8 +31,8 @@ from .quantum import (
     DensityMatrix,
     Refinement,
     SpectralDecomposition,
-    branches,
     pick_branches,
+    reductions,
 )
 
 
@@ -46,14 +47,11 @@ class MeasurementApparatus:
     def __init__(self, refinement: Refinement):
         self._refinement = refinement
         self._basis = refinement.basis
-        # The first column and the eigenspace of each block, and the block
-        # of each column.
+        # The first column and the eigenspace of each block.
         sizes = [n for group in refinement.blocks for n in group]
+        counts = [len(group) for group in refinement.blocks]
         self._starts = np.cumsum([0] + sizes[:-1])
-        self._groups = np.repeat(
-            np.arange(len(refinement.blocks)), [len(g) for g in refinement.blocks]
-        )
-        self._block_of = np.repeat(np.arange(len(sizes)), sizes)
+        self._groups = np.repeat(np.arange(len(counts)), counts)
 
     @property
     def dim(self) -> int:
@@ -73,17 +71,13 @@ class MeasurementApparatus:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Measure every system: :meth:`branches` of every table row, one drawn.
 
-        System ``i`` is in state ``table[index[i]]``.  One
-        ``rng.random(len(index))`` draw picks the branches by
-        :func:`~ludercheck.quantum.pick_branches`.  Returns the coarse
-        outcome of each system, as an index into :attr:`outcome_labels`, and
-        the reduced states as a table with each system's row in it.  The
-        protocol draws the same way without this method, which stays for the
-        benchmark tracer.
+        System ``i`` is in state ``table[index[i]]`` and draws its branch by
+        :func:`~ludercheck.quantum.pick_branches` from one
+        ``rng.random(len(index))``.  Returns each system's coarse outcome and
+        the reduced states as a table with each system's row in it.
         """
-        every = np.arange(len(table))
         rows, outcomes, weights, post, post_index = self.branches(
-            table, every, np.ones(len(table))
+            table, np.arange(len(table)), np.ones(len(table))
         )
         pick = pick_branches(rows, weights, index, rng.random(len(index)))
         return outcomes[pick], post, post_index[pick]
@@ -91,28 +85,15 @@ class MeasurementApparatus:
     def branches(
         self, table: np.ndarray, index: np.ndarray, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every reduction of every weighted row, enumerated.
+        """Every reduction of every weighted row ``table[index]``, enumerated.
 
-        Row ``i`` is in state ``table[index[i]]`` with weight ``weights[i]``.
-        Returns each reached branch's source row, coarse outcome (an index
-        into :attr:`outcome_labels`) and weight, as
-        :func:`~ludercheck.quantum.branches` enumerates them, and the reduced
-        states as a table with one row per branch, in branch order.
+        :func:`~ludercheck.quantum.reductions` over the hidden blocks, with
+        each block mapped to its coarse outcome, an index into
+        :attr:`outcome_labels`.  The reduced states are rays: one shared row
+        per reached rank-one block, one row per branch into a larger block.
         """
-        if table.shape[1] != self.dim:
-            raise ValueError("state dimension does not match the apparatus")
-        amps = table @ self._basis.conj()
-        rows, blocks, w = branches(amps, self._starts, index, weights)
-        post = self._reduce(amps, index[rows], blocks)
-        return rows, np.take(self._groups, blocks), w, post, np.arange(len(rows))
-
-    def _reduce(self, amps, rows, blocks):
-        """Table row ``rows[i]``, as its amplitudes, kept on block ``blocks[i]``."""
-        amps = amps[rows]
-        amps = np.where(self._block_of == blocks[:, None], amps, 0.0)
-        # The basis is orthonormal, so the kept block's weight is |amps|^2.
-        weights = (amps.real**2 + amps.imag**2).sum(axis=1, keepdims=True)
-        return amps @ self._basis.T / np.sqrt(weights)
+        found = reductions(self._basis, self._starts, table, index, weights)
+        return found[0], self._groups[found[1]], *found[2:]
 
     def channel_exact(
         self, state: DensityMatrix
@@ -137,7 +118,8 @@ class MeasurementApparatus:
         base = self._refinement.base
         r = b.conj().T @ state.matrix @ b
         probs = np.add.reduceat(r.diagonal().real, base.starts)
-        r = np.where(self._block_of[:, None] == self._block_of, r, 0.0)
+        block_of = np.cumsum(np.bincount(self._starts[1:], minlength=self.dim))
+        r = np.where(block_of[:, None] == block_of, r, 0.0)
         out = []
         for k, prob in enumerate(probs.tolist()):
             if prob <= DEFAULT_TOL:

@@ -286,7 +286,9 @@ class _Exact:
         return kernel(table, index, weights)
 
 
-def _kernel(config: ProtocolConfig, rng: np.random.Generator) -> _Sampled | _Exact:
+def _kernel(
+    config: ProtocolConfig, rng: np.random.Generator | None
+) -> _Sampled | _Exact:
     """What the mode picks: how an enumerating measurement is used.
 
     ``draw`` builds the unselected ensemble from a mixture.  ``measure``
@@ -307,7 +309,7 @@ def prepare_ensemble(
     app: MeasurementApparatus,
     target: int,
     config: ProtocolConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> Ensemble:
     """Measure the initial state and keep what returned outcome ``target``.
 
@@ -344,7 +346,7 @@ def run_stage(
     probes: np.ndarray,
     kind: StageKind,
     config: ProtocolConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     transcript: list[Transcript] | None = None,
 ) -> tuple[StageResult, Ensemble]:
     """One pass: auxiliary measurement, apparatus, auxiliary measurement again.
@@ -409,10 +411,12 @@ def run_stage(
     first_of, labels = first[trial], aux.eigenvalues
     if transcript is not None:
         # Per system, its two records in measurement order.
+        values, records = np.array(labels), np.empty(2 * len(first))
+        records[0::2], records[1::2] = values[first], values[second]
         transcript.append(Transcript(
             np.repeat(trials.ids, 2),
             np.tile(2 * tuple(StageKind).index(kind) + np.arange(2), len(first)),
-            np.column_stack([np.take(labels, first), np.take(labels, second)]).ravel(),
+            records,
         ))
     table = np.bincount(first_of * n + second, weights, minlength=n * n)
     table = table.reshape(n, n)
@@ -497,8 +501,8 @@ def discriminate(
             f"the apparatus has no outcome {target_label}; it does not "
             "measure the base observable"
         )
-    rng = np.random.default_rng(config.seed)
-    transcript = [] if config.mode is Mode.SAMPLED else None
+    rng = np.random.default_rng(config.seed) if config.mode is Mode.SAMPLED else None
+    transcript = None if rng is None else []
 
     ensemble = prepare_ensemble(initial, app, target, config, rng)
     sigma = build_sigma(decomp)

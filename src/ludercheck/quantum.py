@@ -3,17 +3,18 @@
 The central object is a :class:`SpectralDecomposition`: the distinct
 eigenvalues of a Hermitian observable and a canonical eigenbasis as one
 column matrix, eigenspace after eigenspace.  A :class:`Refinement` cuts
-each eigenspace into blocks in the same column layout.  On top of them
-sit the measurement kernels over a table of distinct states and each
-row's number in it (:func:`branches` enumerates every outcome of every row,
-and :func:`pick_branches` draws one of them per system by inverse CDF, so
-sampling is enumeration plus one draw), a builder for spin-chain
-observables, and the two auxiliary observables of the discrimination
-protocol, both column operations on that matrix: a non-degenerate
-refinement ``sigma`` diagonal in the canonical eigenbasis, and a second
-refinement ``sigma_prime`` whose eigenvectors inside one eigenspace overlap
-every ``sigma`` eigenvector there.  The constructors freeze copies of the
-arrays they are given, never the caller's own arrays.
+each eigenspace into blocks in the same column layout.  On top of them sit
+the measurement kernels over a table of distinct states and each row's
+number in it (:func:`reductions` enumerates every branch of every row with
+its reduced state, a ray: a rank-one block's basis column, which every
+branch into the block shares, or a larger block's projection;
+:func:`pick_branches` draws one branch per system by inverse CDF), a
+builder for spin-chain observables, and the two auxiliary observables of
+the discrimination protocol, both column operations on that matrix: a
+non-degenerate refinement ``sigma`` diagonal in the canonical eigenbasis,
+and a second refinement ``sigma_prime`` whose eigenvectors inside one
+eigenspace overlap every ``sigma`` eigenvector there.  The constructors
+freeze copies of the arrays they are given, never the caller's own arrays.
 """
 
 from __future__ import annotations
@@ -274,10 +275,11 @@ def spectral_decompose(observable: np.ndarray) -> SpectralDecomposition:
 
     Eigenvalues whose spacing stays within GROUPING_RELATIVE of the spectral
     range (of 1, if the range is smaller) merge into a single degenerate
-    group.  Each group's eigenvalue is the mean of its members, its
-    projector V_g V_g^H over the members' eigenvectors, and its canonical
-    basis the Gram-Schmidt basis of the projector's columns, so that the basis
-    inside a degenerate eigenspace does not depend on eigensolver rounding.
+    group.  Each group's eigenvalue is the mean of its members (a lone
+    member's own value, bit for bit), its projector V_g V_g^H over the
+    members' eigenvectors, and its canonical basis the Gram-Schmidt basis of
+    the projector's columns, so that the basis inside a degenerate eigenspace
+    does not depend on eigensolver rounding.
     On a diagonal observable it is the standard basis vectors in index order.
     """
     w, v = linalg.hermitian_eig(observable)
@@ -286,8 +288,9 @@ def spectral_decompose(observable: np.ndarray) -> SpectralDecomposition:
     groups = _group_sorted_eigenvalues(
         w, GROUPING_RELATIVE * max(1.0, float(w[0] - w[-1]))
     )
+    means = [w[idx[0]] if len(idx) == 1 else np.mean(w[idx]) for idx in groups]
     return SpectralDecomposition(
-        eigenvalues=tuple(float(np.mean(w[idx])) for idx in groups),
+        eigenvalues=tuple(map(float, means)),
         multiplicities=tuple(len(idx) for idx in groups),
         basis=_canonical_basis(v, [len(idx) for idx in groups]),
     )
@@ -324,9 +327,9 @@ def branches(
     numerically orthogonal to every block.
     """
     born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)[index]
-    if np.any(born.sum(axis=1) <= DEFAULT_TOL):
+    if (born.sum(axis=1) <= DEFAULT_TOL).any():
         raise ValueError("state is numerically orthogonal to every outcome")
-    rows, blocks = np.nonzero(born > DEFAULT_TOL)
+    rows, blocks = (born > DEFAULT_TOL).nonzero()
     return rows, blocks, weights[rows] * born[rows, blocks]
 
 
@@ -355,26 +358,51 @@ def pick_branches(
     return chosen
 
 
+def reductions(
+    basis: np.ndarray, starts: np.ndarray, table: np.ndarray,
+    index: np.ndarray, weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every branch of weighted rows ``table[index]``, with its reduced state.
+
+    ``basis`` holds orthonormal columns in blocks that begin at the columns
+    ``starts``.  Returns :func:`branches`' rows, blocks and weights over the
+    amplitudes ``table @ basis.conj()``, and the reduced states, as rays, in
+    a table with each branch's row in it: a rank-one block's basis column,
+    one row that every branch into the block shares, or a larger block's
+    renormalised projection, one row per branch, and nothing else.
+    """
+    if table.shape[1] != len(basis):
+        raise ValueError("state dimension does not match the measurement")
+    amps = table @ basis.conj()
+    rows, blocks, w = branches(amps, starts, index, weights)
+    sizes = np.concatenate((starts[1:], [len(basis)])) - starts
+    wide = (sizes[blocks] > 1).nonzero()[0]
+    # Key a rank-one branch by its column, any other by itself after every column.
+    keys = starts[blocks]
+    keys[wide] = len(basis) + wide
+    keys, post_index = renumber(keys, len(basis) + len(rows))
+    post = basis.T[keys[: len(keys) - len(wide)]]
+    if len(wide):
+        block_of = np.repeat(np.arange(len(starts)), sizes)
+        amps = np.where(block_of == blocks[wide, None], amps[index[rows[wide]]], 0.0)
+        # The basis is orthonormal, so the kept block's weight is |amps|^2.
+        norms = np.sqrt((amps.real**2 + amps.imag**2).sum(axis=1, keepdims=True))
+        post = np.concatenate([post, amps @ basis.T / norms])
+    return rows, blocks, w, post, post_index
+
+
 def measure_pure(
     decomp: SpectralDecomposition,
     table: np.ndarray,
     index: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Measure weighted rows ``table[index]`` projectively, every branch enumerated.
+    """Measure weighted rows ``table[index]`` by the Lüders rule: :func:`reductions`.
 
-    Returns what :meth:`~ludercheck.apparatus.MeasurementApparatus.branches`
-    returns: each reached branch's source row, outcome index into
-    ``decomp.eigenvalues`` and weight, as :func:`branches` enumerates them,
-    and the reduced states as a table with each branch's row in it.  That
-    table is the rows of ``decomp.basis.T``, which are the reduced states
-    when ``decomp`` is non-degenerate, as an auxiliary observable is.
+    Outcomes index ``decomp.eigenvalues``.  A non-degenerate ``decomp``, as
+    an auxiliary observable is, reduces to its reached eigenvectors.
     """
-    if table.shape[1] != decomp.dim:
-        raise ValueError("state dimension does not match the observable")
-    amps = table @ decomp.basis.conj()
-    rows, outcomes, w = branches(amps, decomp.starts, index, weights)
-    return rows, outcomes, w, decomp.basis.T, outcomes
+    return reductions(decomp.basis, decomp.starts, table, index, weights)
 
 
 def build_spin_operator(

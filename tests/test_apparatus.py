@@ -11,6 +11,9 @@ from ludercheck.apparatus import (
 from ludercheck.quantum import (
     DensityMatrix,
     PureState,
+    build_sigma,
+    build_sigma_prime,
+    sigma_entries_in_group,
     spectral_decompose,
 )
 
@@ -133,8 +136,9 @@ def test_measure_sampled_statistics_match_channel(rng):
 
 def test_measure_sampled_reduces_each_row_and_block_once():
     # 10^4 systems spread over 3 distinct states: the reduced table holds one
-    # row per reached pair of state and block, and each system's row there
-    # is its own state reduced onto a block of its outcome
+    # row per reached rank-one block, that block's basis column, which every
+    # state reaching the block shares, and one row per reached pair of state
+    # and larger block, the state's renormalised projection onto the block
     from ludercheck.quantum import build_spin_operator
     d = spectral_decompose(build_spin_operator(3, ((1.0, "ZII"), (1.0, "IZI"))))
     app = make_partial(d, (((0, 1),), ((0,), (1, 3), (2,)), ((0,), (1,))))
@@ -143,15 +147,45 @@ def test_measure_sampled_reduces_each_row_and_block_once():
     table = np.array([random_state(8, rng) for _ in range(3)])
     index = rng.integers(0, 3, 10_000)
     outcomes, post, post_index = app.measure_sampled(table, index, rng)
-    assert len(post) <= 3 * sum(len(sizes) for sizes in ref.blocks)
     assert sorted(set(post_index.tolist())) == list(range(len(post)))
-    pairs = set(zip(index.tolist(), outcomes.tolist(), post_index.tolist()))
-    assert len(pairs) == len(post)
-    for row, k, p in pairs:
-        reductions = [sub_projector(ref, k, b) @ table[row]
-                      for b in range(ref.block_count(k))]
-        assert any(np.allclose(r / np.linalg.norm(r), post[p], atol=1e-12)
-                   for r in reductions)
+    rows_of = {}
+    for row, k, p in set(zip(index.tolist(), outcomes.tolist(), post_index.tolist())):
+        sizes = ref.blocks[k]
+        firsts = d.starts[k] + np.cumsum((0,) + sizes[:-1])
+        keys = []
+        for b, (n, first) in enumerate(zip(sizes, firsts)):
+            if n == 1:
+                if np.array_equal(post[p], ref.basis[:, first]):
+                    keys.append((k, b))
+                continue
+            reduced = sub_projector(ref, k, b) @ table[row]
+            reduced /= np.linalg.norm(reduced)
+            if np.allclose(post[p], reduced, rtol=0, atol=1e-12):
+                keys.append((k, b, row))
+        assert len(keys) == 1
+        rows_of.setdefault(keys[0], set()).add(p)
+    assert all(len(rows) == 1 for rows in rows_of.values())
+    assert len(rows_of) == len(post)
+    # both kinds of row are present: 4 rank-one blocks, 2 larger ones x 3 states
+    assert sorted(len(key) for key in rows_of) == [2] * 4 + [3] * 6
+
+
+def test_full_von_neumann_shares_one_row_per_basis_column():
+    # n sigma-prime rows of a six-dimensional eigenspace each reach all n
+    # rank-one blocks: n^2 branches, but only the n basis columns as states
+    d = spectral_decompose(total_z(4))
+    k = d.multiplicities.index(6)
+    sigma = build_sigma(d)
+    probes = sigma_entries_in_group(d, sigma, k)
+    table = build_sigma_prime(sigma, probes).basis.T[probes]
+    n = len(probes)
+    app = make_full_von_neumann(d)
+    rows, coarse, w, post, index = app.branches(table, np.arange(n), np.ones(n))
+    assert len(rows) == n * n and set(coarse.tolist()) == {k}
+    assert w == pytest.approx(np.full(n * n, 1.0 / n), abs=1e-12)
+    assert len(post) == n
+    assert np.array_equal(post, d.basis.T[d.starts[k] : d.starts[k] + n])
+    assert index.tolist() == list(range(n)) * n
 
 
 def test_reveal_refinement_reports_ground_truth():

@@ -101,6 +101,18 @@ def test_spectral_decompose_two_spin_total_z():
     assert np.allclose(projectors(d)[1], np.diag([0, 1, 1, 0]))
 
 
+def test_non_degenerate_labels_are_the_eigenvalues_bit_for_bit(rng):
+    # a one-member group's label is its eigenvalue itself, not a mean
+    u = random_unitary(64, rng)
+    m = (u * rng.normal(size=64)) @ u.conj().T
+    m = 0.5 * (m + m.conj().T)
+    d = spectral_decompose(m)
+    assert d.multiplicities == (1,) * 64
+    w, _ = hermitian_eig(m)
+    assert np.array_equal(np.array(d.eigenvalues), w)
+    assert all(type(label) is float for label in d.eigenvalues)
+
+
 def test_spectral_decompose_groups_near_degenerate_pairs():
     a = np.diag([1.0, 1.0 + 1e-12, 0.0])
     d = spectral_decompose(a)
@@ -444,6 +456,28 @@ def test_measure_pure_collapses_and_renormalizes():
         sigma, psi[None, :], ONE_ROW, np.ones(1)
     )
     assert np.array_equal(table[index], sigma.basis.T[outcomes])
+
+
+def test_measure_pure_of_a_degenerate_observable_reduces_by_luders(rng):
+    # a degenerate decomposition's branches are the Lüders apparatus's: the
+    # same rows, outcomes and weights, and each reduced state the renormalised
+    # eigenspace projection, up to a global phase
+    u = random_unitary(8, rng)
+    d = spectral_decompose((u * np.array([3.0, 3, 3, 3, 1, 1, 1, -2])) @ u.conj().T)
+    states = np.array([random_state(8, rng) for _ in range(3)])
+    index, weights = np.array([2, 0, 1, 0]), np.array([0.4, 0.3, 0.2, 0.1])
+    rows, outcomes, w, table, post_index = measure_pure(d, states, index, weights)
+    want = make_luders(d).branches(states, index, weights)
+    assert np.array_equal(rows, want[0]) and np.array_equal(outcomes, want[1])
+    assert np.allclose(w, want[2], rtol=0, atol=1e-12)
+    post, luders = table[post_index], want[3][want[4]]
+    overlap = np.abs(np.sum(post.conj() * luders, axis=1))
+    assert np.allclose(overlap, 1.0, rtol=0, atol=1e-12)
+    p = projectors(d)
+    for row, k, v in zip(rows, outcomes, post):
+        reduced = p[k] @ states[index[row]]
+        phase = np.vdot(v, reduced) / np.linalg.norm(reduced)
+        assert np.allclose(v * phase, reduced / np.linalg.norm(reduced), atol=1e-12)
 
 
 def test_measure_pure_statistics(rng):
