@@ -6,14 +6,15 @@ eigenvalue.  The refinement is construct-time data: a unitary whose
 columns run block after block, which the one reduction kernel,
 :func:`~ludercheck.quantum.reductions`, measures in as it is.  The protocol
 asks an apparatus for nothing but ``dim``, ``outcome_labels`` and
-``branches``, in either mode.  ``branches`` enumerates every reduction of a
-table of distinct rows with its weight and its coarse outcome, an index
-into the base observable's eigenvalues, never the block structure; a
-rank-one block reduces every state to its basis column, so a von Neumann
-device's reductions are a few shared rows.  ``measure_sampled`` draws one
-branch per system and ``channel_exact`` gives the branches as density
-matrices; the protocol calls neither, and they stay as references for the
-tests and names for the benchmark tracer.
+``branches``, in either mode.  ``branches`` takes a table of distinct
+states and enumerates each row's reductions once, with its Born weight and
+its coarse outcome, an index into the base observable's eigenvalues, never
+the block structure: one table-row transition, which exact mode multiplies
+and sampled mode draws from.  A rank-one block reduces every state to its
+basis column, so a von Neumann device's reductions are a few shared rows.
+``measure_sampled`` draws one branch per system and ``channel_exact`` gives
+the branches as density matrices; the protocol calls neither, and they stay
+as references for the tests and names for the benchmark tracer.
 :meth:`MeasurementApparatus.reveal_refinement` exists solely for
 ground-truth oracles and gated diagnostics; the discrimination protocol
 must never call it.
@@ -76,23 +77,21 @@ class MeasurementApparatus:
         ``rng.random(len(index))``.  Returns each system's coarse outcome and
         the reduced states as a table with each system's row in it.
         """
-        rows, outcomes, weights, post, post_index = self.branches(
-            table, np.arange(len(table)), np.ones(len(table))
-        )
+        rows, outcomes, weights, post, post_index = self.branches(table)
         pick = pick_branches(rows, weights, index, rng.random(len(index)))
         return outcomes[pick], post, post_index[pick]
 
     def branches(
-        self, table: np.ndarray, index: np.ndarray, weights: np.ndarray
+        self, table: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every reduction of every weighted row ``table[index]``, enumerated.
+        """Every reduction of every row of ``table``, with its Born weight.
 
         :func:`~ludercheck.quantum.reductions` over the hidden blocks, with
         each block mapped to its coarse outcome, an index into
         :attr:`outcome_labels`.  The reduced states are rays: one shared row
         per reached rank-one block, one row per branch into a larger block.
         """
-        found = reductions(self._basis, self._starts, table, index, weights)
+        found = reductions(self._basis, self._starts, table)
         return found[0], self._groups[found[1]], *found[2:]
 
     def channel_exact(

@@ -72,7 +72,14 @@ def _expect_object(node, path: str, allowed: set[str]) -> dict:
 def _expect_number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ScenarioFormatError(path, "expected a number")
-    return float(node)
+    # JSON admits NaN, Infinity and integers beyond the float range.
+    try:
+        value = float(node)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioFormatError(path, "expected a finite number")
+    return value
 
 
 def _expect_int(node, path: str) -> int:

@@ -21,19 +21,18 @@ Both modes run the same passes over weighted pure rows, each held as a
 row number into a small table of distinct states: the initial state or its
 mixture components, the auxiliary eigenvectors after an auxiliary outcome,
 and the apparatus's reductions of those.  Each measurement layer (the
-selection, each auxiliary measurement, each apparatus use) is one kernel
-call on all rows at once; Born weights and reductions are computed once per
-table row, so per-system work is gathers of indices and weights, and
-outcomes stay integer indices until they reach the evidence and the
-transcript.  The protocol asks the apparatus for nothing but ``dim``,
-``outcome_labels`` and ``branches``.  Each layer enumerates its branches,
-the apparatus's through ``branches`` and an auxiliary observable's through
-:func:`ludercheck.quantum.measure_pure`, and the mode decides only what is
-kept of them: exact mode keeps every weighted branch and so builds no
-density matrix, sampled mode enumerates every table row once and draws one
-branch per system through :func:`ludercheck.quantum.pick_branches`.  A
-block of Born weight at most DEFAULT_TOL is dropped in either mode, so it
-is never drawn.
+selection, each auxiliary measurement, each apparatus use) is one table-row
+transition: a kernel, the apparatus's ``branches`` or
+:func:`ludercheck.quantum.measure_pure`, takes only the table and
+enumerates each row's branches once, with its Born weight and its reduced
+row in the next table, so outcomes stay integer indices until they reach
+the evidence and the transcript.  The protocol asks the apparatus for
+nothing but ``dim``, ``outcome_labels`` and ``branches``.  The mode decides
+only how a transition is used: exact mode multiplies each system's or
+trial's weights over the table by the table's Born matrix and so builds no
+density matrix, and sampled mode draws one branch per system through
+:func:`ludercheck.quantum.pick_branches`.  A block of Born weight at most
+DEFAULT_TOL is dropped in either mode, so it is never drawn.
 """
 
 from __future__ import annotations
@@ -201,8 +200,8 @@ class Ensemble:
     ``ids[i]`` and stands for ``weights[i]`` of the run.  ``table`` holds
     distinct states, which many rows may share and no row may need.  Sampled
     mode keeps one row of weight one per selected system, with its id in the
-    unselected ensemble.  Exact mode follows a single system, id 0, over rows
-    weighted by their Born probabilities.
+    unselected ensemble.  Exact mode follows a single system, id 0, over one
+    row per table state it reaches, weighted by its Born probability.
     """
 
     table: np.ndarray
@@ -264,16 +263,15 @@ class _Sampled:
         pick = np.searchsorted(cdf, self.rng.random(self.size), side="right")
         return Ensemble(components, pick, np.ones(self.size), np.arange(self.size))
 
-    def measure(self, kernel, table, index, weights):
-        """Enumerate every table row's branches once, then draw one per system."""
-        every = np.arange(len(table))
-        rows, outcomes, w, post, post_index = kernel(table, every, np.ones(len(table)))
+    def measure(self, kernel, table, index, weights, group):
+        """One branch per row, drawn from its table row's enumerated branches."""
+        rows, outcomes, w, post, post_index = kernel(table)
         pick = pick_branches(rows, w, index, self.rng.random(len(index)))
-        return np.arange(len(index)), outcomes[pick], weights, post, post_index[pick]
+        return group, outcomes[pick], weights, post, post_index[pick]
 
 
 class _Exact:
-    """Exact mode: one system over Born-weighted rows, every branch enumerated."""
+    """Exact mode: one system, and a measurement multiplies Born matrices."""
 
     def draw(self, cdf, components):
         """Every mixture component, weighted by its probability."""
@@ -282,22 +280,37 @@ class _Exact:
             np.zeros(len(cdf), dtype=np.int64),
         )
 
-    def measure(self, kernel, table, index, weights):
-        return kernel(table, index, weights)
+    def measure(self, kernel, table, index, weights, group):
+        """Each group's weight over the table, times the table's Born matrix."""
+        rows, outcomes, w, post, post_index = kernel(table)
+        size = len(table)
+        held = np.bincount(group * size + index, weights, (int(group.max()) + 1) * size)
+        born = np.zeros((size, len(post)))
+        born[rows, post_index] = w
+        reached = held.reshape(-1, size) @ born
+        group, row = reached.nonzero()
+        outcome = np.empty(len(post), dtype=outcomes.dtype)
+        outcome[post_index] = outcomes
+        return group, outcome[row], reached[group, row], post, row
 
 
 def _kernel(
     config: ProtocolConfig, rng: np.random.Generator | None
 ) -> _Sampled | _Exact:
-    """What the mode picks: how an enumerating measurement is used.
+    """What the mode picks: how a measurement layer's transition is used.
 
     ``draw`` builds the unselected ensemble from a mixture.  ``measure``
-    runs an enumerating kernel, ``app.branches`` or a partial
-    :func:`~ludercheck.quantum.measure_pure`, on weighted rows
-    ``table[index]`` and returns what the kernel returns for the branches it
-    keeps: each one's source row, outcome index and weight, and the reduced
-    states as a table with each branch's row in it.  Exact mode keeps every
-    branch, sampled mode one drawn branch per row.
+    runs a kernel, ``app.branches`` or a partial
+    :func:`~ludercheck.quantum.measure_pure`, once on ``table``, which gives
+    each table row's branches with their Born weights and the reduced
+    states as the next table; each reduced row lies in one block, so it has
+    one outcome, and a table row reaches it by at most one branch.  The
+    rows ``table[index]`` carry ``weights`` and belong to ``group``: a
+    system, or a trial.  Returns ``(group, outcome, weight, post,
+    post_index)``.  Sampled mode keeps the rows and draws each one's branch;
+    exact mode returns every ``(group, next row)`` of non-zero weight, from
+    one product of the group x table weight matrix and the table x next-row
+    Born matrix.
     """
     if config.mode is Mode.SAMPLED:
         return _Sampled(config.ensemble_size, rng)
@@ -320,12 +333,11 @@ def prepare_ensemble(
     """
     kernel = _kernel(config, rng)
     drawn = kernel.draw(*_as_pure_mixture(initial))
-    rows, coarse, weights, table, index = kernel.measure(
-        app.branches, drawn.table, drawn.index, drawn.weights
+    system, coarse, weights, table, index = kernel.measure(
+        app.branches, drawn.table, drawn.index, drawn.weights, drawn.ids
     )
     kept = coarse == target
     # Some system must keep more than DEFAULT_TOL of its weight.
-    system = drawn.ids[rows]
     selected = np.bincount(system, weights * kept)
     if not (selected > DEFAULT_TOL * np.bincount(system, weights)).any():
         raise EmptySelectionError(
@@ -352,34 +364,29 @@ def run_stage(
     """One pass: auxiliary measurement, apparatus, auxiliary measurement again.
 
     ``target`` indexes ``app.outcome_labels`` and ``probes`` holds the
-    auxiliary outcomes inside the target eigenspace.  The rows of one system
-    that reach the same first outcome are one state, since ``aux`` is
-    non-degenerate, and merge into one trial.  Every row keeps its trial's
-    index, and one weighted table of first against second outcomes gives
-    the evidence.  Returns the evidence and the trials, each in its first
-    outcome's eigenvector, which after a consistent pass is the ensemble of
-    a follow-up pass.  A given ``transcript`` receives the pass's records;
-    only sampled rows, which stay one per system, make records.  Raises
-    :class:`RepeatabilityError` if a selected state lies outside the target
-    eigenspace or the apparatus fails to reproduce the target outcome.
+    auxiliary outcomes inside the target eigenspace.  The first auxiliary
+    measurement groups by system: a trial is a system and a first outcome,
+    one state since ``aux`` is non-degenerate.  The apparatus and the second
+    auxiliary measurement group by trial, and one weighted table of first
+    against second outcomes gives the evidence.  Returns the evidence and
+    the trials, each in its first outcome's eigenvector, which after a
+    consistent pass is the ensemble of a follow-up pass.  A given
+    ``transcript`` receives the pass's records; only sampled rows, which
+    stay one per system, make records.  Raises :class:`RepeatabilityError`
+    if a selected state lies outside the target eigenspace or the apparatus
+    fails to reproduce the target outcome.
     """
     kernel = _kernel(config, rng)
     n = aux.group_count
     observe = partial(measure_pure, aux)
-    rows, first, weights, _, _ = kernel.measure(
-        observe, ensemble.table, ensemble.index, ensemble.weights
+    system, first, weights, table, index = kernel.measure(
+        observe, ensemble.table, ensemble.index, ensemble.weights, ensemble.ids
     )
-    # A trial is a system and a first outcome, keyed in system-major order;
-    # it counts when it holds more than DEFAULT_TOL of its system's weight.
-    # Strictly increasing keys (one sampled row per system) need no merge.
-    keys = ensemble.ids[rows] * n + first
-    if not (keys[1:] > keys[:-1]).all():
-        keys, number = renumber(keys, (int(ensemble.ids.max()) + 1) * n)
-        weights = np.bincount(number, weights)
+    # A trial is a system and a first outcome; it counts when it holds more
+    # than DEFAULT_TOL of its system's weight.
     system_weight = np.bincount(ensemble.ids, ensemble.weights)
-    live = weights > DEFAULT_TOL * system_weight[keys // n]
-    keys, weights = keys[live], weights[live]
-    first = keys % n
+    live = weights > DEFAULT_TOL * system_weight[system]
+    first = first[live]
     outside = np.ones(n, dtype=bool)
     outside[probes] = False
     if outside[first].any():
@@ -388,26 +395,24 @@ def run_stage(
             f"{app.outcome_labels[target]}; the apparatus does not measure "
             "the base observable"
         )
-    # After a non-degenerate outcome the state is that outcome's eigenvector:
-    # the trials' table holds the reached ones.
-    reached, index = renumber(first, n)
-    trials = Ensemble(aux.basis.T[reached], index, weights, keys // n)
+    # After a non-degenerate outcome the state is that outcome's eigenvector.
+    trials = Ensemble(table, index[live], weights[live], system[live])
 
-    rows, coarse, weights, table, index = kernel.measure(
-        app.branches, trials.table, trials.index, trials.weights
+    trial, coarse, weights, table, index = kernel.measure(
+        app.branches, trials.table, trials.index, trials.weights,
+        np.arange(len(first)),
     )
     kept = coarse == target
-    reproduced = np.bincount(rows, weights * kept, len(first))
+    reproduced = np.bincount(trial, weights * kept, len(first))
     if (reproduced < (1.0 - 1e-6) * trials.weights).any():
         raise RepeatabilityError(
             f"apparatus failed to reproduce eigenvalue "
             f"{app.outcome_labels[target]} on a selected state; it does not "
             "measure the base observable"
         )
-    rows2, second, weights, _, _ = kernel.measure(
-        observe, table, index[kept], weights[kept]
+    trial, second, weights, _, _ = kernel.measure(
+        observe, table, index[kept], weights[kept], trial[kept]
     )
-    trial = rows[kept][rows2]
     first_of, labels = first[trial], aux.eigenvalues
     if transcript is not None:
         # Per system, its two records in measurement order.

@@ -4,13 +4,13 @@ The central object is a :class:`SpectralDecomposition`: the distinct
 eigenvalues of a Hermitian observable and a canonical eigenbasis as one
 column matrix, eigenspace after eigenspace.  A :class:`Refinement` cuts
 each eigenspace into blocks in the same column layout.  On top of them sit
-the measurement kernels over a table of distinct states and each row's
-number in it (:func:`reductions` enumerates every branch of every row with
-its reduced state, a ray: a rank-one block's basis column, which every
-branch into the block shares, or a larger block's projection;
-:func:`pick_branches` draws one branch per system by inverse CDF), a
-builder for spin-chain observables, and the two auxiliary observables of
-the discrimination protocol, both column operations on that matrix: a
+the measurement kernels, which take only a table of distinct states:
+:func:`reductions` enumerates each row's branches once, with its Born
+weight and its reduced state, a ray (a rank-one block's basis column, which
+every branch into the block shares, or a larger block's projection), and
+:func:`pick_branches` draws one branch per system by inverse CDF.  Then
+come a builder for spin-chain observables and the two auxiliary observables
+of the discrimination protocol, both column operations on that matrix: a
 non-degenerate refinement ``sigma`` diagonal in the canonical eigenbasis,
 and a second refinement ``sigma_prime`` whose eigenvectors inside one
 eigenspace overlap every ``sigma`` eigenvector there.  The constructors
@@ -69,6 +69,8 @@ class PureState:
 
     def __post_init__(self):
         v = linalg.as_vector(self.vector)
+        if not np.isfinite(v).all():
+            raise ValueError("state vector has a non-finite amplitude")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"state vector norm {norm} is not 1")
@@ -312,34 +314,13 @@ def renumber(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, number[keys]
 
 
-def branches(
-    amps: np.ndarray, starts: np.ndarray, index: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every block of Born weight above DEFAULT_TOL, for every weighted row.
-
-    ``amps = table @ basis.conj()`` holds the amplitudes of the table's
-    normalised state vectors, which many rows may share, in a basis of
-    orthonormal columns grouped into consecutive blocks that begin at the
-    column indices ``starts``.  Row ``i``, in state ``table[index[i]]``,
-    carries the weight ``weights[i]``.  Returns, per reached block ``b`` of
-    row ``i`` in row-major order, ``i``, ``b`` and the weight
-    ``weights[i] * |B_b^H v_i|^2``.  Raises ValueError if a row is
-    numerically orthogonal to every block.
-    """
-    born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)[index]
-    if (born.sum(axis=1) <= DEFAULT_TOL).any():
-        raise ValueError("state is numerically orthogonal to every outcome")
-    rows, blocks = (born > DEFAULT_TOL).nonzero()
-    return rows, blocks, weights[rows] * born[rows, blocks]
-
-
 def pick_branches(
     rows: np.ndarray, weights: np.ndarray, index: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Draw one branch per system from its table row's enumerated branches.
 
     ``rows`` (ascending) and ``weights`` list the branches of a table's rows,
-    as :func:`branches` returns them.  System ``i``, in row ``index[i]``,
+    as :func:`reductions` returns them.  System ``i``, in row ``index[i]``,
     takes that row's branch ``b`` when cdf[b-1] <= ``u[i]`` * total < cdf[b]
     over the row's branch weights, for ``u[i]`` in [0, 1); a branch of zero
     weight is never taken.  Returns each system's branch, as an index into
@@ -359,22 +340,27 @@ def pick_branches(
 
 
 def reductions(
-    basis: np.ndarray, starts: np.ndarray, table: np.ndarray,
-    index: np.ndarray, weights: np.ndarray,
+    basis: np.ndarray, starts: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every branch of weighted rows ``table[index]``, with its reduced state.
+    """Each branch of each row of ``table``, with its Born weight and reduced state.
 
     ``basis`` holds orthonormal columns in blocks that begin at the columns
-    ``starts``.  Returns :func:`branches`' rows, blocks and weights over the
-    amplitudes ``table @ basis.conj()``, and the reduced states, as rays, in
-    a table with each branch's row in it: a rank-one block's basis column,
-    one row that every branch into the block shares, or a larger block's
-    renormalised projection, one row per branch, and nothing else.
+    ``starts``, and ``table`` distinct normalised state vectors as rows.
+    Returns, per block of Born weight ``|B_b^H v|^2`` above DEFAULT_TOL of
+    each row ``v`` in row-major order, the row, the block and that weight,
+    and the reduced states, as rays, in a table with each branch's row in
+    it: a rank-one block's basis column, one row that every branch into the
+    block shares, or a larger block's renormalised projection, one row per
+    branch, and nothing else.  Each reduced row lies in one block.  Raises
+    ValueError if a row is numerically orthogonal to every block.
     """
     if table.shape[1] != len(basis):
         raise ValueError("state dimension does not match the measurement")
     amps = table @ basis.conj()
-    rows, blocks, w = branches(amps, starts, index, weights)
+    born = np.add.reduceat(amps.real**2 + amps.imag**2, starts, axis=1)
+    if (born.sum(axis=1) <= DEFAULT_TOL).any():
+        raise ValueError("state is numerically orthogonal to every outcome")
+    rows, blocks = (born > DEFAULT_TOL).nonzero()
     sizes = np.concatenate((starts[1:], [len(basis)])) - starts
     wide = (sizes[blocks] > 1).nonzero()[0]
     # Key a rank-one branch by its column, any other by itself after every column.
@@ -384,25 +370,22 @@ def reductions(
     post = basis.T[keys[: len(keys) - len(wide)]]
     if len(wide):
         block_of = np.repeat(np.arange(len(starts)), sizes)
-        amps = np.where(block_of == blocks[wide, None], amps[index[rows[wide]]], 0.0)
+        amps = np.where(block_of == blocks[wide, None], amps[rows[wide]], 0.0)
         # The basis is orthonormal, so the kept block's weight is |amps|^2.
         norms = np.sqrt((amps.real**2 + amps.imag**2).sum(axis=1, keepdims=True))
         post = np.concatenate([post, amps @ basis.T / norms])
-    return rows, blocks, w, post, post_index
+    return rows, blocks, born[rows, blocks], post, post_index
 
 
 def measure_pure(
-    decomp: SpectralDecomposition,
-    table: np.ndarray,
-    index: np.ndarray,
-    weights: np.ndarray,
+    decomp: SpectralDecomposition, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Measure weighted rows ``table[index]`` by the Lüders rule: :func:`reductions`.
+    """Measure every row of ``table`` by the Lüders rule: :func:`reductions`.
 
     Outcomes index ``decomp.eigenvalues``.  A non-degenerate ``decomp``, as
     an auxiliary observable is, reduces to its reached eigenvectors.
     """
-    return reductions(decomp.basis, decomp.starts, table, index, weights)
+    return reductions(decomp.basis, decomp.starts, table)
 
 
 def build_spin_operator(

@@ -92,18 +92,18 @@ class KrausDevice:
         completeness = np.einsum("kji,kjl->il", self._ops.conj(), self._ops)
         assert np.allclose(completeness, np.eye(self.dim), atol=1e-12)
 
-    def branches(self, table, index, weights):
-        """Row v of weight w goes to K v / |K v| with weight w |K v|^2.
+    def branches(self, table):
+        """Row v goes to K v / |K v| with weight |K v|^2.
 
         Branches of |K v|^2 at most DEFAULT_TOL are dropped, as the
         apparatus drops them; the rest come in row-major order.
         """
-        images = np.einsum("kij,rj->rki", self._ops, table[index])
+        images = np.einsum("kij,rj->rki", self._ops, table)
         norms = (np.abs(images) ** 2).sum(axis=2)
         rows, ops = np.nonzero(norms > DEFAULT_TOL)
         post = images[rows, ops] / np.sqrt(norms[rows, ops])[:, None]
-        return (rows, self._outcomes[ops], weights[rows] * norms[rows, ops],
-                post, np.arange(len(rows)))
+        return (rows, self._outcomes[ops], norms[rows, ops], post,
+                np.arange(len(rows)))
 
 
 def apply_spectral_function(a, f):

@@ -180,7 +180,7 @@ def test_full_von_neumann_shares_one_row_per_basis_column():
     table = build_sigma_prime(sigma, probes).basis.T[probes]
     n = len(probes)
     app = make_full_von_neumann(d)
-    rows, coarse, w, post, index = app.branches(table, np.arange(n), np.ones(n))
+    rows, coarse, w, post, index = app.branches(table)
     assert len(rows) == n * n and set(coarse.tolist()) == {k}
     assert w == pytest.approx(np.full(n * n, 1.0 / n), abs=1e-12)
     assert len(post) == n
@@ -365,10 +365,8 @@ def test_branches_sum_to_the_exact_channel(spectrum):
         for states, weights in inputs:
             rho = (weights[:, None, None] * states[:, :, None]
                    * states[:, None, :].conj()).sum(axis=0)
-            rows, coarse, w, table, index = app.branches(
-                states, np.arange(len(states)), weights
-            )
-            post = table[index]
+            rows, coarse, row_w, table, index = app.branches(states)
+            w, post = weights[rows] * row_w, table[index]
             want = app.channel_exact(DensityMatrix(rho))
             assert sorted(set(coarse.tolist())) == [
                 app.outcome_labels.index(lab) for lab, _, _ in want
@@ -386,9 +384,8 @@ def test_branches_sum_to_the_exact_channel(spectrum):
                 for s in states
             ])
             assert len(rows) == np.count_nonzero(born > 1e-9)
-            assert np.all(w / weights[rows] > 1e-9)
+            assert np.all(row_w > 1e-9)
             assert np.allclose(np.linalg.norm(post, axis=1), 1.0, atol=1e-12)
         assert 1 not in coarse.tolist()
         with pytest.raises(ValueError):
-            app.branches(np.array([random_state(dim, rng), np.zeros(dim)]),
-                         np.arange(2), np.array([0.5, 0.5]))
+            app.branches(np.array([random_state(dim, rng), np.zeros(dim)]))

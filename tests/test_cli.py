@@ -360,6 +360,19 @@ def test_main_validate_rejects_bad_file(capsys, tmp_path):
     assert "$.schema_version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+def test_main_rejects_a_non_finite_number_at_its_path(capsys, tmp_path, bad):
+    # Python's json reads NaN and Infinity, and an integer past the float range
+    state = [[bad, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    path = write_doc(tmp_path, minimal_doc(initial_state=state))
+    for argv in (["validate"], ["discriminate", "--mode", "exact"],
+                 ["discriminate", "--mode", "sampled", "--seed", "1"]):
+        assert main(argv + ["--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert "$.initial_state[0][0]: expected a finite number" in err
+
+
 def test_main_validate_rejects_protocol_that_discriminate_rejects(capsys, tmp_path):
     # validate runs the same protocol checks as discriminate
     doc = minimal_doc(protocol={"mode": "sampled", "ensemble_size": 0,

@@ -38,7 +38,12 @@ from ludercheck.quantum import (
     sigma_entries_in_group,
     spectral_decompose,
 )
-from ludercheck.scenarios import default_initial_state, get_builtin, instantiate
+from ludercheck.scenarios import (
+    build_consecutive,
+    default_initial_state,
+    get_builtin,
+    instantiate,
+)
 
 from conftest import (
     KrausDevice,
@@ -676,6 +681,57 @@ def test_exact_passes_match_the_channel_reference_on_six_spins():
     for k in (2, 3):
         for initial in (default_initial_state(d, k), mixed):
             assert_exact_matches_reference(initial, app, a, d.eigenvalues[k])
+
+
+def six_spin_total_z():
+    """Six-spin total z, d = 64, and its spectral decomposition."""
+    a = build_spin_operator(6, tuple(
+        (1.0, "I" * i + "Z" + "I" * (5 - i)) for i in range(6)
+    ))
+    return a, spectral_decompose(a)
+
+
+def test_exact_passes_match_the_channel_reference_at_the_cap():
+    # Every degenerate eigenspace of six-spin total z (n = 6, 15, 20, 15, 6)
+    # with a Lüders, a full von Neumann and a two-site consecutive device.
+    a, d = six_spin_total_z()
+    site_z = [build_spin_operator(6, ((1.0, "I" * i + "Z" + "I" * (5 - i)),))
+              for i in (0, 1)]
+    mixed = DensityMatrix(random_density(64, np.random.default_rng(4245), rank=3))
+    for app in (make_luders(d), make_full_von_neumann(d),
+                build_consecutive(d, site_z)):
+        for k, n in enumerate(d.multiplicities):
+            if n > 1:
+                for initial in (default_initial_state(d, k), mixed):
+                    assert_exact_matches_reference(initial, app, a, d.eigenvalues[k])
+
+
+def test_exact_enumeration_is_bounded_by_the_table(monkeypatch):
+    # Each measurement enumerates each table row's branches once, at most d
+    # of them, however many trials share the row: pass two of a full von
+    # Neumann device on a 20-dimensional eigenspace builds nothing of size n^3.
+    a, d = six_spin_total_z()
+    app = make_full_von_neumann(d)
+    calls = []
+
+    def recording(kernel, table_at):
+        def wrapped(*args):
+            found = kernel(*args)
+            calls.append((len(args[table_at]), found[0]))
+            return found
+        return wrapped
+
+    monkeypatch.setattr(ludercheck.protocol, "measure_pure",
+                        recording(ludercheck.protocol.measure_pure, 1))
+    monkeypatch.setattr(app, "branches", recording(app.branches, 0))
+    k = d.multiplicities.index(20)
+    result = discriminate(default_initial_state(d, k), app, a,
+                          ProtocolConfig(target_eigenvalue=d.eigenvalues[k]))
+    assert result.detected_at is StageKind.SIGMA_PRIME
+    assert len(calls) == 7
+    for size, rows in calls:
+        assert 0 <= rows.min() and rows.max() < size
+        assert len(rows) <= size * d.dim
 
 
 def s1_kraus_run(kraus, config=None):

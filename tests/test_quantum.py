@@ -13,7 +13,6 @@ from ludercheck.quantum import (
     Refinement,
     SpectralDecomposition,
     TOTAL_SPIN_SQ,
-    branches,
     build_sigma,
     build_sigma_prime,
     build_spin_operator,
@@ -21,6 +20,7 @@ from ludercheck.quantum import (
     _canonical_basis,
     measure_pure,
     pick_branches,
+    reductions,
     renumber,
     sigma_entries_in_group,
     spectral_decompose,
@@ -66,6 +66,14 @@ def test_pure_state_normalizes_and_rejects_bad_norm():
     assert np.isclose(np.linalg.norm(s.vector), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_pure_state_rejects_a_non_finite_amplitude(bad):
+    # checked before the norm, so no RuntimeWarning, which the suite turns
+    # into an error, comes out of the division
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState(np.array([bad, 0, 0, 0]))
 
 
 def test_density_matrix_validation():
@@ -375,10 +383,8 @@ def luders_branches(d, rho):
     sum of w |r><r| over the reduced rows r.
     """
     w, v = np.linalg.eigh(rho)
-    rows, outcomes, weights, table, index = make_luders(d).branches(
-        v.T, np.arange(len(w)), np.clip(w, 0.0, None)
-    )
-    post = table[index]
+    rows, outcomes, born, table, index = make_luders(d).branches(v.T)
+    weights, post = np.clip(w, 0.0, None)[rows] * born, table[index]
     probs = np.bincount(outcomes, weights, minlength=d.group_count)
     parts = np.zeros((d.group_count,) + rho.shape, dtype=complex)
     np.add.at(parts, outcomes, weights[:, None, None]
@@ -395,9 +401,7 @@ def test_born_distribution_on_maximally_mixed():
 def test_born_distribution_accepts_pure_state():
     d = spectral_decompose(total_z())
     table = PureState(PLUS_MINUS).vector[None, :]
-    _, outcomes, probs = branches(
-        table @ d.basis.conj(), d.starts, ONE_ROW, np.ones(1)
-    )
+    _, outcomes, probs, _, _ = reductions(d.basis, d.starts, table)
     assert outcomes.tolist() == [d.group_index(0.0)]
     assert probs == pytest.approx([1.0])
 
@@ -405,9 +409,7 @@ def test_born_distribution_accepts_pure_state():
 def test_luders_update_keeps_superposition_within_eigenspace():
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + MINUS_PLUS + PLUS_PLUS) / np.sqrt(3)
-    rows, outcomes, weights, table, index = make_luders(d).branches(
-        psi[None, :], ONE_ROW, np.ones(1)
-    )
+    rows, outcomes, weights, table, index = make_luders(d).branches(psi[None, :])
     post = table[index]
     assert outcomes.tolist() == [0, 1]
     assert weights[1] == pytest.approx(2.0 / 3.0)
@@ -437,7 +439,7 @@ def test_measure_pure_collapses_and_renormalizes():
     # apparatus reduces to with the same draw
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    rows, outcomes, weights, _, _ = measure_pure(d, psi[None, :], ONE_ROW, np.ones(1))
+    rows, outcomes, weights, _, _ = measure_pure(d, psi[None, :])
     assert rows.tolist() == [0, 0]
     assert [d.eigenvalues[k] for k in outcomes] == [2.0, 0.0]
     assert weights == pytest.approx([0.5, 0.5])
@@ -452,9 +454,7 @@ def test_measure_pure_collapses_and_renormalizes():
         assert abs(np.vdot(PLUS_MINUS, post[0])) == pytest.approx(1.0)
     # a non-degenerate observable's reduced states are its eigenvectors
     sigma = build_sigma(d)
-    rows, outcomes, _, table, index = measure_pure(
-        sigma, psi[None, :], ONE_ROW, np.ones(1)
-    )
+    rows, outcomes, _, table, index = measure_pure(sigma, psi[None, :])
     assert np.array_equal(table[index], sigma.basis.T[outcomes])
 
 
@@ -465,9 +465,8 @@ def test_measure_pure_of_a_degenerate_observable_reduces_by_luders(rng):
     u = random_unitary(8, rng)
     d = spectral_decompose((u * np.array([3.0, 3, 3, 3, 1, 1, 1, -2])) @ u.conj().T)
     states = np.array([random_state(8, rng) for _ in range(3)])
-    index, weights = np.array([2, 0, 1, 0]), np.array([0.4, 0.3, 0.2, 0.1])
-    rows, outcomes, w, table, post_index = measure_pure(d, states, index, weights)
-    want = make_luders(d).branches(states, index, weights)
+    rows, outcomes, w, table, post_index = measure_pure(d, states)
+    want = make_luders(d).branches(states)
     assert np.array_equal(rows, want[0]) and np.array_equal(outcomes, want[1])
     assert np.allclose(w, want[2], rtol=0, atol=1e-12)
     post, luders = table[post_index], want[3][want[4]]
@@ -475,7 +474,7 @@ def test_measure_pure_of_a_degenerate_observable_reduces_by_luders(rng):
     assert np.allclose(overlap, 1.0, rtol=0, atol=1e-12)
     p = projectors(d)
     for row, k, v in zip(rows, outcomes, post):
-        reduced = p[k] @ states[index[row]]
+        reduced = p[k] @ states[row]
         phase = np.vdot(v, reduced) / np.linalg.norm(reduced)
         assert np.allclose(v * phase, reduced / np.linalg.norm(reduced), atol=1e-12)
 
@@ -483,22 +482,21 @@ def test_measure_pure_of_a_degenerate_observable_reduces_by_luders(rng):
 def test_measure_pure_statistics(rng):
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    rows, outcomes, weights, _, _ = measure_pure(d, psi[None, :], ONE_ROW, np.ones(1))
+    rows, outcomes, weights, _, _ = measure_pure(d, psi[None, :])
     pick = pick_branches(rows, weights, np.zeros(2000, dtype=int), rng.random(2000))
     labels = np.take(d.eigenvalues, outcomes[pick])
     assert np.mean(labels == 2.0) == pytest.approx(0.5, abs=0.05)
 
 
-# The sampling kernel, branches then pick_branches: a random orthonormal
+# The sampling kernel, reductions then pick_branches: a random orthonormal
 # basis of C^6 in blocks of 2, 1 and 3
 KERNEL_STARTS = np.array([0, 2, 3])
 KERNEL_SPANS = ((0, 2), (2, 3), (3, 6))
 
 
-def sampled_blocks(amps, starts, index, u):
+def sampled_blocks(basis, starts, table, index, u):
     """Each system's block: every table row's branches, then one drawn."""
-    every = np.arange(len(amps))
-    rows, blocks, weights = branches(amps, starts, every, np.ones(len(amps)))
+    rows, blocks, weights, _, _ = reductions(basis, starts, table)
     return blocks[pick_branches(rows, weights, index, u)]
 
 
@@ -509,7 +507,7 @@ def test_collapse_block_frequencies_match_born_weights():
     born = [np.linalg.norm(basis[:, lo:hi].conj().T @ psi) ** 2
             for lo, hi in KERNEL_SPANS]
     n = 10_000
-    k = sampled_blocks(psi[None, :] @ basis.conj(), KERNEL_STARTS,
+    k = sampled_blocks(basis, KERNEL_STARTS, psi[None, :],
                        np.zeros(n, dtype=int), rng.random(n))
     counts = np.bincount(k, minlength=3)
     for count, p in zip(counts, born):
@@ -523,7 +521,7 @@ def test_collapse_rows_are_unit_and_lie_in_their_block():
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng) for _ in range(500)])
     rows = np.arange(500)
-    k = sampled_blocks(states @ basis.conj(), KERNEL_STARTS, rows,
+    k = sampled_blocks(basis, KERNEL_STARTS, states, rows,
                        np.random.default_rng(9).random(500))
     base = spectral_decompose(basis @ np.diag([3.0, 3, 2, 1, 1, 1]) @ basis.conj().T)
     reduced, table, index = make_luders(base).measure_sampled(
@@ -544,8 +542,7 @@ def test_collapse_rejects_a_row_orthogonal_to_every_block():
     basis = random_unitary(6, rng)
     states = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
     with pytest.raises(ValueError):
-        sampled_blocks(states @ basis.conj(), KERNEL_STARTS, np.arange(3),
-                       rng.random(3))
+        sampled_blocks(basis, KERNEL_STARTS, states, np.arange(3), rng.random(3))
 
 
 def test_collapse_over_a_table_matches_collapse_over_its_rows():
@@ -557,8 +554,8 @@ def test_collapse_over_a_table_matches_collapse_over_its_rows():
         table = np.array([random_state(6, rng) for _ in range(size)])
         index = rng.integers(0, size, 2000)
         u = rng.random(2000)
-        k = sampled_blocks(table @ basis.conj(), KERNEL_STARTS, index, u)
-        rows = sampled_blocks(table[index] @ basis.conj(), KERNEL_STARTS,
+        k = sampled_blocks(basis, KERNEL_STARTS, table, index, u)
+        rows = sampled_blocks(basis, KERNEL_STARTS, table[index],
                               np.arange(2000), u)
         assert np.array_equal(k, rows)
 
@@ -585,7 +582,7 @@ def test_collapse_matches_the_cdf_rule_at_its_boundaries():
     index = np.repeat(np.arange(3), len(u))
     u = np.tile(u, 3)
     want, weight = cdf_rule(amps, index, u)
-    got = sampled_blocks(amps, starts, index, u)
+    got = sampled_blocks(np.eye(6), starts, amps, index, u)
     assert np.array_equal(got, want)
     assert np.all(weight > 0)
     assert got.tolist()[:5] == [0, 2, 2, 4, 4]
@@ -596,7 +593,7 @@ def test_collapse_matches_the_cdf_rule_at_its_boundaries():
     amps[:, [1, 4]] = 0.0
     index = rng.integers(0, 8, 5000)
     u = rng.random(5000)
-    got = sampled_blocks(amps, starts, index, u)
+    got = sampled_blocks(np.eye(6), starts, amps, index, u)
     assert np.array_equal(got, cdf_rule(amps, index, u)[0])
     assert not np.isin(got, [1, 3]).any()
 
@@ -624,18 +621,18 @@ def test_renumber_matches_unique():
 
 
 def test_branches_checks_every_row_it_enumerates():
-    # Sampled mode enumerates every table row, so an orthogonal row raises
-    # even when no system is in it; enumerating other rows does not.
+    # A kernel enumerates every table row, so an orthogonal row raises even
+    # when no system is in it; a table without that row does not.
     rng = np.random.default_rng(35)
     basis = random_unitary(6, rng)
     table = np.array([random_state(6, rng), np.zeros(6), random_state(6, rng)])
-    amps = table @ basis.conj()
     with pytest.raises(ValueError):
-        sampled_blocks(amps, KERNEL_STARTS, np.array([0, 2, 2, 0]), rng.random(4))
-    rows, _, _ = branches(amps, KERNEL_STARTS, np.array([2, 0]), np.ones(2))
+        sampled_blocks(basis, KERNEL_STARTS, table, np.array([0, 2, 2, 0]),
+                       rng.random(4))
+    rows, _, _, _, _ = reductions(basis, KERNEL_STARTS, table[[2, 0]])
     assert set(rows.tolist()) == {0, 1}
     with pytest.raises(ValueError):
-        branches(amps, KERNEL_STARTS, np.array([2, 1]), np.ones(2))
+        reductions(basis, KERNEL_STARTS, table[[2, 1]])
 
 
 def test_build_spin_operator_two_site_sum():
@@ -882,9 +879,7 @@ def test_born_on_refined_observable_splits_plus_minus():
     # degeneracy-lifted observable
     ap = build_spin_operator(2, ((1.0, "ZI"), (1.0, "IZ"), (1.0, TOTAL_SPIN_SQ)))
     d = spectral_decompose(ap)
-    _, outcomes, probs = branches(
-        PLUS_MINUS[None, :] @ d.basis.conj(), d.starts, ONE_ROW, np.ones(1)
-    )
+    _, outcomes, probs, _, _ = reductions(d.basis, d.starts, PLUS_MINUS[None, :])
     # the zero-probability outcomes 6 and 2 are dropped
     labels = np.take(d.eigenvalues, outcomes)
     assert labels == pytest.approx([4.0, 0.0], abs=1e-9)
