@@ -33,6 +33,7 @@ from .protocol import (
     discriminate,
     resolve_target,
 )
+from .quantum import MAX_SITES
 from .scenarios import (
     ConsecutiveSpec,
     FullVonNeumannSpec,
@@ -220,6 +221,10 @@ def _parse_protocol(node, path: str) -> ProtocolConfig:
                                                    f"{path}.min_disturbance")
     if "seed" in doc and doc["seed"] is not None:
         kwargs["seed"] = _expect_int(doc["seed"], f"{path}.seed")
+        if kwargs["seed"] < 0:
+            raise ScenarioFormatError(
+                f"{path}.seed", "expected a non-negative integer"
+            )
     return ProtocolConfig(**kwargs)
 
 
@@ -241,8 +246,10 @@ def parse_scenario_document(doc) -> tuple[Scenario, ProtocolConfig]:
     sites = None
     if "sites" in top and top["sites"] is not None:
         sites = _expect_int(top["sites"], "$.sites")
-        if not 1 <= sites <= 6:
-            raise ScenarioFormatError("$.sites", "expected an integer from 1 to 6")
+        if not 1 <= sites <= MAX_SITES:
+            raise ScenarioFormatError(
+                "$.sites", f"expected an integer from 1 to {MAX_SITES}"
+            )
     observable = _parse_expression(top["observable"], "$.observable")
     if not isinstance(observable, np.ndarray) and sites is None:
         raise ScenarioFormatError("$.sites", "required when the observable uses terms")
@@ -436,9 +443,13 @@ def _cmd_discriminate(args) -> int:
     report = build_report(result, config, scenario.name, wall, args.transcript)
     _print_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
     return _EXIT_CODE[result.verdict]
 
 

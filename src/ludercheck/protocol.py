@@ -27,12 +27,21 @@ transition: a kernel, the apparatus's ``branches`` or
 enumerates each row's branches once, with its Born weight and its reduced
 row in the next table, so outcomes stay integer indices until they reach
 the evidence and the transcript.  The protocol asks the apparatus for
-nothing but ``dim``, ``outcome_labels`` and ``branches``.  The mode decides
-only how a transition is used: exact mode multiplies each system's or
-trial's weights over the table by the table's Born matrix and so builds no
-density matrix, and sampled mode draws one branch per system through
-:func:`ludercheck.quantum.pick_branches`.  A block of Born weight at most
-DEFAULT_TOL is dropped in either mode, so it is never drawn.
+nothing but ``dim``, ``outcome_labels`` and ``branches``.
+
+:func:`discriminate` builds one engine per run, :class:`Exact` or
+:class:`Sampled`, which owns all that depends on the mode.  Its ``draw``
+builds the unselected ensemble, and its ``measure`` runs a kernel once on
+a table and returns ``(group, outcome, weight, next table, next index)``
+for rows grouped by system or by trial.  The exact engine returns every
+``(group, next row)`` of non-zero weight from one product of the group x
+table weight matrix and the table x next-row Born matrix, so it builds no
+density matrix.  The sampled engine holds the run's generator, draws one
+branch per row through :func:`ludercheck.quantum.pick_branches`, and alone
+keeps transcript records and quotes a false-acceptance bound.  A block of
+Born weight at most DEFAULT_TOL is dropped in either mode, so it is never
+drawn.  The probes, sigma's outcomes inside the target eigenspace, come
+from :func:`ludercheck.quantum.build_sigma`.
 """
 
 from __future__ import annotations
@@ -57,7 +66,6 @@ from .quantum import (
     measure_pure,
     pick_branches,
     renumber,
-    sigma_entries_in_group,
     spectral_decompose,
 )
 
@@ -118,6 +126,11 @@ class ProtocolConfig:
             raise ValueError("sampled mode needs ensemble_size >= 1")
         if not 0.0 < self.min_disturbance < 1.0:
             raise ValueError("min_disturbance must lie strictly between 0 and 1")
+        target = self.target_eigenvalue
+        if target is not None and not math.isfinite(target):
+            raise ValueError(f"target_eigenvalue must be finite, got {target}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,16 +150,6 @@ class Transcript:
     )
     stages: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     labels: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @classmethod
-    def concatenate(cls, parts: list[Transcript]) -> Transcript:
-        if not parts:
-            return cls()
-        return cls(
-            np.concatenate([t.system_ids for t in parts]),
-            np.concatenate([t.stages for t in parts]),
-            np.concatenate([t.labels for t in parts]),
-        )
 
     def __len__(self) -> int:
         return len(self.system_ids)
@@ -198,10 +201,11 @@ class Ensemble:
 
     Row ``i`` is the normalised pure state ``table[index[i]]`` of system
     ``ids[i]`` and stands for ``weights[i]`` of the run.  ``table`` holds
-    distinct states, which many rows may share and no row may need.  Sampled
-    mode keeps one row of weight one per selected system, with its id in the
-    unselected ensemble.  Exact mode follows a single system, id 0, over one
-    row per table state it reaches, weighted by its Born probability.
+    distinct states, which many rows may share and no row may need.  A
+    :class:`Sampled` engine keeps one row of weight one per selected system,
+    with its id in the unselected ensemble.  An :class:`Exact` engine
+    follows a single system, id 0, over one row per table state it reaches,
+    weighted by its Born probability.
     """
 
     table: np.ndarray
@@ -251,12 +255,13 @@ def _as_pure_mixture(
     return cdf / cdf[-1], v[:, keep].T
 
 
-class _Sampled:
+class Sampled:
     """Sampled mode: every row is one system, and a measurement draws its branch."""
 
-    def __init__(self, size: int, rng: np.random.Generator):
+    def __init__(self, size: int, seed: int | None):
         self.size = size
-        self.rng = rng
+        self.rng = np.random.default_rng(seed)
+        self.records: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def draw(self, cdf, components):
         """``size`` systems of weight one, each picking a mixture component."""
@@ -269,8 +274,25 @@ class _Sampled:
         pick = pick_branches(rows, w, index, self.rng.random(len(index)))
         return group, outcomes[pick], weights, post, post_index[pick]
 
+    def record(self, ids, stage, first, second):
+        """System ``ids[i]`` saw ``first[i]`` at ``stage``, then ``second[i]``."""
+        labels = np.empty(2 * len(ids))
+        labels[0::2], labels[1::2] = first, second
+        self.records.append((
+            np.repeat(ids, 2), np.tile(stage + np.arange(2), len(ids)), labels
+        ))
 
-class _Exact:
+    def transcript(self) -> Transcript:
+        """Every recorded pass, in order."""
+        return Transcript(*(np.concatenate(part) for part in zip(*self.records)))
+
+    def bound(self, evidence, min_disturbance) -> float:
+        """``log10`` of the false-acceptance bound of a consistent run."""
+        # Either pass alone may have to detect, so only one pass's trials count.
+        return min(s.trials for s in evidence) * math.log10(1.0 - min_disturbance)
+
+
+class Exact:
     """Exact mode: one system, and a measurement multiplies Born matrices."""
 
     def draw(self, cdf, components):
@@ -286,6 +308,7 @@ class _Exact:
         size = len(table)
         held = np.bincount(group * size + index, weights, (int(group.max()) + 1) * size)
         born = np.zeros((size, len(post)))
+        # A reduced row lies in one block, so a table row reaches it once.
         born[rows, post_index] = w
         reached = held.reshape(-1, size) @ born
         group, row = reached.nonzero()
@@ -293,47 +316,31 @@ class _Exact:
         outcome[post_index] = outcomes
         return group, outcome[row], reached[group, row], post, row
 
+    def record(self, ids, stage, first, second):
+        pass
 
-def _kernel(
-    config: ProtocolConfig, rng: np.random.Generator | None
-) -> _Sampled | _Exact:
-    """What the mode picks: how a measurement layer's transition is used.
+    def transcript(self) -> Transcript:
+        return Transcript()
 
-    ``draw`` builds the unselected ensemble from a mixture.  ``measure``
-    runs a kernel, ``app.branches`` or a partial
-    :func:`~ludercheck.quantum.measure_pure`, once on ``table``, which gives
-    each table row's branches with their Born weights and the reduced
-    states as the next table; each reduced row lies in one block, so it has
-    one outcome, and a table row reaches it by at most one branch.  The
-    rows ``table[index]`` carry ``weights`` and belong to ``group``: a
-    system, or a trial.  Returns ``(group, outcome, weight, post,
-    post_index)``.  Sampled mode keeps the rows and draws each one's branch;
-    exact mode returns every ``(group, next row)`` of non-zero weight, from
-    one product of the group x table weight matrix and the table x next-row
-    Born matrix.
-    """
-    if config.mode is Mode.SAMPLED:
-        return _Sampled(config.ensemble_size, rng)
-    return _Exact()
+    def bound(self, evidence, min_disturbance) -> None:
+        return None
 
 
 def prepare_ensemble(
     initial: PureState | DensityMatrix,
     app: MeasurementApparatus,
     target: int,
-    config: ProtocolConfig,
-    rng: np.random.Generator | None,
+    engine: Sampled | Exact,
 ) -> Ensemble:
     """Measure the initial state and keep what returned outcome ``target``.
 
-    ``target`` indexes ``app.outcome_labels``.  Sampled mode draws
-    ``ensemble_size`` systems from the initial state and keeps those whose
-    apparatus outcome matched, with their ids.  Exact mode enumerates every
+    ``target`` indexes ``app.outcome_labels``.  A sampled engine draws its
+    ``size`` systems from the initial state and keeps those whose apparatus
+    outcome matched, with their ids.  An exact engine enumerates every
     branch of every mixture component and keeps the target outcome's rows.
     """
-    kernel = _kernel(config, rng)
-    drawn = kernel.draw(*_as_pure_mixture(initial))
-    system, coarse, weights, table, index = kernel.measure(
+    drawn = engine.draw(*_as_pure_mixture(initial))
+    system, coarse, weights, table, index = engine.measure(
         app.branches, drawn.table, drawn.index, drawn.weights, drawn.ids
     )
     kept = coarse == target
@@ -357,9 +364,7 @@ def run_stage(
     target: int,
     probes: np.ndarray,
     kind: StageKind,
-    config: ProtocolConfig,
-    rng: np.random.Generator | None,
-    transcript: list[Transcript] | None = None,
+    engine: Sampled | Exact,
 ) -> tuple[StageResult, Ensemble]:
     """One pass: auxiliary measurement, apparatus, auxiliary measurement again.
 
@@ -370,16 +375,15 @@ def run_stage(
     auxiliary measurement group by trial, and one weighted table of first
     against second outcomes gives the evidence.  Returns the evidence and
     the trials, each in its first outcome's eigenvector, which after a
-    consistent pass is the ensemble of a follow-up pass.  A given
-    ``transcript`` receives the pass's records; only sampled rows, which
-    stay one per system, make records.  Raises :class:`RepeatabilityError`
-    if a selected state lies outside the target eigenspace or the apparatus
-    fails to reproduce the target outcome.
+    consistent pass is the ensemble of a follow-up pass.  The ``engine``
+    measures and receives each trial's two outcome labels as records.
+    Raises :class:`RepeatabilityError` if a selected state lies outside the
+    target eigenspace or the apparatus fails to reproduce the target
+    outcome.
     """
-    kernel = _kernel(config, rng)
     n = aux.group_count
     observe = partial(measure_pure, aux)
-    system, first, weights, table, index = kernel.measure(
+    system, first, weights, table, index = engine.measure(
         observe, ensemble.table, ensemble.index, ensemble.weights, ensemble.ids
     )
     # A trial is a system and a first outcome; it counts when it holds more
@@ -398,7 +402,7 @@ def run_stage(
     # After a non-degenerate outcome the state is that outcome's eigenvector.
     trials = Ensemble(table, index[live], weights[live], system[live])
 
-    trial, coarse, weights, table, index = kernel.measure(
+    trial, coarse, weights, table, index = engine.measure(
         app.branches, trials.table, trials.index, trials.weights,
         np.arange(len(first)),
     )
@@ -410,19 +414,14 @@ def run_stage(
             f"{app.outcome_labels[target]} on a selected state; it does not "
             "measure the base observable"
         )
-    trial, second, weights, _, _ = kernel.measure(
+    trial, second, weights, _, _ = engine.measure(
         observe, table, index[kept], weights[kept], trial[kept]
     )
     first_of, labels = first[trial], aux.eigenvalues
-    if transcript is not None:
-        # Per system, its two records in measurement order.
-        values, records = np.array(labels), np.empty(2 * len(first))
-        records[0::2], records[1::2] = values[first], values[second]
-        transcript.append(Transcript(
-            np.repeat(trials.ids, 2),
-            np.tile(2 * tuple(StageKind).index(kind) + np.arange(2), len(first)),
-            records,
-        ))
+    values = np.array(labels)
+    engine.record(
+        trials.ids, 2 * tuple(StageKind).index(kind), values[first], values[second]
+    )
     table = np.bincount(first_of * n + second, weights, minlength=n * n)
     table = table.reshape(n, n)
     reached = table.sum(axis=1)
@@ -506,36 +505,31 @@ def discriminate(
             f"the apparatus has no outcome {target_label}; it does not "
             "measure the base observable"
         )
-    rng = np.random.default_rng(config.seed) if config.mode is Mode.SAMPLED else None
-    transcript = None if rng is None else []
+    sampled = config.mode is Mode.SAMPLED
+    engine = Sampled(config.ensemble_size, config.seed) if sampled else Exact()
 
-    ensemble = prepare_ensemble(initial, app, target, config, rng)
-    sigma = build_sigma(decomp)
+    ensemble = prepare_ensemble(initial, app, target, engine)
+    sigma, owner = build_sigma(decomp)
     # sigma_prime keeps sigma's outcomes, so both share these indices.
-    probes = sigma_entries_in_group(decomp, sigma, k)
+    probes = np.flatnonzero(owner == k)
     first, trials = run_stage(
-        ensemble, sigma, app, target, probes, StageKind.SIGMA, config, rng,
-        transcript,
+        ensemble, sigma, app, target, probes, StageKind.SIGMA, engine
     )
     evidence = (first,)
     if first.consistent:
         second, _ = run_stage(
             trials, build_sigma_prime(sigma, probes), app, target, probes,
-            StageKind.SIGMA_PRIME, config, rng, transcript,
+            StageKind.SIGMA_PRIME, engine,
         )
         evidence = (first, second)
     detected = next((s.stage for s in evidence if not s.consistent), None)
-    bound = None
-    if detected is None and config.mode is Mode.SAMPLED:
-        # Either pass alone may have to detect, so only one pass's trials count.
-        bound = min(s.trials for s in evidence) * math.log10(
-            1.0 - config.min_disturbance
-        )
     return Classification(
         verdict=Verdict.LUDERS if detected is None else Verdict.NON_LUDERS,
         detected_at=detected,
         evidence=evidence,
-        false_acceptance_log10_bound=bound,
-        transcript=Transcript.concatenate(transcript or []),
+        false_acceptance_log10_bound=(
+            engine.bound(evidence, config.min_disturbance) if detected is None else None
+        ),
+        transcript=engine.transcript(),
         target_eigenvalue=target_label,
     )

@@ -12,13 +12,15 @@ every branch into the block shares, or a larger block's projection), and
 come a builder for spin-chain observables and the two auxiliary observables
 of the discrimination protocol, both column operations on that matrix: a
 non-degenerate refinement ``sigma`` diagonal in the canonical eigenbasis,
-and a second refinement ``sigma_prime`` whose eigenvectors inside one
-eigenspace overlap every ``sigma`` eigenvector there.  The constructors
+returned with the eigenspace that owns each of its outcomes, and a second
+refinement ``sigma_prime`` whose eigenvectors inside one eigenspace
+overlap every ``sigma`` eigenvector there.  The constructors
 freeze copies of the arrays they are given, never the caller's own arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -45,6 +47,9 @@ _PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+#: Most spin-1/2 sites an observable may have: 2**MAX_SITES is linalg.MAX_DIM.
+MAX_SITES = linalg.MAX_DIM.bit_length() - 1
+
 #: Term keyword for the squared total spin, normalised so that on two
 #: spin-1/2 sites the triplet/singlet sectors take the values 4 and 0.
 TOTAL_SPIN_SQ = "TOTAL_SPIN_SQ"
@@ -53,9 +58,12 @@ TOTAL_SPIN_SQ = "TOTAL_SPIN_SQ"
 def closest_label(labels: Sequence[float], value: float) -> int | None:
     """The index of the label closest to ``value``, the earliest on a tie.
 
-    None if that label is further than 1e-6 * (1 + |value|) away.  Outcome
-    labels and eigenvalue groups are looked up by this one rule.
+    None if ``value`` is not finite or that label is further than
+    1e-6 * (1 + |value|) away.  Outcome labels and eigenvalue groups are
+    looked up by this one rule.
     """
+    if not math.isfinite(value):
+        return None
     diffs = [abs(label - value) for label in labels]
     k = diffs.index(min(diffs))
     return k if diffs[k] <= 1e-6 * (1.0 + abs(value)) else None
@@ -400,8 +408,8 @@ def build_spin_operator(
     the familiar two-spin refinement ``sum of site-z plus total spin
     squared`` come out with the spectrum {6, 4, 2, 0}.
     """
-    if not 1 <= sites <= 6:
-        raise ValueError(f"sites must be between 1 and 6, got {sites}")
+    if not 1 <= sites <= MAX_SITES:
+        raise ValueError(f"sites must be between 1 and {MAX_SITES}, got {sites}")
     dim = 2**sites
     out = np.zeros((dim, dim), dtype=complex)
     if len(terms) == 0:
@@ -459,41 +467,27 @@ def spread_labels(
     raise ValueError("could not separate refined labels; spectrum too dense")
 
 
-def build_sigma(decomp: SpectralDecomposition) -> SpectralDecomposition:
+def build_sigma(
+    decomp: SpectralDecomposition,
+) -> tuple[SpectralDecomposition, np.ndarray]:
     """A non-degenerate refinement diagonal in the canonical eigenbasis.
 
     The vector at position ``alpha`` (1-based) of eigenspace ``k`` gets the
     label ``a_k * S + alpha`` from :func:`spread_labels`; the outcomes are
     the base basis columns in descending label order.  The observable
-    commutes with the base observable and refines it maximally.
+    commutes with the base observable and refines it maximally.  Returns it
+    with ``owner``, where ``owner[i]`` is the base eigenspace of outcome
+    ``i``, whose basis column it is.
     """
     labels = np.concatenate(spread_labels(decomp.eigenvalues, decomp.multiplicities))
     order = np.argsort(-labels, kind="stable")
-    return SpectralDecomposition(
+    sigma = SpectralDecomposition(
         eigenvalues=tuple(labels[order].tolist()),
         multiplicities=(1,) * len(order),
         basis=np.take(decomp.basis, order, axis=1),
     )
-
-
-def sigma_entries_in_group(
-    decomp: SpectralDecomposition, sigma: SpectralDecomposition, k: int
-) -> np.ndarray:
-    """The outcome indices of a non-degenerate sigma inside eigenspace k, ascending.
-
-    Raises ValueError if some sigma eigenvector straddles eigenspace ``k``,
-    whether it lies mostly inside it or mostly outside.
-    """
-    if any(m != 1 for m in sigma.multiplicities):
-        raise ValueError("auxiliary observable must be non-degenerate")
-    amps = decomp.eigenbasis[k].conj() @ sigma.basis
-    weights = (amps.real**2 + amps.imag**2).sum(axis=0)
-    if np.any((weights > 1e-8) & (weights < 1.0 - 1e-8)):
-        raise ValueError(
-            "auxiliary eigenvector straddles eigenspaces; "
-            "the auxiliary observable must commute with the base"
-        )
-    return np.flatnonzero(weights > 0.5)
+    owner = np.repeat(np.arange(decomp.group_count), decomp.multiplicities)[order]
+    return sigma, owner
 
 
 def build_sigma_prime(
@@ -501,8 +495,8 @@ def build_sigma_prime(
 ) -> SpectralDecomposition:
     """A second non-degenerate refinement overlapping sigma on the ``probes``.
 
-    ``probes`` are sigma's outcome indices inside one eigenspace, as
-    :func:`sigma_entries_in_group` gives them.  Their columns become the
+    ``probes`` are sigma's outcome indices inside one eigenspace, those that
+    :func:`build_sigma` gives it as owner.  Their columns become the
     discrete-Fourier mixtures of sigma's eigenvectors there, so every new
     eigenvector has overlap modulus exactly 1/sqrt(n) with every probed
     sigma eigenvector; every other column, and every label, stays sigma's.

@@ -3,7 +3,8 @@
 The references are not part of the package: the protocol never needs them.
 They state a quantity the direct way (a spectral function through the
 eigendecomposition, the eigenprojectors, the Lüders channel as a sum of
-P rho P, a block's projector from its basis vectors), and the tests compare
+P rho P, a block's projector from its basis vectors, sigma's outcomes inside
+an eigenspace from their overlaps with it), and the tests compare
 the package's own kernels with them.
 """
 
@@ -12,7 +13,7 @@ import pytest
 
 from ludercheck.cli import SCHEMA_VERSION
 from ludercheck.linalg import DEFAULT_TOL, hermitian_eig, projector_from_vectors
-from ludercheck.quantum import DensityMatrix
+from ludercheck.quantum import DensityMatrix, SpectralDecomposition
 from ludercheck.scenarios import (
     ConsecutiveSpec,
     FullVonNeumannSpec,
@@ -104,6 +105,26 @@ class KrausDevice:
         post = images[rows, ops] / np.sqrt(norms[rows, ops])[:, None]
         return (rows, self._outcomes[ops], norms[rows, ops], post,
                 np.arange(len(rows)))
+
+
+def sigma_entries_in_group(
+    decomp: SpectralDecomposition, sigma: SpectralDecomposition, k: int
+) -> np.ndarray:
+    """The outcome indices of a non-degenerate sigma inside eigenspace k, ascending.
+
+    Raises ValueError if some sigma eigenvector straddles eigenspace ``k``,
+    whether it lies mostly inside it or mostly outside.
+    """
+    if any(m != 1 for m in sigma.multiplicities):
+        raise ValueError("auxiliary observable must be non-degenerate")
+    amps = decomp.eigenbasis[k].conj() @ sigma.basis
+    weights = (amps.real**2 + amps.imag**2).sum(axis=0)
+    if np.any((weights > 1e-8) & (weights < 1.0 - 1e-8)):
+        raise ValueError(
+            "auxiliary eigenvector straddles eigenspaces; "
+            "the auxiliary observable must commute with the base"
+        )
+    return np.flatnonzero(weights > 0.5)
 
 
 def apply_spectral_function(a, f):

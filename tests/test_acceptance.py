@@ -29,7 +29,6 @@ from ludercheck.quantum import (
     build_sigma,
     build_sigma_prime,
     build_spin_operator,
-    sigma_entries_in_group,
     spectral_decompose,
 )
 from ludercheck.scenarios import builtin_scenarios, default_initial_state
@@ -40,6 +39,7 @@ from conftest import (
     random_density,
     random_unitary,
     set_partitions,
+    sigma_entries_in_group,
 )
 
 
@@ -266,7 +266,7 @@ def test_c7_second_pass_overlap_margins():
     for n, a in cases.items():
         d = spectral_decompose(a)
         k = next(i for i, m in enumerate(d.multiplicities) if m == n)
-        sd = build_sigma(d)
+        sd, _ = build_sigma(d)
         probes = sigma_entries_in_group(d, sd, k)
         spd = build_sigma_prime(sd, probes)
         # positions of eigenspace k's vectors in the flat rank-one listing
@@ -285,7 +285,7 @@ def test_c7_second_pass_overlap_margins():
                 worst = max(worst, abs(abs(np.vdot(s, sp)) - 1 / math.sqrt(n)))
     # for n = 2 the rotated probes are the symmetric/antisymmetric pair
     d = spectral_decompose(TOTAL_Z_2)
-    sd = build_sigma(d)
+    sd, _ = build_sigma(d)
     spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 1))
     fidelities = []
     for i in (1, 2):

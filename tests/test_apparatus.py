@@ -13,7 +13,6 @@ from ludercheck.quantum import (
     PureState,
     build_sigma,
     build_sigma_prime,
-    sigma_entries_in_group,
     spectral_decompose,
 )
 
@@ -25,6 +24,7 @@ from conftest import (
     random_density,
     random_state,
     random_unitary,
+    sigma_entries_in_group,
     sub_projector,
 )
 
@@ -175,7 +175,7 @@ def test_full_von_neumann_shares_one_row_per_basis_column():
     # rank-one blocks: n^2 branches, but only the n basis columns as states
     d = spectral_decompose(total_z(4))
     k = d.multiplicities.index(6)
-    sigma = build_sigma(d)
+    sigma, _ = build_sigma(d)
     probes = sigma_entries_in_group(d, sigma, k)
     table = build_sigma_prime(sigma, probes).basis.T[probes]
     n = len(probes)

@@ -148,6 +148,20 @@ def test_parse_protocol_overrides():
     assert config.target_eigenvalue == 0.0
 
 
+def test_parse_rejects_sites_past_the_cap():
+    for sites in (0, 7):
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario_document(minimal_doc(sites=sites))
+        assert str(err.value) == "$.sites: expected an integer from 1 to 6"
+
+
+def test_parse_rejects_a_negative_seed():
+    doc = minimal_doc(protocol={"mode": "sampled", "seed": -1})
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario_document(doc)
+    assert str(err.value) == "$.protocol.seed: expected a non-negative integer"
+
+
 def test_parse_rejects_bad_mode():
     doc = minimal_doc(protocol={"mode": "psychic"})
     with pytest.raises(ScenarioFormatError) as err:
@@ -394,6 +408,37 @@ def test_main_discriminate_overrides_fix_protocol_before_validation(capsys, tmp_
     assert main(["discriminate", "--scenario", path,
                  "--ensemble-size", "200", "--seed", "3"]) == 0
     assert "LUDERS" in capsys.readouterr().out
+
+
+def test_main_rejects_a_negative_seed(capsys, tmp_path):
+    path = write_doc(tmp_path, minimal_doc(protocol={"mode": "sampled", "seed": -1}))
+    for argv in (["validate", "--scenario", path],
+                 ["discriminate", "--scenario", path]):
+        assert main(argv) == 1
+        assert "$.protocol.seed: expected a non-negative integer" in (
+            capsys.readouterr().err)
+    assert main(["discriminate", "--builtin", "s1-luders-2spin",
+                 "--seed=-1", "--mode", "sampled"]) == 1
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_main_rejects_a_non_finite_target_eigenvalue(capsys, value):
+    argv = ["discriminate", "--builtin", "s4-partial-3spin",
+            f"--target-eigenvalue={value}", "--seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert captured.err.startswith("error: ") and f" {value}" in captured.err
+
+
+def test_main_reports_an_unwritable_out_path(capsys, tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    argv = ["discriminate", "--builtin", "s1-luders-2spin", "--seed", "1",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_validate_prints_eigenvalue_groups(capsys, tmp_path):

@@ -17,9 +17,11 @@ from ludercheck.apparatus import (
 from ludercheck.protocol import (
     STAGE_NAMES,
     EmptySelectionError,
+    Exact,
     Mode,
     RepeatabilityError,
     ProtocolConfig,
+    Sampled,
     StageKind,
     Transcript,
     Verdict,
@@ -35,7 +37,6 @@ from ludercheck.quantum import (
     build_sigma_prime,
     build_spin_operator,
     closest_label,
-    sigma_entries_in_group,
     spectral_decompose,
 )
 from ludercheck.scenarios import (
@@ -52,6 +53,7 @@ from conftest import (
     random_unitary,
     same_transcript,
     set_partitions,
+    sigma_entries_in_group,
 )
 
 from test_quantum import (
@@ -118,8 +120,7 @@ def test_classify_refinement_oracle():
 def test_prepare_ensemble_exact_selects_branch():
     d = spectral_decompose(total_z())
     app = make_luders(d)
-    cfg = ProtocolConfig()
-    ens = prepare_ensemble(DEFAULT_PSI, app, 1, cfg, None)
+    ens = prepare_ensemble(DEFAULT_PSI, app, 1, Exact())
     states = ens.table[ens.index]
     # one system, id 0, whose rows carry the selection probability 2/3
     assert len(states) >= 1 and not ens.ids.any()
@@ -134,9 +135,7 @@ def test_prepare_ensemble_exact_selects_branch():
 def test_prepare_ensemble_sampled_keeps_matching_systems():
     d = spectral_decompose(total_z())
     app = make_luders(d)
-    cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=300, seed=1)
-    rng = np.random.default_rng(1)
-    ens = prepare_ensemble(DEFAULT_PSI, app, 1, cfg, rng)
+    ens = prepare_ensemble(DEFAULT_PSI, app, 1, Sampled(300, seed=1))
     states = ens.table[ens.index]
     assert 0 < len(states) < 300
     assert np.all(ens.weights == 1.0) and np.all(np.diff(ens.ids) > 0)
@@ -149,10 +148,8 @@ def test_prepare_ensemble_sampled_keeps_matching_systems():
 def test_prepare_ensemble_raises_when_nothing_matches():
     d = spectral_decompose(total_z())
     app = make_luders(d)
-    cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=50, seed=3)
-    rng = np.random.default_rng(3)
     with pytest.raises(EmptySelectionError):
-        prepare_ensemble(PureState(PLUS_PLUS), app, 1, cfg, rng)
+        prepare_ensemble(PureState(PLUS_PLUS), app, 1, Sampled(50, seed=3))
 
 
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SAMPLED])
@@ -271,7 +268,7 @@ def test_interleaved_sigma_labels():
     # the two eigenspaces, so neither owns a contiguous range of outcomes.
     a = np.diag([1.001, 1.001, 1.0, 1.0]).astype(complex)
     d = spectral_decompose(a)
-    sigma = build_sigma(d)
+    sigma, _ = build_sigma(d)
     assert sigma.eigenvalues == pytest.approx((10.012004, 10.004, 9.012004, 9.004))
     for k, owned in enumerate(([0, 2], [1, 3])):
         probes = sigma_entries_in_group(d, sigma, k)
@@ -484,6 +481,24 @@ def test_config_validation():
     ProtocolConfig().validate()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_a_non_finite_target_eigenvalue(value):
+    with pytest.raises(ValueError, match="target_eigenvalue must be finite"):
+        ProtocolConfig(target_eigenvalue=value).validate()
+    d = spectral_decompose(total_z())
+    for mode in Mode:
+        with pytest.raises(ValueError, match="target_eigenvalue must be finite"):
+            discriminate(DEFAULT_PSI, make_luders(d), total_z(),
+                         ProtocolConfig(mode=mode, target_eigenvalue=value, seed=1))
+
+
+def test_config_rejects_a_negative_seed():
+    for mode in Mode:
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            ProtocolConfig(mode=mode, seed=-1).validate()
+        ProtocolConfig(mode=mode, seed=0).validate()
+
+
 def test_target_eigenvalue_must_exist():
     d = spectral_decompose(total_z())
     with pytest.raises(ValueError):
@@ -508,10 +523,8 @@ def test_prepare_ensemble_binomial_selection_at_scale():
     d = spectral_decompose(total_z())
     app = make_luders(d)
     n = 10_000
-    cfg = ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=n, seed=5)
-    rng = np.random.default_rng(5)
     psi = PureState((PLUS_PLUS + PLUS_MINUS) / np.sqrt(2))
-    ens = prepare_ensemble(psi, app, 1, cfg, rng)
+    ens = prepare_ensemble(psi, app, 1, Sampled(n, seed=5))
     # keep probability one half: 5 sigma around 5000
     assert abs(len(ens.index) - n / 2) <= 5 * np.sqrt(n / 4)
 
@@ -603,7 +616,7 @@ def reference_exact_discriminate(initial, app, observable, target_eigenvalue):
     if isinstance(initial, PureState):
         initial = DensityMatrix(np.outer(initial.vector, initial.vector.conj()))
     _, rho = target_branch(initial)
-    sigma = build_sigma(d)
+    sigma, _ = build_sigma(d)
     first, probed = run(rho, sigma)
     if first[2]:
         return (first,), StageKind.SIGMA

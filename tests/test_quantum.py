@@ -1,13 +1,16 @@
 """Tests for states, spectral data, reduction rules, and observable builders."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ludercheck.apparatus import make_luders
-from ludercheck.linalg import hermitian_eig
+from ludercheck.linalg import MAX_DIM, hermitian_eig
 from ludercheck.quantum import (
+    MAX_SITES,
     DensityMatrix,
     PureState,
     Refinement,
@@ -22,7 +25,6 @@ from ludercheck.quantum import (
     pick_branches,
     reductions,
     renumber,
-    sigma_entries_in_group,
     spectral_decompose,
     spread_labels,
 )
@@ -36,6 +38,7 @@ from conftest import (
     random_density,
     random_state,
     random_unitary,
+    sigma_entries_in_group,
     sub_projector,
 )
 
@@ -171,7 +174,7 @@ def test_canonical_basis_depends_on_the_eigenprojectors_only(spectrum):
     assert d1.multiplicities == d2.multiplicities
     for g1, g2 in zip(d1.eigenbasis, d2.eigenbasis):
         assert np.max(np.abs(np.array(g1) - np.array(g2))) <= 1e-9
-    sd1, sd2 = build_sigma(d1), build_sigma(d2)
+    (sd1, _), (sd2, _) = build_sigma(d1), build_sigma(d2)
     sigma1, sigma2 = observable_matrix(sd1), observable_matrix(sd2)
     assert np.max(np.abs(sigma1 - sigma2)) <= 1e-9
     k = next(i for i, n in enumerate(d1.multiplicities) if n >= 2)
@@ -376,6 +379,21 @@ def test_closest_label_tolerance_scales_with_the_value():
     assert closest_label((1.0 + 2**-20, 1.0 - 2**-20), 1.0) == 0
 
 
+def test_site_cap_is_the_dimension_cap():
+    assert 2**MAX_SITES == MAX_DIM
+    build_spin_operator(MAX_SITES, ((1.0, "Z" * MAX_SITES),))
+    for sites in (0, MAX_SITES + 1):
+        with pytest.raises(ValueError, match=f"between 1 and 6, got {sites}"):
+            build_spin_operator(sites, ((1.0, "Z" * max(sites, 1)),))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_closest_label_finds_nothing_near_a_non_finite_value(value):
+    # at +-inf the scaled tolerance is itself infinite and would admit any label
+    assert closest_label((2.0, 0.0, -2.0), value) is None
+    assert closest_label((math.inf, -math.inf), value) is None
+
+
 def luders_branches(d, rho):
     """The Lüders branches of a density matrix, enumerated over its eigenrows.
 
@@ -453,7 +471,7 @@ def test_measure_pure_collapses_and_renormalizes():
     if d.eigenvalues[reduced[0]] == 0.0:
         assert abs(np.vdot(PLUS_MINUS, post[0])) == pytest.approx(1.0)
     # a non-degenerate observable's reduced states are its eigenvectors
-    sigma = build_sigma(d)
+    sigma, _ = build_sigma(d)
     rows, outcomes, _, table, index = measure_pure(sigma, psi[None, :])
     assert np.array_equal(table[index], sigma.basis.T[outcomes])
 
@@ -752,7 +770,7 @@ def test_refinement_rejects_a_non_unitary_basis():
 
 def test_build_sigma_labels_and_commutation():
     d = spectral_decompose(total_z())
-    sd = build_sigma(d)
+    sd, _ = build_sigma(d)
     sigma = observable_matrix(sd)
     # spread constant 4 * (1 + 2) = 12: labels 2*12+1, 1, 2, -2*12+1
     assert sd.eigenvalues == (25.0, 2.0, 1.0, -23.0)
@@ -766,7 +784,7 @@ def test_build_sigma_eigenvectors_refine_base():
     u = random_unitary(4, rng)
     a = u @ np.diag([1.0, 1.0, -1.0, -1.0]) @ u.conj().T
     d = spectral_decompose(a)
-    sd = build_sigma(d)
+    sd, _ = build_sigma(d)
     sigma = observable_matrix(sd)
     assert np.allclose(sigma @ a, a @ sigma, atol=1e-9)
     assert sd.group_count == 4
@@ -774,7 +792,7 @@ def test_build_sigma_eigenvectors_refine_base():
 
 def test_sigma_entries_in_group_and_straddling_vectors():
     d = spectral_decompose(total_z())
-    sigma = build_sigma(d)
+    sigma, _ = build_sigma(d)
     inside = sigma_entries_in_group(d, sigma, 1)
     assert inside.tolist() == [1, 2]
     assert [sigma.eigenvalues[i] for i in inside] == list(sigma.eigenvalues[1:3])
@@ -786,7 +804,7 @@ def test_sigma_entries_in_group_and_straddling_vectors():
         / np.sqrt(3)
         for j in range(3)
     ]
-    bad = build_sigma(spectral_decompose(
+    bad, _ = build_sigma(spectral_decompose(
         sum((j + 1) * np.outer(v, v.conj()) for j, v in enumerate(mixed))
     ))
     for k in (0, 1):
@@ -794,9 +812,26 @@ def test_sigma_entries_in_group_and_straddling_vectors():
             sigma_entries_in_group(d, bad, k)
 
 
+@pytest.mark.parametrize("name", ["total_z", "rotated_six_spin", "interleaved"])
+def test_build_sigma_owner_matches_the_overlap_reference(name):
+    a = {
+        "total_z": total_z(),
+        "rotated_six_spin": rotated_six_spin_total_z(7),
+        # sigma's labels alternate between the two eigenspaces
+        "interleaved": np.diag([1.001, 1.001, 1.0, 1.0]).astype(complex),
+    }[name]
+    d = spectral_decompose(a)
+    sigma, owner = build_sigma(d)
+    assert owner.shape == (d.dim,)
+    for k in range(d.group_count):
+        probes = np.flatnonzero(owner == k)
+        assert np.array_equal(probes, sigma_entries_in_group(d, sigma, k))
+        assert len(probes) == d.multiplicities[k]
+
+
 def test_build_sigma_prime_mixes_within_target_group():
     d = spectral_decompose(total_z())
-    sd = build_sigma(d)
+    sd, _ = build_sigma(d)
     sigma = observable_matrix(sd)
     spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 1))
     sp = observable_matrix(spd)
@@ -819,7 +854,7 @@ def test_build_sigma_prime_mixes_within_target_group():
 def test_build_sigma_prime_dft_weights_follow_group_size():
     a = np.diag([5.0, 5.0, 5.0, 1.0])
     d = spectral_decompose(a)
-    sd = build_sigma(d)
+    sd, _ = build_sigma(d)
     spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 0))
     group_labels = {sd.eigenvalues[i] for i in range(3)}
     for w, vec in zip(spd.eigenvalues, spd.eigenbasis):
@@ -829,7 +864,7 @@ def test_build_sigma_prime_dft_weights_follow_group_size():
 
 def test_build_sigma_prime_rejects_non_degenerate_group():
     d = spectral_decompose(total_z())
-    sd = build_sigma(d)
+    sd, _ = build_sigma(d)
     with pytest.raises(ValueError):
         build_sigma_prime(sd, sigma_entries_in_group(d, sd, 0))
 
@@ -909,7 +944,7 @@ def test_build_sigma_commutes_for_random_observables():
             vals = np.round(vals)
             a = (vecs * vals) @ vecs.conj().T
         d = spectral_decompose(a)
-        sd = build_sigma(d)
+        sd, _ = build_sigma(d)
         sigma = observable_matrix(sd)
         scale = max(1.0, np.linalg.norm(a)) * max(1.0, np.linalg.norm(sigma))
         assert np.max(np.abs(sigma @ a - a @ sigma)) <= 1e-10 * scale
