@@ -203,7 +203,7 @@ def _parse_apparatus(node, path: str):
 
 def _parse_protocol(node, path: str) -> ProtocolConfig:
     doc = _expect_object(node, path, {
-        "mode", "ensemble_size", "target_eigenvalue", "min_disturbance", "seed",
+        "mode", "ensemble_size", "target_eigenvalue", "seed",
     })
     kwargs: dict[str, Any] = {}
     if "mode" in doc:
@@ -216,9 +216,6 @@ def _parse_protocol(node, path: str) -> ProtocolConfig:
     if "target_eigenvalue" in doc and doc["target_eigenvalue"] is not None:
         kwargs["target_eigenvalue"] = _expect_number(doc["target_eigenvalue"],
                                                      f"{path}.target_eigenvalue")
-    if "min_disturbance" in doc:
-        kwargs["min_disturbance"] = _expect_number(doc["min_disturbance"],
-                                                   f"{path}.min_disturbance")
     if "seed" in doc and doc["seed"] is not None:
         kwargs["seed"] = _expect_int(doc["seed"], f"{path}.seed")
         if kwargs["seed"] < 0:
@@ -307,7 +304,6 @@ def build_report(result: Classification, config: ProtocolConfig,
             "mode": config.mode.value,
             "ensemble_size": config.ensemble_size,
             "target_eigenvalue": config.target_eigenvalue,
-            "min_disturbance": config.min_disturbance,
             "tol": DEFAULT_TOL,
         },
         "wall_time_s": wall_time_s,
@@ -324,36 +320,33 @@ def build_report(result: Classification, config: ProtocolConfig,
     return report
 
 
-def _print_report(report: dict, out=None):
-    out = sys.stdout if out is None else out
-    print(f"scenario: {report['scenario']}", file=out)
-    print(f"mode: {report['config']['mode']}   seed: {report['seed']}", file=out)
-    print(f"verdict: {report['verdict']}", file=out)
+def _print_report(report: dict):
+    print(f"scenario: {report['scenario']}")
+    print(f"mode: {report['config']['mode']}   seed: {json.dumps(report['seed'])}")
+    print(f"verdict: {report['verdict']}")
     if report["detected_at"] is not None:
-        print(f"detected at: {report['detected_at']}", file=out)
+        print(f"detected at: {report['detected_at']}")
     if report["target_eigenvalue"] is not None:
-        print(f"target eigenvalue: {report['target_eigenvalue']:g}", file=out)
+        print(f"target eigenvalue: {report['target_eigenvalue']:g}")
     for stage in report["stages"]:
         status = "consistent" if stage["consistent"] else "inconsistent"
-        print(
-            f"stage {stage['stage']}: {status}, trials {stage['trials']}, "
-            f"mismatches {stage['mismatch_count']}",
-            file=out,
-        )
+        print(f"stage {stage['stage']}: {status}, trials {stage['trials']}, "
+              f"mismatches {stage['mismatch_count']}")
         for branch in stage["branch_support"]:
             support = ", ".join(f"{lab:g}: {p:.6g}" for lab, p in branch["support"])
-            print(f"  first {branch['first_label']:g} -> {{{support}}}", file=out)
+            print(f"  first {branch['first_label']:g} -> {{{support}}}")
         if stage["unprobed_labels"]:
             labels = ", ".join(f"{x:g}" for x in stage["unprobed_labels"])
-            print(f"  unprobed auxiliary outcomes: {labels}", file=out)
+            print(f"  unprobed auxiliary outcomes: {labels}")
     if report["false_acceptance_log10_bound"] is not None:
         # Rounded up, so the printed power of ten is still a bound.
         exponent = math.ceil(100 * report["false_acceptance_log10_bound"]) / 100
-        print(f"false acceptance bound: 10^{exponent:.2f}", file=out)
+        print(f"false acceptance bound: 10^{exponent:.2f}")
+    elif report["config"]["mode"] == "sampled" and report["verdict"] == "LUDERS":
+        print("false acceptance bound: none certified")
     if "transcript" in report:
-        print(f"transcript: {len(report['transcript'])} measurement records",
-              file=out)
-    print(f"wall time: {report['wall_time_s']:.3f} s", file=out)
+        print(f"transcript: {len(report['transcript'])} measurement records")
+    print(f"wall time: {report['wall_time_s']:.3f} s")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -378,7 +371,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--ensemble-size", type=int, metavar="N",
                      help="override the sampled ensemble size")
     run.add_argument("--seed", type=int, metavar="S",
-                     help="random seed (drawn from entropy when absent)")
+                     help="sampled-mode seed (drawn from entropy when absent)")
     run.add_argument("--target-eigenvalue", type=float, metavar="X",
                      help="override the interrogated eigenvalue")
     run.add_argument("--out", metavar="FILE", help="write the JSON report here")
@@ -418,17 +411,14 @@ def _cmd_discriminate(args) -> int:
         config = ProtocolConfig(target_eigenvalue=scenario.target_eigenvalue)
     else:
         scenario, config = _load_scenario_file(args.scenario)
-    overrides: dict[str, Any] = {}
+    # Each override flag is stored under its ProtocolConfig field's name.
+    fields = ("mode", "ensemble_size", "seed", "target_eigenvalue")
+    overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
     if args.mode is not None:
         overrides["mode"] = Mode(args.mode)
-    if args.ensemble_size is not None:
-        overrides["ensemble_size"] = args.ensemble_size
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.target_eigenvalue is not None:
-        overrides["target_eigenvalue"] = args.target_eigenvalue
     config = dataclasses.replace(config, **overrides)
-    if config.seed is None:
+    config.validate()
+    if config.mode is Mode.SAMPLED and config.seed is None:
         entropy = int(np.random.SeedSequence().entropy) & (2**63 - 1)
         config = dataclasses.replace(config, seed=entropy)
         print(f"seed drawn from entropy: {config.seed}")
@@ -441,7 +431,6 @@ def _cmd_discriminate(args) -> int:
     result = discriminate(initial, app, observable, config)
     wall = time.perf_counter() - started
     report = build_report(result, config, scenario.name, wall, args.transcript)
-    _print_report(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -450,6 +439,7 @@ def _cmd_discriminate(args) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 1
+    _print_report(report)
     return _EXIT_CODE[result.verdict]
 
 

@@ -107,10 +107,9 @@ class ProtocolConfig:
     """Run parameters for :func:`discriminate`.
 
     ``target_eigenvalue`` of ``None`` selects the first degenerate
-    eigenvalue in descending order.  ``min_disturbance`` is the per-system
-    mismatch probability assumed of any non-Lüders apparatus, at the pass
-    that detects it, when quoting the sampled-mode false-acceptance bound
-    ``(1 - p)**trials``.  Every numerical threshold is fixed: a branch that
+    eigenvalue in descending order; only sampled mode reads ``seed``.  The
+    false-acceptance bound takes p* from the target eigenspace's dimension
+    (:data:`P_STAR`), and every numerical threshold is fixed: a branch that
     holds at most DEFAULT_TOL of its system's weight is dropped, and the CLI
     report records that constant as ``config.tol``.
     """
@@ -118,14 +117,11 @@ class ProtocolConfig:
     mode: Mode = Mode.EXACT
     ensemble_size: int = 1000
     target_eigenvalue: float | None = None
-    min_disturbance: float = 0.5
     seed: int | None = None
 
     def validate(self):
         if self.mode is Mode.SAMPLED and self.ensemble_size < 1:
             raise ValueError("sampled mode needs ensemble_size >= 1")
-        if not 0.0 < self.min_disturbance < 1.0:
-            raise ValueError("min_disturbance must lie strictly between 0 and 1")
         target = self.target_eigenvalue
         if target is not None and not math.isfinite(target):
             raise ValueError(f"target_eigenvalue must be finite, got {target}")
@@ -182,9 +178,10 @@ class StageResult:
 class Classification:
     """The protocol's verdict with its supporting evidence.
 
-    ``false_acceptance_log10_bound`` is set on a sampled LUDERS verdict:
-    ``log10`` of ``(1 - min_disturbance)**trials``, with ``trials`` the
-    fewest of any pass, kept as a logarithm so that it never underflows.
+    ``false_acceptance_log10_bound`` is set on a sampled LUDERS verdict on an
+    eigenspace whose dimension n is in :data:`P_STAR`: ``log10`` of
+    ``(1 - P_STAR[n])**trials`` for a projective refinement, with ``trials``
+    the fewest of any pass, kept as a logarithm so that it never underflows.
     """
 
     verdict: Verdict
@@ -214,13 +211,23 @@ class Ensemble:
     ids: np.ndarray
 
 
-def required_ensemble_size(min_disturbance: float, confidence: float) -> int:
-    """Smallest N with (1 - min_disturbance)**N <= confidence."""
-    if not 0.0 < min_disturbance < 1.0:
-        raise ValueError("min_disturbance must lie strictly between 0 and 1")
+#: Certified p*(n): the least chance, over non-Lüders projective refinements
+#: of an n-dimensional eigenspace, that a trial is disturbed in either pass.
+#: At n = 2 the only such refinement is rank-one blocks {u, u_perp}.  With
+#: x = sin^2(2 theta), theta u's angle to the sigma basis and phi its
+#: relative phase, pass one disturbs with d1 = x/2 and pass two with
+#: d2 = (1 - x cos^2 phi)/2, so a trial survives both with chance at most
+#: (1 - x/2)(1 + x)/2 <= 9/16, the maximum at x = 1/2: the pi/8 rotation.
+P_STAR = {2: 7 / 16}
+
+
+def required_ensemble_size(p_star: float, confidence: float) -> int:
+    """Smallest N with (1 - p_star)**N <= confidence."""
+    if not 0.0 < p_star < 1.0:
+        raise ValueError("p_star must lie strictly between 0 and 1")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
-    miss = 1.0 - min_disturbance
+    miss = 1.0 - p_star
     n = max(1, math.ceil(math.log(confidence) / math.log(miss) - 1e-12))
     while miss**n > confidence:
         n += 1
@@ -286,10 +293,12 @@ class Sampled:
         """Every recorded pass, in order."""
         return Transcript(*(np.concatenate(part) for part in zip(*self.records)))
 
-    def bound(self, evidence, min_disturbance) -> float:
-        """``log10`` of the false-acceptance bound of a consistent run."""
-        # Either pass alone may have to detect, so only one pass's trials count.
-        return min(s.trials for s in evidence) * math.log10(1.0 - min_disturbance)
+    def bound(self, evidence, n) -> float | None:
+        """``log10`` of a consistent run's false-acceptance bound, if P_STAR has n."""
+        if n not in P_STAR:
+            return None
+        # Pass two reuses pass one's trials, so one pass's trials count.
+        return min(s.trials for s in evidence) * math.log10(1.0 - P_STAR[n])
 
 
 class Exact:
@@ -322,7 +331,7 @@ class Exact:
     def transcript(self) -> Transcript:
         return Transcript()
 
-    def bound(self, evidence, min_disturbance) -> None:
+    def bound(self, evidence, n) -> None:
         return None
 
 
@@ -528,7 +537,7 @@ def discriminate(
         detected_at=detected,
         evidence=evidence,
         false_acceptance_log10_bound=(
-            engine.bound(evidence, config.min_disturbance) if detected is None else None
+            engine.bound(evidence, len(probes)) if detected is None else None
         ),
         transcript=engine.transcript(),
         target_eigenvalue=target_label,

@@ -266,7 +266,7 @@ def test_main_report_floats_round_trip(capsys, tmp_path):
 
 
 def test_main_sampled_bound_is_finite_at_ten_thousand_systems(capsys, tmp_path):
-    # 0.5**N underflows to zero past N of about 1075; its logarithm does not
+    # (9/16)**N underflows to zero past N of about 1290; its logarithm does not
     out = tmp_path / "r.json"
     assert main(["discriminate", "--builtin", "s1-luders-2spin",
                  "--mode", "sampled", "--seed", "3", "--ensemble-size", "10000",
@@ -277,7 +277,7 @@ def test_main_sampled_bound_is_finite_at_ten_thousand_systems(capsys, tmp_path):
     assert trials > 1100
     assert [s["trials"] for s in report["stages"]] == [trials, trials]
     bound = report["false_acceptance_log10_bound"]
-    assert bound == pytest.approx(trials * math.log10(0.5), rel=1e-12)
+    assert bound == pytest.approx(trials * math.log10(9 / 16), rel=1e-12)
     (line,) = [x for x in text.splitlines() if x.startswith("false acceptance")]
     exponent = float(line.split("10^")[1])
     # printed rounded up, never below the bound itself
@@ -346,9 +346,26 @@ def test_main_exact_transcript_is_empty(capsys, tmp_path):
 
 
 def test_main_entropy_seed_is_printed(capsys):
-    assert main(["discriminate", "--builtin", "s1-luders-2spin"]) == 0
+    assert main(["discriminate", "--builtin", "s1-luders-2spin",
+                 "--mode", "sampled"]) == 0
     out = capsys.readouterr().out
     assert "seed drawn from entropy:" in out
+
+
+def test_main_exact_run_draws_no_seed(capsys, tmp_path):
+    # exact mode uses no randomness, so two runs without --seed agree
+    reports = []
+    for name in ("r1.json", "r2.json"):
+        out = tmp_path / name
+        assert main(["discriminate", "--builtin", "s1-luders-2spin",
+                     "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "seed drawn" not in text and "seed: null" in text
+        report = json.loads(out.read_text())
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["seed"] is None
 
 
 def test_main_validate(capsys, tmp_path):
@@ -389,13 +406,37 @@ def test_main_rejects_a_non_finite_number_at_its_path(capsys, tmp_path, bad):
 
 def test_main_validate_rejects_protocol_that_discriminate_rejects(capsys, tmp_path):
     # validate runs the same protocol checks as discriminate
-    doc = minimal_doc(protocol={"mode": "sampled", "ensemble_size": 0,
-                                "min_disturbance": 2.0})
+    doc = minimal_doc(protocol={"mode": "sampled", "ensemble_size": 0})
     path = write_doc(tmp_path, doc)
     assert main(["validate", "--scenario", path]) == 1
     err = capsys.readouterr().err
     assert "$.protocol" in err and "ensemble_size >= 1" in err
     assert main(["discriminate", "--scenario", path]) == 1
+
+
+def test_main_rejects_a_min_disturbance_field(capsys, tmp_path):
+    # p* comes from the target eigenspace's dimension; no file may set it
+    path = write_doc(tmp_path, minimal_doc(protocol={"min_disturbance": 0.5}))
+    for argv in (["validate"], ["discriminate"]):
+        assert main(argv + ["--scenario", path]) == 1
+        assert "$.protocol.min_disturbance: unknown field" in capsys.readouterr().err
+
+
+def test_main_sampled_bound_is_none_certified_at_dimension_three(capsys, tmp_path):
+    # three-spin total z at eigenvalue 1, a 3-dimensional eigenspace
+    doc = minimal_doc(
+        sites=3,
+        observable={"terms": [[1.0, "ZII"], [1.0, "IZI"], [1.0, "IIZ"]]},
+        protocol={"mode": "sampled", "ensemble_size": 200, "seed": 4,
+                  "target_eigenvalue": 1.0},
+    )
+    out = tmp_path / "r.json"
+    assert main(["discriminate", "--scenario", write_doc(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    assert "false acceptance bound: none certified" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "LUDERS"
+    assert report["false_acceptance_log10_bound"] is None
 
 
 def test_main_discriminate_overrides_fix_protocol_before_validation(capsys, tmp_path):
@@ -430,6 +471,7 @@ def test_main_rejects_a_non_finite_target_eigenvalue(capsys, value):
     captured = capsys.readouterr()
     assert "verdict" not in captured.out
     assert captured.err.startswith("error: ") and f" {value}" in captured.err
+    assert f"target_eigenvalue must be finite, got {value}" in captured.err
 
 
 def test_main_reports_an_unwritable_out_path(capsys, tmp_path):
@@ -437,7 +479,9 @@ def test_main_reports_an_unwritable_out_path(capsys, tmp_path):
     argv = ["discriminate", "--builtin", "s1-luders-2spin", "--seed", "1",
             "--out", str(out)]
     assert main(argv) == 1
-    assert f"error: cannot write {out}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}" in captured.err
+    assert "verdict:" not in captured.out
     assert not out.exists()
 
 

@@ -343,8 +343,35 @@ def test_sampled_luders_accepts_with_bound():
     first, second = result.evidence
     assert first.trials == second.trials
     bound = result.false_acceptance_log10_bound
-    assert bound == pytest.approx(first.trials * math.log10(0.5))
+    assert bound == pytest.approx(first.trials * math.log10(9 / 16))
     assert bound < -3
+
+
+def test_sampled_bound_is_true_and_tight_at_dimension_two():
+    # The pi/8 rotation of s1's target eigenspace disturbs a trial in pass
+    # one or pass two with probability exactly p*(2) = 7/16, the least of any
+    # non-Lüders refinement, so it is accepted as often as the bound allows.
+    observable, d, _, _ = instantiate(get_builtin("s1-luders-2spin"))
+    k = d.group_index(0.0)
+    e1, e2 = d.eigenbasis[k]
+    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    choice = [None] * d.group_count
+    choice[k] = (c * e1 + s * e2, -s * e1 + c * e2)
+    app = make_full_von_neumann(d, choice)
+    initial = PureState((e1 + e2) / math.sqrt(2))
+    seeds = range(2000)
+    results = [
+        discriminate(initial, app, observable, ProtocolConfig(
+            mode=Mode.SAMPLED, ensemble_size=3, target_eigenvalue=0.0, seed=seed))
+        for seed in seeds
+    ]
+    # Every system is selected, so every run quotes the bound of 3 trials.
+    assert {r.evidence[0].trials for r in results} == {3}
+    accepted = [r for r in results if r.verdict is Verdict.LUDERS]
+    (bound,) = {r.false_acceptance_log10_bound for r in accepted}
+    q = 10**bound
+    expected, sd = len(seeds) * q, math.sqrt(len(seeds) * q * (1 - q))
+    assert abs(len(accepted) - expected) <= 4 * sd
 
 
 def test_sampled_von_neumann_is_caught(rng):
@@ -476,8 +503,6 @@ def test_mixed_initial_state_is_supported():
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=0).validate()
-    with pytest.raises(ValueError):
-        ProtocolConfig(min_disturbance=0.0).validate()
     ProtocolConfig().validate()
 
 
