@@ -468,7 +468,7 @@ def _cmd_validate(args) -> int:
     print(f"apparatus: {type(scenario.apparatus_spec).__name__}")
     print(f"protocol mode: {config.mode.value}")
     if args.reveal:
-        target = resolve_target(decomp, config)
+        target = resolve_target(decomp, config.target_eigenvalue)
         if target is None:
             print("ground truth: INDETERMINATE (no degenerate target eigenvalue)")
         else:

@@ -3,7 +3,7 @@
 Operators and states are plain numpy arrays: square complex matrices for
 observables, projectors and density matrices, 1-d complex arrays for state
 vectors.  Eigendecompositions come from LAPACK through ``np.linalg.eigh``,
-with a deterministic order and phase convention imposed on the result.
+with the eigenvalues in descending order.
 """
 
 from __future__ import annotations
@@ -53,30 +53,18 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and the
-    columns of ``v`` the matching orthonormal eigenvectors.  Each
-    eigenvector's global phase is fixed so that its first component with
-    modulus above DEFAULT_TOL is real and positive.  Inside a degenerate
-    eigenspace the vectors are whatever LAPACK returns; callers that need a
-    canonical basis there derive it from the eigenprojector
-    (see :func:`ludercheck.quantum.spectral_decompose`).
+    columns of ``v`` the matching orthonormal eigenvectors, as LAPACK
+    returns them; callers that need a canonical basis derive it from the
+    eigenprojectors (see :func:`ludercheck.quantum.spectral_decompose`).
 
-    Raises ValueError if an entry of ``a - a^H`` exceeds DEFAULT_TOL in
-    modulus.
+    Raises ValueError unless every entry of ``a - a^H`` is within
+    DEFAULT_TOL in modulus (:func:`is_hermitian`).
     """
     m = as_matrix(a)
-    mh = m.conj().T
-    if not np.max(np.abs(m - mh)) <= DEFAULT_TOL:
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(0.5 * (m + mh))
-    v = v[:, ::-1]
-    # Per column, rotate the global phase so that the first component with
-    # modulus above DEFAULT_TOL becomes real and positive.
-    significant = np.abs(v) > DEFAULT_TOL
-    cols = np.flatnonzero(significant.any(axis=0))
-    lead = v[significant[:, cols].argmax(axis=0), cols]
-    phase = np.ones(v.shape[1], dtype=complex)
-    phase[cols] = np.conj(lead) / np.abs(lead)
-    return w[::-1], v * phase
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return w[::-1], v[:, ::-1]
 
 
 def projector_from_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -47,6 +47,7 @@ from :func:`ludercheck.quantum.build_sigma`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -102,6 +103,13 @@ class EmptySelectionError(ValueError):
     """No system survived a selection step; retry with a larger ensemble."""
 
 
+def _check_type(name: str, value, kind: type):
+    """Raise ValueError naming ``name`` unless ``value`` is a non-bool ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters for :func:`discriminate`.
@@ -120,6 +128,13 @@ class ProtocolConfig:
     seed: int | None = None
 
     def validate(self):
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
+        _check_type("ensemble_size", self.ensemble_size, numbers.Integral)
+        if self.seed is not None:
+            _check_type("seed", self.seed, numbers.Integral)
+        if self.target_eigenvalue is not None:
+            _check_type("target_eigenvalue", self.target_eigenvalue, numbers.Real)
         if self.mode is Mode.SAMPLED and self.ensemble_size < 1:
             raise ValueError("sampled mode needs ensemble_size >= 1")
         target = self.target_eigenvalue
@@ -462,10 +477,16 @@ def run_stage(
     return result, trials
 
 
-def resolve_target(decomp: SpectralDecomposition, config: ProtocolConfig) -> int | None:
-    """The eigenspace to interrogate, or None when the verdict is indeterminate."""
-    if config.target_eigenvalue is not None:
-        k = decomp.group_index(config.target_eigenvalue)
+def resolve_target(
+    decomp: SpectralDecomposition, target_eigenvalue: float | None
+) -> int | None:
+    """The eigenspace to interrogate, or None when the verdict is indeterminate.
+
+    It is the group of ``target_eigenvalue`` if that is degenerate, and with
+    no target eigenvalue the first degenerate group.
+    """
+    if target_eigenvalue is not None:
+        k = decomp.group_index(target_eigenvalue)
         return k if decomp.multiplicities[k] >= 2 else None
     for k, n in enumerate(decomp.multiplicities):
         if n >= 2:
@@ -498,7 +519,7 @@ def discriminate(
             f"the apparatus acts on dimension {app.dim}, the observable on "
             f"dimension {decomp.dim}"
         )
-    k = resolve_target(decomp, config)
+    k = resolve_target(decomp, config.target_eigenvalue)
     if k is None:
         return Classification(
             verdict=Verdict.INDETERMINATE,

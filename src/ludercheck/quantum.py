@@ -285,22 +285,19 @@ def spectral_decompose(observable: np.ndarray) -> SpectralDecomposition:
 
     Eigenvalues whose spacing stays within GROUPING_RELATIVE of the spectral
     range (of 1, if the range is smaller) merge into a single degenerate
-    group.  Each group's eigenvalue is the mean of its members (a lone
-    member's own value, bit for bit), its projector V_g V_g^H over the
-    members' eigenvectors, and its canonical basis the Gram-Schmidt basis of
-    the projector's columns, so that the basis inside a degenerate eigenspace
-    does not depend on eigensolver rounding.
-    On a diagonal observable it is the standard basis vectors in index order.
+    group.  Each group's eigenvalue is the mean of its members, and its
+    canonical basis the Gram-Schmidt basis of its projector's columns
+    (:func:`_canonical_basis`), which depends on the projector alone: not on
+    eigensolver rounding inside a degenerate eigenspace, nor on the phases
+    of the eigenvectors.  On a diagonal observable it is the standard basis
+    vectors in index order.
     """
     w, v = linalg.hermitian_eig(observable)
-    if np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) > DEFAULT_TOL:
-        raise ValueError("eigenvectors are not orthonormal within tolerance")
     groups = _group_sorted_eigenvalues(
         w, GROUPING_RELATIVE * max(1.0, float(w[0] - w[-1]))
     )
-    means = [w[idx[0]] if len(idx) == 1 else np.mean(w[idx]) for idx in groups]
     return SpectralDecomposition(
-        eigenvalues=tuple(map(float, means)),
+        eigenvalues=tuple(float(np.mean(w[idx])) for idx in groups),
         multiplicities=tuple(len(idx) for idx in groups),
         basis=_canonical_basis(v, [len(idx) for idx in groups]),
     )

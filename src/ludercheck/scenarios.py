@@ -24,7 +24,7 @@ from .apparatus import (
     make_luders,
     make_partial,
 )
-from .protocol import StageKind, Verdict
+from .protocol import StageKind, Verdict, resolve_target
 from .quantum import (
     PureState,
     Refinement,
@@ -211,13 +211,8 @@ def instantiate(
             )
         state = PureState(np.asarray(scenario.initial_state, dtype=complex))
     else:
-        if scenario.target_eigenvalue is not None:
-            group = decomp.group_index(scenario.target_eigenvalue)
-        else:
-            group = next(
-                (k for k, n in enumerate(decomp.multiplicities) if n >= 2), 0
-            )
-        state = default_initial_state(decomp, group)
+        k = resolve_target(decomp, scenario.target_eigenvalue)
+        state = default_initial_state(decomp, 0 if k is None else k)
     return observable, decomp, app, state
 
 

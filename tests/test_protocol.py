@@ -504,6 +504,33 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=0).validate()
     ProtocolConfig().validate()
+    ProtocolConfig(mode=Mode.SAMPLED, ensemble_size=np.int64(10), seed=np.uint32(1),
+                   target_eigenvalue=np.float64(0.0)).validate()
+    ProtocolConfig(target_eigenvalue=0).validate()
+    # each wrong type is named before discriminate measures anything
+    wrong = [
+        ("mode", dict(mode="sampled", ensemble_size=100, seed=1)),
+        ("mode", dict(mode=None)),
+        ("ensemble_size", dict(mode=Mode.SAMPLED, ensemble_size=1e3, seed=1)),
+        ("ensemble_size", dict(ensemble_size=True)),
+        ("ensemble_size", dict(ensemble_size=None)),
+        ("seed", dict(mode=Mode.SAMPLED, seed=1.5)),
+        ("seed", dict(seed=False)),
+        ("target_eigenvalue", dict(target_eigenvalue=True)),
+        ("target_eigenvalue", dict(target_eigenvalue=1j)),
+        ("target_eigenvalue", dict(target_eigenvalue="0")),
+    ]
+    d = spectral_decompose(total_z())
+    device = make_luders(d)
+    calls = []
+    device.branches = lambda table: calls.append(table)
+    for field_name, kwargs in wrong:
+        config = ProtocolConfig(**kwargs)
+        with pytest.raises(ValueError, match=f"^{field_name} must be"):
+            config.validate()
+        with pytest.raises(ValueError, match=f"^{field_name} must be"):
+            discriminate(DEFAULT_PSI, device, total_z(), config)
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -243,6 +243,12 @@ def test_canonical_basis_matches_per_column_gram_schmidt():
         assert_canonical_basis_matches_mgs(random_unitary(dim, rng)[:, :rank], (rank,))
     # several eigenspaces, one stack: a full basis of C^8 in blocks of 3, 1, 4
     assert_canonical_basis_matches_mgs(random_unitary(8, rng), (3, 1, 4))
+    # per-column phases leave every projector, and so the basis, unchanged
+    v = random_unitary(8, rng)
+    got = assert_canonical_basis_matches_mgs(
+        v * np.exp(2j * np.pi * rng.random(8)), (3, 1, 4)
+    )
+    assert np.max(np.abs(got - _canonical_basis(v, (3, 1, 4)))) <= 1e-12
 
 
 def test_canonical_basis_skips_zero_columns_of_a_diagonal_projector():

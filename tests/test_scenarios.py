@@ -1,9 +1,18 @@
 """Tests for scenario construction, consecutive refinements, and builtins."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ludercheck.protocol import ProtocolConfig, StageKind, Verdict, discriminate
+from ludercheck.protocol import (
+    ProtocolConfig,
+    StageKind,
+    Verdict,
+    classify_refinement_oracle,
+    discriminate,
+    resolve_target,
+)
 from ludercheck.quantum import build_spin_operator, spectral_decompose
 from ludercheck.scenarios import (
     ConsecutiveSpec,
@@ -144,18 +153,27 @@ def test_s4_target_eigenspace_is_four_dimensional():
     assert decomp.multiplicities[k] == 4
 
 
+def test_default_state_populates_the_eigenspace_discriminate_interrogates():
+    # s1's total z has the groups 2, 0 and -2, of sizes 1, 2 and 1; a
+    # non-degenerate target is never measured, and gets group 0's state
+    base = get_builtin("s1-luders-2spin")
+    for target, group in ((None, 1), (0.0, 1), (-2.0, 0)):
+        sc = dataclasses.replace(base, target_eigenvalue=target)
+        observable, decomp, app, initial = instantiate(sc)
+        want = default_initial_state(decomp, group).vector
+        assert np.array_equal(initial.vector, want)
+    result = discriminate(initial, app, observable,
+                          ProtocolConfig(target_eigenvalue=-2.0))
+    assert result.verdict is Verdict.INDETERMINATE
+
+
 def test_builtin_expectations_match_the_refinement_oracle():
-    from ludercheck.protocol import classify_refinement_oracle
     for sc in builtin_scenarios():
         _, decomp, app, _ = instantiate(sc)
         if sc.expected_verdict is Verdict.INDETERMINATE:
             # no degenerate eigenvalue: nothing for an oracle to classify
             assert all(n == 1 for n in decomp.multiplicities)
             continue
-        if sc.target_eigenvalue is not None:
-            k = decomp.group_index(sc.target_eigenvalue)
-        else:
-            # auto rule: first eigenvalue group with any degeneracy
-            k = next(i for i, n in enumerate(decomp.multiplicities) if n >= 2)
+        k = resolve_target(decomp, sc.target_eigenvalue)
         oracle = classify_refinement_oracle(app.reveal_refinement(), k)
         assert oracle is sc.expected_verdict

@@ -12,8 +12,8 @@ call of a class or of a function with an annotated return.  A receiver of
 unknown type counts as a use of every method of that name.  Dunder methods
 are out of reach: operators and builtins call them, not names.
 
-The README's quick start runs here too, and the package root exports what
-the README names.
+No module imports another's private names.  The README's quick start runs
+here too, and the package root exports what the README names.
 """
 
 import ast
@@ -209,6 +209,36 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if key not in used and key not in traced and not _named_in_readme(name, cls)
     )
     assert orphans == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """``from .m import _x``, ``from . import _m`` and ``m._x`` for a package
+    module ``m`` all reach past another module's public surface."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name.startswith("ludercheck")
+                          and any(map(_private, a.name.split(".")))]
+            elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("ludercheck")
+            ):
+                found += [(path.name, a.name) for a in node.names if _private(a.name)]
+                if node.module in (None, "ludercheck"):
+                    modules |= {a.asname or a.name for a in node.names}
+        found += [
+            (path.name, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ]
+    assert found == []
 
 
 def test_readme_quick_start_runs(capsys):
