@@ -1,11 +1,15 @@
 """Command-line front end: run, list, and validate discrimination scenarios.
 
 Scenario files are JSON (schema_version 1).  Reports are JSON with
-``report_schema`` 3: with ``--transcript``, each measurement record is a
-``[system_id, stage, label]`` array, two per system and pass, and its
-timestamp is its position in the list.  Reports are deterministic for a
-fixed seed: rerunning the same scenario with the same seed produces the
-same bytes except for the wall-time field.
+``report_schema`` 4.  Every auxiliary outcome in a report is an integer
+index: outcome ``i`` is column ``i`` of the observable's canonical
+eigenbasis, eigenspace after eigenspace in descending eigenvalue order, and
+sigma-prime keeps sigma's indices.  With ``--transcript``, each measurement
+record is a ``[system_id, stage, outcome]`` array, two per system and pass,
+and its timestamp is its position in the list.  Reports are deterministic
+for a fixed seed: rerunning the same scenario with the same seed produces
+the same bytes except for the wall-time field.  Text output prints
+eigenvalues in full, with ``repr``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .scenarios import (
 )
 
 SCHEMA_VERSION = 1
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 _EXIT_CODE = {Verdict.LUDERS: 0, Verdict.NON_LUDERS: 2, Verdict.INDETERMINATE: 3}
 
@@ -274,21 +278,21 @@ def build_report(result: Classification, config: ProtocolConfig,
 
     With ``include_transcript`` the ``transcript`` field lists every
     measurement record of ``result.transcript`` in order, each as
-    ``[system_id, stage_name, label]``; a record's timestamp is its index.
+    ``[system_id, stage_name, outcome]``; a record's timestamp is its index.
     """
     stages = []
     for stage in result.evidence:
         stages.append({
             "stage": stage.stage.value,
             "consistent": stage.consistent,
-            "observed_first_labels": list(stage.observed_first_labels),
+            "observed_first": list(stage.observed_first),
             "mismatch_count": stage.mismatch_count,
             "trials": stage.trials,
             "branch_support": [
-                {"first_label": label, "support": [[lab, p] for lab, p in support]}
-                for label, support in stage.branch_support
+                {"first": first, "support": [list(pair) for pair in support]}
+                for first, support in stage.branch_support
             ],
-            "unprobed_labels": list(stage.unprobed_labels),
+            "unprobed": list(stage.unprobed),
         })
     report = {
         "report_schema": REPORT_SCHEMA,
@@ -311,10 +315,10 @@ def build_report(result: Classification, config: ProtocolConfig,
     if include_transcript:
         records = result.transcript
         report["transcript"] = [
-            [sid, STAGE_NAMES[stage], label]
-            for sid, stage, label in zip(
+            [sid, STAGE_NAMES[stage], outcome]
+            for sid, stage, outcome in zip(
                 records.system_ids.tolist(), records.stages.tolist(),
-                records.labels.tolist(),
+                records.outcomes.tolist(),
             )
         ]
     return report
@@ -327,17 +331,17 @@ def _print_report(report: dict):
     if report["detected_at"] is not None:
         print(f"detected at: {report['detected_at']}")
     if report["target_eigenvalue"] is not None:
-        print(f"target eigenvalue: {report['target_eigenvalue']:g}")
+        print(f"target eigenvalue: {report['target_eigenvalue']!r}")
     for stage in report["stages"]:
         status = "consistent" if stage["consistent"] else "inconsistent"
         print(f"stage {stage['stage']}: {status}, trials {stage['trials']}, "
               f"mismatches {stage['mismatch_count']}")
         for branch in stage["branch_support"]:
-            support = ", ".join(f"{lab:g}: {p:.6g}" for lab, p in branch["support"])
-            print(f"  first {branch['first_label']:g} -> {{{support}}}")
-        if stage["unprobed_labels"]:
-            labels = ", ".join(f"{x:g}" for x in stage["unprobed_labels"])
-            print(f"  unprobed auxiliary outcomes: {labels}")
+            support = ", ".join(f"{i}: {p:.6g}" for i, p in branch["support"])
+            print(f"  first {branch['first']} -> {{{support}}}")
+        if stage["unprobed"]:
+            unprobed = ", ".join(map(str, stage["unprobed"]))
+            print(f"  unprobed auxiliary outcomes: {unprobed}")
     if report["false_acceptance_log10_bound"] is not None:
         # Rounded up, so the printed power of ten is still a bound.
         exponent = math.ceil(100 * report["false_acceptance_log10_bound"]) / 100
@@ -459,7 +463,7 @@ def _cmd_validate(args) -> int:
         raise ScenarioFormatError("$.protocol", str(exc)) from exc
     observable, decomp, app, _ = instantiate(scenario)
     groups = ", ".join(
-        f"{a:g} (n={n})"
+        f"{a!r} (n={n})"
         for a, n in zip(decomp.eigenvalues, decomp.multiplicities)
     )
     print(f"scenario file is valid (schema_version {SCHEMA_VERSION})")
@@ -473,7 +477,7 @@ def _cmd_validate(args) -> int:
             print("ground truth: INDETERMINATE (no degenerate target eigenvalue)")
         else:
             verdict = classify_refinement_oracle(app.reveal_refinement(), target)
-            print(f"ground truth at eigenvalue {decomp.eigenvalues[target]:g}: "
+            print(f"ground truth at eigenvalue {decomp.eigenvalues[target]!r}: "
                   f"{verdict.value}")
     return 0
 

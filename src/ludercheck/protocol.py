@@ -25,8 +25,10 @@ selection, each auxiliary measurement, each apparatus use) is one table-row
 transition: a kernel, the apparatus's ``branches`` or
 :func:`ludercheck.quantum.measure_pure`, takes only the table and
 enumerates each row's branches once, with its Born weight and its reduced
-row in the next table, so outcomes stay integer indices until they reach
-the evidence and the transcript.  The protocol asks the apparatus for
+row in the next table.  Outcomes are integer indices throughout: an
+auxiliary outcome ``i`` is column ``i`` of the base observable's canonical
+basis, from :func:`ludercheck.quantum.build_sigma` to the evidence and the
+transcript.  The protocol asks the apparatus for
 nothing but ``dim``, ``outcome_labels`` and ``branches``.
 
 :func:`discriminate` builds one engine per run, :class:`Exact` or
@@ -149,9 +151,10 @@ class Transcript:
     """The measurement records of a sampled run, held as parallel arrays.
 
     Record ``i`` is system ``system_ids[i]`` measured at stage
-    ``STAGE_NAMES[stages[i]]`` with outcome ``labels[i]``; its timestamp is
-    its position ``i``.  The CLI report writes record ``i`` as the row
-    ``[system_ids[i], STAGE_NAMES[stages[i]], labels[i]]`` at index ``i``.
+    ``STAGE_NAMES[stages[i]]`` with auxiliary outcome ``outcomes[i]``; its
+    timestamp is its position ``i``.  The CLI report writes record ``i`` as
+    the row ``[system_ids[i], STAGE_NAMES[stages[i]], outcomes[i]]`` at
+    index ``i``.
     Each sampled system has two records per pass, its first and second
     auxiliary outcomes.  An exact run has no records.
     """
@@ -160,7 +163,9 @@ class Transcript:
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
     stages: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    labels: np.ndarray = field(default_factory=lambda: np.empty(0))
+    outcomes: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
 
     def __len__(self) -> int:
         return len(self.system_ids)
@@ -174,19 +179,20 @@ class StageResult:
     outcome (a probe) in exact mode.  ``mismatch_count`` counts the trials
     whose second outcome differs from the first (with more than DEFAULT_TOL
     of the trial's weight, in exact mode).  ``branch_support`` gives, per
-    reached first outcome in label order, the distribution of the second
+    reached first outcome in index order, the distribution of the second
     outcome: empirical frequencies when sampled, Born weights when exact.
-    Auxiliary outcomes of the target eigenspace that no trial reached are
-    listed in ``unprobed_labels`` rather than silently skipped.
+    Outcomes are auxiliary outcome indices.  Those of the target eigenspace
+    that no trial reached are listed in ``unprobed`` rather than silently
+    skipped.
     """
 
     stage: StageKind
     consistent: bool
-    observed_first_labels: tuple[float, ...]
+    observed_first: tuple[int, ...]
     mismatch_count: int
     trials: int
-    branch_support: tuple[tuple[float, tuple[tuple[float, float], ...]], ...]
-    unprobed_labels: tuple[float, ...] = ()
+    branch_support: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
+    unprobed: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -298,10 +304,9 @@ class Sampled:
 
     def record(self, ids, stage, first, second):
         """System ``ids[i]`` saw ``first[i]`` at ``stage``, then ``second[i]``."""
-        labels = np.empty(2 * len(ids))
-        labels[0::2], labels[1::2] = first, second
         self.records.append((
-            np.repeat(ids, 2), np.tile(stage + np.arange(2), len(ids)), labels
+            np.repeat(ids, 2), np.tile(stage + np.arange(2), len(ids)),
+            np.column_stack((first, second)).ravel(),
         ))
 
     def transcript(self) -> Transcript:
@@ -400,7 +405,7 @@ def run_stage(
     against second outcomes gives the evidence.  Returns the evidence and
     the trials, each in its first outcome's eigenvector, which after a
     consistent pass is the ensemble of a follow-up pass.  The ``engine``
-    measures and receives each trial's two outcome labels as records.
+    measures and receives each trial's two outcomes as records.
     Raises :class:`RepeatabilityError` if a selected state lies outside the
     target eigenspace or the apparatus fails to reproduce the target
     outcome.
@@ -441,11 +446,8 @@ def run_stage(
     trial, second, weights, _, _ = engine.measure(
         observe, table, index[kept], weights[kept], trial[kept]
     )
-    first_of, labels = first[trial], aux.eigenvalues
-    values = np.array(labels)
-    engine.record(
-        trials.ids, 2 * tuple(StageKind).index(kind), values[first], values[second]
-    )
+    first_of = first[trial]
+    engine.record(trials.ids, 2 * tuple(StageKind).index(kind), first, second)
     table = np.bincount(first_of * n + second, weights, minlength=n * n)
     table = table.reshape(n, n)
     reached = table.sum(axis=1)
@@ -458,7 +460,7 @@ def run_stage(
     frequency = (table[a, b] / reached[a]).tolist()
     support_of = {x: [] for x in np.flatnonzero(reached).tolist()}
     for x, y, f in zip(a.tolist(), b.tolist(), frequency):
-        support_of[x].append((labels[y], f))
+        support_of[x].append((y, f))
     # Each first outcome's earliest trial gives the order of observation.
     seen = np.full(n, len(first))
     np.minimum.at(seen, first, np.arange(len(first)))
@@ -466,13 +468,11 @@ def run_stage(
     result = StageResult(
         stage=kind,
         consistent=mismatches == 0,
-        observed_first_labels=tuple(labels[a] for a in observed),
+        observed_first=tuple(observed.tolist()),
         mismatch_count=mismatches,
         trials=len(first),
-        branch_support=tuple(
-            (labels[a], tuple(pairs)) for a, pairs in support_of.items()
-        ),
-        unprobed_labels=tuple(labels[a] for a in probes if not reached[a]),
+        branch_support=tuple((x, tuple(p)) for x, p in support_of.items()),
+        unprobed=tuple(a for a in probes.tolist() if not reached[a]),
     )
     return result, trials
 

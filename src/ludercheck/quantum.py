@@ -11,8 +11,8 @@ every branch into the block shares, or a larger block's projection), and
 :func:`pick_branches` draws one branch per system by inverse CDF.  Then
 come a builder for spin-chain observables and the two auxiliary observables
 of the discrimination protocol, both column operations on that matrix: a
-non-degenerate refinement ``sigma`` diagonal in the canonical eigenbasis,
-returned with the eigenspace that owns each of its outcomes, and a second
+non-degenerate refinement ``sigma`` whose outcome ``i`` is basis column
+``i``, returned with the eigenspace that owns each outcome, and a second
 refinement ``sigma_prime`` whose eigenvectors inside one eigenspace
 overlap every ``sigma`` eigenvector there.  The constructors
 freeze copies of the arrays they are given, never the caller's own arrays.
@@ -290,12 +290,22 @@ def spectral_decompose(observable: np.ndarray) -> SpectralDecomposition:
     (:func:`_canonical_basis`), which depends on the projector alone: not on
     eigensolver rounding inside a degenerate eigenspace, nor on the phases
     of the eigenvectors.  On a diagonal observable it is the standard basis
-    vectors in index order.
+    vectors in index order.  Raises ValueError when the threshold is within
+    rounding of the largest eigenvalue modulus: a spectrum dominated by a
+    multiple of the identity.
     """
     w, v = linalg.hermitian_eig(observable)
-    groups = _group_sorted_eigenvalues(
-        w, GROUPING_RELATIVE * max(1.0, float(w[0] - w[-1]))
-    )
+    threshold = GROUPING_RELATIVE * max(1.0, float(w[0] - w[-1]))
+    # eigh perturbs each eigenvalue by up to about d * eps * max|w|; a margin
+    # of ten keeps that rounding from bridging or splitting a group.
+    magnitude = float(np.abs(w).max())
+    if threshold <= 10 * len(w) * np.finfo(float).eps * magnitude:
+        raise ValueError(
+            f"the eigenvalues reach {magnitude:.3g} but span only "
+            f"{w[0] - w[-1]:.3g}, so rounding can merge or split their groups; "
+            "subtract a multiple of the identity from the observable"
+        )
+    groups = _group_sorted_eigenvalues(w, threshold)
     return SpectralDecomposition(
         eigenvalues=tuple(float(np.mean(w[idx])) for idx in groups),
         multiplicities=tuple(len(idx) for idx in groups),
@@ -440,50 +450,24 @@ def _total_spin_squared(sites: int) -> np.ndarray:
     return 0.5 * sum(c @ c for c in components)
 
 
-def spread_labels(
-    eigenvalues: Sequence[float], counts: Sequence[int]
-) -> tuple[tuple[float, ...], ...]:
-    """Distinct refined labels, ``counts[k]`` of them per eigenvalue ``a_k``.
-
-    Label ``j`` (1-based) of eigenvalue ``a_k`` is ``a_k * S + j`` for a
-    spread constant S large enough that all labels stay pairwise separated;
-    S doubles from its default until they do.
-    """
-    spread = 4.0 * (1.0 + max(abs(a) for a in eigenvalues))
-    for _ in range(200):
-        labels = tuple(
-            tuple(a * spread + j for j in range(1, n + 1))
-            for a, n in zip(eigenvalues, counts)
-        )
-        flat = np.sort([x for group in labels for x in group])
-        # Rounding is monotone, so the smallest pairwise gap is adjacent.
-        gap = np.diff(flat).min() if len(flat) > 1 else 1.0
-        if gap > 1e-9 * (1.0 + np.abs(flat).max()):
-            return labels
-        spread *= 2.0
-    raise ValueError("could not separate refined labels; spectrum too dense")
-
-
 def build_sigma(
     decomp: SpectralDecomposition,
 ) -> tuple[SpectralDecomposition, np.ndarray]:
     """A non-degenerate refinement diagonal in the canonical eigenbasis.
 
-    The vector at position ``alpha`` (1-based) of eigenspace ``k`` gets the
-    label ``a_k * S + alpha`` from :func:`spread_labels`; the outcomes are
-    the base basis columns in descending label order.  The observable
-    commutes with the base observable and refines it maximally.  Returns it
-    with ``owner``, where ``owner[i]`` is the base eigenspace of outcome
-    ``i``, whose basis column it is.
+    Outcome ``i`` is column ``i`` of ``decomp.basis``, in its order:
+    eigenspace after eigenspace.  The protocol reads only the eigenvectors,
+    so the eigenvalues are the placeholders d, d-1, ..., 1, which keep them
+    distinct and descending.  The observable commutes with the base
+    observable and refines it maximally.  Returns it with ``owner``, where
+    ``owner[i]`` is the base eigenspace of outcome ``i``.
     """
-    labels = np.concatenate(spread_labels(decomp.eigenvalues, decomp.multiplicities))
-    order = np.argsort(-labels, kind="stable")
     sigma = SpectralDecomposition(
-        eigenvalues=tuple(labels[order].tolist()),
-        multiplicities=(1,) * len(order),
-        basis=np.take(decomp.basis, order, axis=1),
+        eigenvalues=tuple(float(i) for i in range(decomp.dim, 0, -1)),
+        multiplicities=(1,) * decomp.dim,
+        basis=decomp.basis,
     )
-    owner = np.repeat(np.arange(decomp.group_count), decomp.multiplicities)[order]
+    owner = np.repeat(np.arange(decomp.group_count), decomp.multiplicities)
     return sigma, owner
 
 
@@ -496,7 +480,7 @@ def build_sigma_prime(
     :func:`build_sigma` gives it as owner.  Their columns become the
     discrete-Fourier mixtures of sigma's eigenvectors there, so every new
     eigenvector has overlap modulus exactly 1/sqrt(n) with every probed
-    sigma eigenvector; every other column, and every label, stays sigma's.
+    sigma eigenvector; every other column, and every eigenvalue, stays sigma's.
     For n = 2 the mixtures are the familiar pair (|s1> +- |s2>)/sqrt(2).
     """
     n = len(probes)

@@ -144,13 +144,17 @@ def build_consecutive(
     cells = []
     for s, n in zip(base.starts, base.multiplicities):
         # Each cell is a column block, which a refiner splits into one block
-        # per eigenspace of its restriction to the cell.
+        # per eigenspace of its restriction to the cell.  Dividing that by
+        # ``scale`` keeps a cell on which a refiner is constant whole at any
+        # scale: rounding grows with the refiner, the grouping threshold not.
         refined = [b[:, s : s + n]]
         for m in mats:
             refined = [
                 cell @ sub.T
                 for cell in refined
-                for sub in spectral_decompose(cell.conj().T @ m @ cell).eigenbasis
+                for sub in spectral_decompose(
+                    cell.conj().T @ m @ cell / scale
+                ).eigenbasis
             ]
         cells.append(refined)
     return MeasurementApparatus(Refinement(

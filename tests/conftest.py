@@ -148,7 +148,7 @@ def same_transcript(a, b):
     return (
         np.array_equal(a.system_ids, b.system_ids)
         and np.array_equal(a.stages, b.stages)
-        and np.array_equal(a.labels, b.labels)
+        and np.array_equal(a.outcomes, b.outcomes)
     )
 
 

@@ -156,11 +156,11 @@ def test_c4_total_spin_refinement_disturbs_stage_one():
     assert result.verdict is Verdict.NON_LUDERS
     assert result.detected_at is StageKind.SIGMA
     stage = result.evidence[0]
-    group_labels = set(stage.observed_first_labels)
-    assert len(group_labels) == 2
+    probes = set(stage.observed_first)
+    assert len(probes) == 2
     for _, support in stage.branch_support:
         weights = dict(support)
-        assert set(weights) == group_labels
+        assert set(weights) == probes
         for p in weights.values():
             assert abs(p - 0.5) <= 1e-9
 

@@ -291,14 +291,15 @@ def test_main_transcript_flag(capsys, tmp_path):
                  "--transcript", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    assert report["report_schema"] == 3
+    assert report["report_schema"] == 4
     rows = report["transcript"]
     for row in rows:
         assert isinstance(row, list) and len(row) == 3
-        system_id, stage, label = row
+        system_id, stage, outcome = row
         assert type(system_id) is int
         assert stage in STAGE_NAMES
-        assert type(label) is float
+        # an auxiliary outcome is a column index of the four-dimensional basis
+        assert type(outcome) is int and 0 <= outcome < 4
 
     sc = get_builtin("s1-luders-2spin")
     observable, _, app, initial = instantiate(sc)
@@ -308,9 +309,9 @@ def test_main_transcript_flag(capsys, tmp_path):
     assert len(rows) == len(records)
     # the row at index i is record i, so a row's position is its timestamp
     expected = [
-        [int(sid), STAGE_NAMES[stage], float(label)]
-        for sid, stage, label in zip(records.system_ids, records.stages,
-                                     records.labels)
+        [int(sid), STAGE_NAMES[stage], int(outcome)]
+        for sid, stage, outcome in zip(records.system_ids, records.stages,
+                                       records.outcomes)
     ]
     assert rows == expected
     # a Lüders run goes through both passes, so every stage is recorded
@@ -341,7 +342,7 @@ def test_main_exact_transcript_is_empty(capsys, tmp_path):
                  "--out", str(out)]) == 2
     capsys.readouterr()
     report = json.loads(out.read_text())
-    assert report["report_schema"] == 3
+    assert report["report_schema"] == 4
     assert report["transcript"] == []
 
 
@@ -489,7 +490,41 @@ def test_main_validate_prints_eigenvalue_groups(capsys, tmp_path):
     path = write_doc(tmp_path, minimal_doc())
     assert main(["validate", "--scenario", path]) == 0
     out = capsys.readouterr().out
-    assert "eigenvalue groups: 2 (n=1), 0 (n=2), -2 (n=1)" in out
+    assert "eigenvalue groups: 2.0 (n=1), 0.0 (n=2), -2.0 (n=1)" in out
+
+
+def diagonal_doc(values, **overrides):
+    """A one-matrix scenario document with a real diagonal observable."""
+    n = len(values)
+    matrix = [[[values[i] if i == j else 0.0, 0.0] for j in range(n)]
+              for i in range(n)]
+    return minimal_doc(sites=None, observable={"matrix": matrix}, **overrides)
+
+
+def test_main_prints_eigenvalues_in_full(capsys, tmp_path):
+    # :g would print both groups, and the target, as 1e+06
+    path = write_doc(tmp_path, diagonal_doc([1000001.0, 1000001.0, 1e6, 1e6]))
+    assert main(["validate", "--scenario", path, "--reveal"]) == 0
+    out = capsys.readouterr().out
+    assert "eigenvalue groups: 1000001.0 (n=2), 1000000.0 (n=2)" in out
+    assert "ground truth at eigenvalue 1000001.0: LUDERS" in out
+    assert main(["discriminate", "--scenario", path]) == 0
+    assert "target eigenvalue: 1000001.0\n" in capsys.readouterr().out
+
+
+def test_main_rejects_an_offset_dominated_observable(capsys, tmp_path):
+    values = [1.0, 1.0, -1.0, -1.0]
+    path = write_doc(tmp_path, diagonal_doc([1e7 + v for v in values]))
+    assert main(["validate", "--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert "eigenvalue groups: 10000001.0 (n=2), 9999999.0 (n=2)" in out
+    path = write_doc(tmp_path, diagonal_doc([1e12 + v for v in values]))
+    for command in ("validate", "discriminate"):
+        assert main([command, "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert "subtract a multiple of the identity" in captured.err
 
 
 def test_main_validate_rejects_non_hermitian_matrix(capsys, tmp_path):

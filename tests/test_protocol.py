@@ -264,13 +264,13 @@ def test_exact_partial_three_spin_blocks():
 
 
 def test_interleaved_sigma_labels():
-    # sigma's labels 10.012004, 10.004, 9.012004, 9.004 alternate between
-    # the two eigenspaces, so neither owns a contiguous range of outcomes.
+    # Eigenvalues 1e-3 apart: each eigenspace still owns its own columns,
+    # outcomes 0-1 and 2-3, whatever the eigenvalues' spacing and scale.
     a = np.diag([1.001, 1.001, 1.0, 1.0]).astype(complex)
     d = spectral_decompose(a)
     sigma, _ = build_sigma(d)
-    assert sigma.eigenvalues == pytest.approx((10.012004, 10.004, 9.012004, 9.004))
-    for k, owned in enumerate(([0, 2], [1, 3])):
+    assert sigma.eigenvalues == (4.0, 3.0, 2.0, 1.0)
+    for k, owned in enumerate(([0, 1], [2, 3])):
         probes = sigma_entries_in_group(d, sigma, k)
         assert probes.tolist() == owned
         prime = build_sigma_prime(sigma, probes)
@@ -327,10 +327,10 @@ def test_exact_unreachable_probe_vectors_are_reported():
     assert result.verdict is Verdict.LUDERS
     sigma_stage = result.evidence[0]
     assert sigma_stage.trials == 1
-    assert len(sigma_stage.unprobed_labels) == 1
+    assert sigma_stage.unprobed == (2,)
     # the rotated pass mixes the group, so both probes become reachable
     assert result.evidence[1].trials == 2
-    assert result.evidence[1].unprobed_labels == ()
+    assert result.evidence[1].unprobed == ()
 
 
 def test_sampled_luders_accepts_with_bound():
@@ -401,7 +401,7 @@ def test_sampled_transcript_has_four_stage_kinds_and_ordering():
     result = discriminate(DEFAULT_PSI, make_luders(d), total_z(), cfg)
     records = result.transcript
     assert len(records)
-    assert len(records.stages) == len(records.labels) == len(records)
+    assert len(records.stages) == len(records.outcomes) == len(records)
     names = {STAGE_NAMES[stage] for stage in records.stages.tolist()}
     assert names == set(STAGE_NAMES)
     # per system, timestamps (positions) strictly increase, and so do stages
@@ -420,29 +420,29 @@ def sampled_builtin(name, **config):
 
 
 def test_sampled_evidence_is_pinned_for_a_fixed_seed():
-    # Recorded from the engine before the exact and sampled passes merged:
-    # a fixed seed must keep drawing the same systems and outcomes.
+    # A fixed seed must keep drawing the same systems and outcomes.  The
+    # target eigenspace of both builtins owns auxiliary outcomes 1 and 2.
     s2 = sampled_builtin("s2-vn-total-spin")
     assert s2.detected_at is StageKind.SIGMA
     (sigma,) = s2.evidence
     assert (sigma.trials, sigma.mismatch_count) == (1311, 646)
-    assert sigma.observed_first_labels == (2.0, 1.0)
+    assert sigma.observed_first == (1, 2)
     assert sigma.branch_support == (
-        (2.0, ((2.0, 334 / 684), (1.0, 350 / 684))),
-        (1.0, ((2.0, 296 / 627), (1.0, 331 / 627))),
+        (1, ((1, 334 / 684), (2, 350 / 684))),
+        (2, ((1, 296 / 627), (2, 331 / 627))),
     )
     s3 = sampled_builtin("s3-consecutive")
     assert s3.detected_at is StageKind.SIGMA_PRIME
     sigma, prime = s3.evidence
     assert (sigma.trials, sigma.mismatch_count) == (1311, 0)
-    assert sigma.observed_first_labels == (2.0, 1.0)
-    assert sigma.branch_support == ((2.0, ((2.0, 1.0),)), (1.0, ((1.0, 1.0),)))
+    assert sigma.observed_first == (2, 1)
+    assert sigma.branch_support == ((1, ((1, 1.0),)), (2, ((2, 1.0),)))
     # pass two reuses all of pass one's trials
     assert (prime.trials, prime.mismatch_count) == (1311, 659)
-    assert prime.observed_first_labels == (1.0, 2.0)
+    assert prime.observed_first == (2, 1)
     assert prime.branch_support == (
-        (2.0, ((2.0, 314 / 646), (1.0, 332 / 646))),
-        (1.0, ((2.0, 327 / 665), (1.0, 338 / 665))),
+        (1, ((1, 314 / 646), (2, 332 / 646))),
+        (2, ((1, 327 / 665), (2, 338 / 665))),
     )
 
 
@@ -639,21 +639,22 @@ def reference_exact_discriminate(initial, app, observable, target_eigenvalue):
         return float(np.vdot(v, rho.matrix @ v).real)
 
     def run(rho, aux):
+        # An outcome is the index of its auxiliary eigenvector.
         entries = [
-            (aux.eigenvalues[i], aux.eigenbasis[i][0])
-            for i in sigma_entries_in_group(d, aux, k)
+            (i, aux.eigenbasis[i][0])
+            for i in sigma_entries_in_group(d, aux, k).tolist()
         ]
         weights = [weight(rho, v) for _, v in entries]
         probed = [i for i, w in enumerate(weights) if w > 1e-9]
         support, mismatches, mixture = [], 0, 0.0
         for i in probed:
-            label, v = entries[i]
+            outcome, v = entries[i]
             probe = DensityMatrix(np.outer(v, v.conj()))
             prob, post = target_branch(probe)
             assert prob >= 1.0 - 1e-6
             second = [weight(post, u) for _, u in entries]
             mismatches += second[i] < 1.0 - 1e-9
-            support.append((label, tuple(
+            support.append((outcome, tuple(
                 (entries[j][0], p) for j, p in enumerate(second) if p > 1e-9
             )))
             mixture = mixture + weights[i] * probe.matrix
@@ -688,8 +689,8 @@ def assert_exact_matches_reference(initial, app, observable, target):
     for stage, (observed, unprobed, mismatches, support) in zip(
         result.evidence, passes
     ):
-        assert stage.observed_first_labels == observed
-        assert stage.unprobed_labels == unprobed
+        assert stage.observed_first == observed
+        assert stage.unprobed == unprobed
         assert stage.mismatch_count == mismatches
         assert len(stage.branch_support) == len(support)
         for (first, got), (first_ref, want) in zip(stage.branch_support, support):

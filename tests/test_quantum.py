@@ -26,7 +26,6 @@ from ludercheck.quantum import (
     reductions,
     renumber,
     spectral_decompose,
-    spread_labels,
 )
 
 from conftest import (
@@ -129,6 +128,20 @@ def test_spectral_decompose_groups_near_degenerate_pairs():
     d = spectral_decompose(a)
     assert d.group_count == 2
     assert d.multiplicities == (2, 1)
+
+
+@pytest.mark.parametrize("offset", [1e7, 1e12])
+def test_spectral_decompose_rejects_an_offset_dominated_spectrum(offset):
+    # eigh's rounding grows with max|w| and the grouping threshold with the
+    # range: at 1e12 rounding can split the pairs, at 1e7 it cannot.
+    u = random_unitary(4, np.random.default_rng(12))
+    a = u @ np.diag([1.0, 1.0, -1.0, -1.0]) @ u.conj().T
+    a = offset * np.eye(4) + 0.5 * (a + a.conj().T)
+    if offset == 1e12:
+        with pytest.raises(ValueError, match="subtract a multiple of the identity"):
+            spectral_decompose(a)
+    else:
+        assert spectral_decompose(a).multiplicities == (2, 2)
 
 
 def test_spectral_decompose_resolution_completeness():
@@ -310,58 +323,6 @@ def test_canonical_basis_with_rank_one_eigenspaces():
 def test_canonical_basis_of_rotated_six_spin_spectrum(seed):
     _, v = hermitian_eig(rotated_six_spin_total_z(seed))
     assert_canonical_basis_matches_mgs(v, (1, 6, 15, 20, 15, 6, 1))
-
-
-def pairwise_spread_labels(eigenvalues, counts):
-    """Reference: the smallest gap found by comparing every pair of labels."""
-    spread = 4.0 * (1.0 + max(abs(a) for a in eigenvalues))
-    for _ in range(200):
-        labels = tuple(
-            tuple(a * spread + j for j in range(1, n + 1))
-            for a, n in zip(eigenvalues, counts)
-        )
-        flat = [x for group in labels for x in group]
-        gap = (
-            min(abs(x - y) for i, x in enumerate(flat) for y in flat[i + 1:])
-            if len(flat) > 1
-            else 1.0
-        )
-        if gap > 1e-9 * (1.0 + max(abs(x) for x in flat)):
-            return labels
-        spread *= 2.0
-    raise ValueError("could not separate refined labels")
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.lists(
-    st.tuples(
-        st.one_of(
-            st.integers(-6, 6).map(lambda n: n / 4),
-            st.floats(-50, 50, allow_nan=False),
-        ),
-        st.integers(1, 12),
-    ),
-    min_size=1, max_size=6, unique_by=lambda t: t[0],
-))
-# Labels 1..9 of eigenvalue 0 meet label 1 * 8 + 1 of eigenvalue 1 at the
-# default spread 8, which forces one doubling (two for the second example).
-@example([(1.0, 1), (0.0, 9)])
-@example([(0.5, 3), (0.0, 12), (-0.5, 3)])
-def test_spread_labels_matches_pairwise_minimum(spectrum):
-    eigenvalues = [a for a, _ in spectrum]
-    counts = [n for _, n in spectrum]
-    try:
-        want = pairwise_spread_labels(eigenvalues, counts)
-    except ValueError:
-        with pytest.raises(ValueError, match="could not separate"):
-            spread_labels(eigenvalues, counts)
-        return
-    assert spread_labels(eigenvalues, counts) == want
-
-
-def test_spread_labels_doubles_until_labels_separate():
-    assert spread_labels([1.0, 0.0], [1, 9])[0] == (17.0,)
-    assert spread_labels([1.0, 0.0], [1, 8])[0] == (9.0,)
 
 
 def test_group_index_lookup():
@@ -776,11 +737,14 @@ def test_refinement_rejects_a_non_unitary_basis():
 
 def test_build_sigma_labels_and_commutation():
     d = spectral_decompose(total_z())
-    sd, _ = build_sigma(d)
+    sd, owner = build_sigma(d)
     sigma = observable_matrix(sd)
-    # spread constant 4 * (1 + 2) = 12: labels 2*12+1, 1, 2, -2*12+1
-    assert sd.eigenvalues == (25.0, 2.0, 1.0, -23.0)
+    # outcome i is base column i, eigenspace after eigenspace; the
+    # eigenvalues are placeholders that keep them distinct and descending
+    assert sd.eigenvalues == (4.0, 3.0, 2.0, 1.0)
     assert all(n == 1 for n in sd.multiplicities)
+    assert np.array_equal(sd.basis, d.basis)
+    assert owner.tolist() == [0, 1, 1, 2]
     a = total_z()
     assert np.allclose(sigma @ a, a @ sigma, atol=1e-12)
 
@@ -823,7 +787,7 @@ def test_build_sigma_owner_matches_the_overlap_reference(name):
     a = {
         "total_z": total_z(),
         "rotated_six_spin": rotated_six_spin_total_z(7),
-        # sigma's labels alternate between the two eigenspaces
+        # two eigenvalues 1e-3 apart
         "interleaved": np.diag([1.001, 1.001, 1.0, 1.0]).astype(complex),
     }[name]
     d = spectral_decompose(a)
@@ -841,20 +805,15 @@ def test_build_sigma_prime_mixes_within_target_group():
     sigma = observable_matrix(sd)
     spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 1))
     sp = observable_matrix(spd)
-    # same label set, same behaviour outside the target eigenspace
+    # same outcomes, same behaviour outside the target eigenspace
     assert spd.eigenvalues == sd.eigenvalues
+    assert np.array_equal(spd.basis[:, [0, 3]], sd.basis[:, [0, 3]])
     a = total_z()
     assert np.allclose(sp @ a, a @ sp, atol=1e-12)
     assert np.linalg.norm(sp @ sigma - sigma @ sp) > 0.1
-    # each sigma-prime vector in the group overlaps every sigma vector
-    for w, vec in zip(spd.eigenvalues, spd.eigenbasis):
-        if w not in (1.0, 2.0):
-            continue
-        for sw, svec in zip(sd.eigenvalues, sd.eigenbasis):
-            if sw in (1.0, 2.0):
-                assert abs(np.vdot(svec[0], vec[0])) == pytest.approx(
-                    1 / SQ2, abs=1e-9
-                )
+    # each sigma-prime vector of outcomes 1 and 2 overlaps both sigma vectors
+    overlaps = np.abs(sd.basis[:, 1:3].conj().T @ spd.basis[:, 1:3])
+    assert np.allclose(overlaps, 1 / SQ2, rtol=0.0, atol=1e-9)
 
 
 def test_build_sigma_prime_dft_weights_follow_group_size():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ludercheck.protocol import (
+    Mode,
     ProtocolConfig,
     StageKind,
     Verdict,
@@ -116,6 +117,55 @@ def test_builtin_exact_verdicts(name):
     result = discriminate(initial, app, observable, cfg)
     assert result.verdict is sc.expected_verdict
     assert result.detected_at is sc.expected_detected_at
+
+
+def scaled_scenario(sc, factor):
+    """The scenario with its observable, its target and a consecutive device's
+    observables multiplied by ``factor``."""
+
+    def scale(terms):
+        return tuple((factor * c, word) for c, word in terms)
+
+    spec = sc.apparatus_spec
+    if isinstance(spec, ConsecutiveSpec):
+        spec = ConsecutiveSpec(tuple(scale(o) for o in spec.observables))
+    target = sc.target_eigenvalue
+    return dataclasses.replace(
+        sc, observable_expr=scale(sc.observable_expr), apparatus_spec=spec,
+        target_eigenvalue=None if target is None else factor * target,
+    )
+
+
+@pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+def test_builtin_verdicts_do_not_depend_on_the_observable_scale(name):
+    # Outcomes are column indices, so nothing in a run grows with the
+    # eigenvalues: every scale from 1e-3 to 1e12 gives the unscaled evidence.
+    def run(sc, mode):
+        observable, _, app, initial = instantiate(sc)
+        return discriminate(initial, app, observable, ProtocolConfig(
+            mode=mode, ensemble_size=200, seed=3,
+            target_eigenvalue=sc.target_eigenvalue,
+        ))
+
+    sc = get_builtin(name)
+    for mode in Mode:
+        want = run(sc, mode)
+        for k in range(-3, 13):
+            got = run(scaled_scenario(sc, 10.0**k), mode)
+            assert (got.verdict, got.detected_at) == (want.verdict, want.detected_at)
+            if mode is Mode.SAMPLED:
+                continue
+            assert len(got.evidence) == len(want.evidence)
+            for a, b in zip(got.evidence, want.evidence):
+                assert (a.observed_first, a.unprobed, a.mismatch_count) == (
+                    b.observed_first, b.unprobed, b.mismatch_count
+                )
+                assert [(x, [i for i, _ in s]) for x, s in a.branch_support] == [
+                    (x, [i for i, _ in s]) for x, s in b.branch_support
+                ]
+                for (_, s), (_, t) in zip(a.branch_support, b.branch_support):
+                    for (_, p), (_, q) in zip(s, t):
+                        assert abs(p - q) <= 1e-9
 
 
 def test_s2_uses_total_spin_eigenbasis():
