@@ -4,7 +4,8 @@ Scenario files are JSON (schema_version 1).  Reports are JSON with
 ``report_schema`` 4.  Every auxiliary outcome in a report is an integer
 index: outcome ``i`` is column ``i`` of the observable's canonical
 eigenbasis, eigenspace after eigenspace in descending eigenvalue order, and
-sigma-prime keeps sigma's indices.  With ``--transcript``, each measurement
+sigma-prime keeps sigma's indices, and ``observed_first`` lists them in
+ascending order.  With ``--transcript``, each measurement
 record is a ``[system_id, stage, outcome]`` array, two per system and pass,
 and its timestamp is its position in the list.  Reports are deterministic
 for a fixed seed: rerunning the same scenario with the same seed produces
@@ -285,7 +286,7 @@ def build_report(result: Classification, config: ProtocolConfig,
         stages.append({
             "stage": stage.stage.value,
             "consistent": stage.consistent,
-            "observed_first": list(stage.observed_first),
+            "observed_first": [first for first, _ in stage.branch_support],
             "mismatch_count": stage.mismatch_count,
             "trials": stage.trials,
             "branch_support": [

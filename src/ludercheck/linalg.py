@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-#: Absolute tolerance of every predicate and consistency check; the protocol
-#: also drops a branch holding at most this share of its system's weight.
+#: Tolerance of every check, times max(1, max|a|) for a matrix a; the
+#: protocol also drops a branch holding at most this share of its weight.
 DEFAULT_TOL = 1e-9
 
 #: Largest accepted Hilbert-space dimension (six spin-1/2 sites).
@@ -45,8 +45,10 @@ def as_vector(v) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
+    """Whether ``max|a - a^H|`` is within DEFAULT_TOL * max(1, max|a|)."""
     m = as_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= DEFAULT_TOL)
+    gap = np.max(np.abs(m - m.conj().T))
+    return bool(gap <= DEFAULT_TOL or gap <= DEFAULT_TOL * np.max(np.abs(m)))
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +60,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenprojectors (see :func:`ludercheck.quantum.spectral_decompose`).
 
     Raises ValueError unless every entry of ``a - a^H`` is within
-    DEFAULT_TOL in modulus (:func:`is_hermitian`).
+    DEFAULT_TOL * max(1, max|a|) in modulus (:func:`is_hermitian`).
     """
     m = as_matrix(a)
     if not is_hermitian(m):

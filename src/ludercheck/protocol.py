@@ -23,13 +23,13 @@ mixture components, the auxiliary eigenvectors after an auxiliary outcome,
 and the apparatus's reductions of those.  Each measurement layer (the
 selection, each auxiliary measurement, each apparatus use) is one table-row
 transition: a kernel, the apparatus's ``branches`` or
-:func:`ludercheck.quantum.measure_pure`, takes only the table and
-enumerates each row's branches once, with its Born weight and its reduced
-row in the next table.  Outcomes are integer indices throughout: an
-auxiliary outcome ``i`` is column ``i`` of the base observable's canonical
-basis, from :func:`ludercheck.quantum.build_sigma` to the evidence and the
-transcript.  The protocol asks the apparatus for
-nothing but ``dim``, ``outcome_labels`` and ``branches``.
+:func:`ludercheck.quantum.measure_pure` in an auxiliary observable's
+columns, takes only the table and enumerates each row's branches once,
+with its Born weight and its reduced row in the next table.  Outcomes are
+integer indices throughout: an auxiliary outcome ``i`` is column ``i``,
+from :func:`ludercheck.quantum.build_sigma` to the evidence, in index
+order, and the transcript.  The protocol asks the apparatus for nothing
+but ``dim``, ``outcome_labels`` and ``branches``.
 
 :func:`discriminate` builds one engine per run, :class:`Exact` or
 :class:`Sampled`, which owns all that depends on the mode.  Its ``draw``
@@ -188,7 +188,6 @@ class StageResult:
 
     stage: StageKind
     consistent: bool
-    observed_first: tuple[int, ...]
     mismatch_count: int
     trials: int
     branch_support: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
@@ -388,7 +387,7 @@ def prepare_ensemble(
 
 def run_stage(
     ensemble: Ensemble,
-    aux: SpectralDecomposition,
+    aux: np.ndarray,
     app: MeasurementApparatus,
     target: int,
     probes: np.ndarray,
@@ -397,20 +396,21 @@ def run_stage(
 ) -> tuple[StageResult, Ensemble]:
     """One pass: auxiliary measurement, apparatus, auxiliary measurement again.
 
-    ``target`` indexes ``app.outcome_labels`` and ``probes`` holds the
-    auxiliary outcomes inside the target eigenspace.  The first auxiliary
-    measurement groups by system: a trial is a system and a first outcome,
-    one state since ``aux`` is non-degenerate.  The apparatus and the second
-    auxiliary measurement group by trial, and one weighted table of first
-    against second outcomes gives the evidence.  Returns the evidence and
-    the trials, each in its first outcome's eigenvector, which after a
-    consistent pass is the ensemble of a follow-up pass.  The ``engine``
+    ``aux`` is the auxiliary observable as orthonormal columns, outcome
+    ``i`` being column ``i``; ``target`` indexes ``app.outcome_labels`` and
+    ``probes`` holds the auxiliary outcomes inside the target eigenspace.
+    The first auxiliary measurement groups by system: a trial is a system
+    and a first outcome, one state, that outcome's column.  The apparatus
+    and the second auxiliary measurement group by trial, and one weighted
+    table of first against second outcomes gives the evidence.  Returns the
+    evidence and the trials, each in its first outcome's column, which
+    after a consistent pass is the ensemble of a follow-up pass.  The ``engine``
     measures and receives each trial's two outcomes as records.
     Raises :class:`RepeatabilityError` if a selected state lies outside the
     target eigenspace or the apparatus fails to reproduce the target
     outcome.
     """
-    n = aux.group_count
+    n = len(aux)
     observe = partial(measure_pure, aux)
     system, first, weights, table, index = engine.measure(
         observe, ensemble.table, ensemble.index, ensemble.weights, ensemble.ids
@@ -428,7 +428,7 @@ def run_stage(
             f"{app.outcome_labels[target]}; the apparatus does not measure "
             "the base observable"
         )
-    # After a non-degenerate outcome the state is that outcome's eigenvector.
+    # After an auxiliary outcome the state is that outcome's column.
     trials = Ensemble(table, index[live], weights[live], system[live])
 
     trial, coarse, weights, table, index = engine.measure(
@@ -461,14 +461,9 @@ def run_stage(
     support_of = {x: [] for x in np.flatnonzero(reached).tolist()}
     for x, y, f in zip(a.tolist(), b.tolist(), frequency):
         support_of[x].append((y, f))
-    # Each first outcome's earliest trial gives the order of observation.
-    seen = np.full(n, len(first))
-    np.minimum.at(seen, first, np.arange(len(first)))
-    observed = np.argsort(seen, kind="stable")[: np.count_nonzero(seen < len(first))]
     result = StageResult(
         stage=kind,
         consistent=mismatches == 0,
-        observed_first=tuple(observed.tolist()),
         mismatch_count=mismatches,
         trials=len(first),
         branch_support=tuple((x, tuple(p)) for x, p in support_of.items()),

@@ -10,12 +10,12 @@ weight and its reduced state, a ray (a rank-one block's basis column, which
 every branch into the block shares, or a larger block's projection), and
 :func:`pick_branches` draws one branch per system by inverse CDF.  Then
 come a builder for spin-chain observables and the two auxiliary observables
-of the discrimination protocol, both column operations on that matrix: a
-non-degenerate refinement ``sigma`` whose outcome ``i`` is basis column
-``i``, returned with the eigenspace that owns each outcome, and a second
-refinement ``sigma_prime`` whose eigenvectors inside one eigenspace
-overlap every ``sigma`` eigenvector there.  The constructors
-freeze copies of the arrays they are given, never the caller's own arrays.
+of the discrimination protocol, each a column matrix whose outcome ``i``
+is its column ``i``, measured by :func:`measure_pure`: ``sigma``, the
+canonical basis as it is, returned with the eigenspace that owns each
+outcome, and ``sigma_prime``, a copy whose columns inside one eigenspace
+overlap every ``sigma`` column there.  The constructors freeze copies of
+the arrays they are given, never the caller's own arrays.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 from . import linalg
 from .linalg import DEFAULT_TOL
 
-#: Eigenvalues closer than this fraction of the spectral range are treated
-#: as one degenerate group.
+#: An eigenvalue within this fraction of the spectral range of its group's
+#: largest member joins that degenerate group.
 GROUPING_RELATIVE = 1e-6
 
 #: Gram-Schmidt residual below which a projector column adds no new
@@ -220,7 +220,7 @@ class Refinement:
 
 
 def _group_sorted_eigenvalues(w: np.ndarray, threshold: float) -> list[list[int]]:
-    """Group indices of a descending eigenvalue array by gap <= threshold."""
+    """Index groups of descending ``w``, each within ``threshold`` of its first."""
     groups = [[0]]
     for i in range(1, len(w)):
         if w[groups[-1][0]] - w[i] <= threshold:
@@ -283,9 +283,10 @@ def _canonical_basis(v: np.ndarray, multiplicities: Sequence[int]) -> np.ndarray
 def spectral_decompose(observable: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian observable with degeneracy grouping.
 
-    Eigenvalues whose spacing stays within GROUPING_RELATIVE of the spectral
-    range (of 1, if the range is smaller) merge into a single degenerate
-    group.  Each group's eigenvalue is the mean of its members, and its
+    An eigenvalue joins a degenerate group when it lies within
+    GROUPING_RELATIVE of the spectral range (of 1, if the range is smaller)
+    of the group's largest member, so no group spans more than that.  Each
+    group's eigenvalue is the mean of its members, and its
     canonical basis the Gram-Schmidt basis of its projector's columns
     (:func:`_canonical_basis`), which depends on the projector alone: not on
     eigensolver rounding inside a degenerate eigenspace, nor on the phases
@@ -393,14 +394,14 @@ def reductions(
 
 
 def measure_pure(
-    decomp: SpectralDecomposition, table: np.ndarray
+    basis: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Measure every row of ``table`` by the Lüders rule: :func:`reductions`.
+    """Measure every row of ``table`` in the orthonormal columns of ``basis``.
 
-    Outcomes index ``decomp.eigenvalues``.  A non-degenerate ``decomp``, as
-    an auxiliary observable is, reduces to its reached eigenvectors.
+    :func:`reductions` with one block per column: outcome ``i`` is column
+    ``i``, and each reached column is the reduced state.
     """
-    return reductions(decomp.basis, decomp.starts, table)
+    return reductions(basis, np.arange(len(basis)), table)
 
 
 def build_spin_operator(
@@ -450,38 +451,27 @@ def _total_spin_squared(sites: int) -> np.ndarray:
     return 0.5 * sum(c @ c for c in components)
 
 
-def build_sigma(
-    decomp: SpectralDecomposition,
-) -> tuple[SpectralDecomposition, np.ndarray]:
-    """A non-degenerate refinement diagonal in the canonical eigenbasis.
+def build_sigma(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The auxiliary observable ``sigma``: the canonical basis ``decomp.basis``.
 
-    Outcome ``i`` is column ``i`` of ``decomp.basis``, in its order:
-    eigenspace after eigenspace.  The protocol reads only the eigenvectors,
-    so the eigenvalues are the placeholders d, d-1, ..., 1, which keep them
-    distinct and descending.  The observable commutes with the base
-    observable and refines it maximally.  Returns it with ``owner``, where
-    ``owner[i]`` is the base eigenspace of outcome ``i``.
+    Outcome ``i`` is column ``i``, in its order: eigenspace after eigenspace.
+    The columns are eigenvectors of the base observable, so sigma commutes
+    with it and refines it maximally.  Returns the basis with ``owner``,
+    where ``owner[i]`` is the base eigenspace of outcome ``i``.
     """
-    sigma = SpectralDecomposition(
-        eigenvalues=tuple(float(i) for i in range(decomp.dim, 0, -1)),
-        multiplicities=(1,) * decomp.dim,
-        basis=decomp.basis,
-    )
     owner = np.repeat(np.arange(decomp.group_count), decomp.multiplicities)
-    return sigma, owner
+    return decomp.basis, owner
 
 
-def build_sigma_prime(
-    sigma: SpectralDecomposition, probes: np.ndarray
-) -> SpectralDecomposition:
-    """A second non-degenerate refinement overlapping sigma on the ``probes``.
+def build_sigma_prime(sigma: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """The auxiliary observable ``sigma_prime``: sigma mixed on the ``probes``.
 
     ``probes`` are sigma's outcome indices inside one eigenspace, those that
     :func:`build_sigma` gives it as owner.  Their columns become the
-    discrete-Fourier mixtures of sigma's eigenvectors there, so every new
-    eigenvector has overlap modulus exactly 1/sqrt(n) with every probed
-    sigma eigenvector; every other column, and every eigenvalue, stays sigma's.
-    For n = 2 the mixtures are the familiar pair (|s1> +- |s2>)/sqrt(2).
+    discrete-Fourier mixtures of sigma's columns there, so every new column
+    has overlap modulus exactly 1/sqrt(n) with every probed sigma column;
+    every other column stays sigma's.  For n = 2 the mixtures are the
+    familiar pair (|s1> +- |s2>)/sqrt(2).
     """
     n = len(probes)
     if n < 2:
@@ -491,6 +481,6 @@ def build_sigma_prime(
         )
     omega = np.exp(2j * np.pi / n)
     dft = omega ** np.outer(np.arange(n), np.arange(n))
-    basis = sigma.basis.copy()
-    basis[:, probes] = (np.take(sigma.basis, probes, axis=1) @ dft) / np.sqrt(n)
-    return SpectralDecomposition(sigma.eigenvalues, sigma.multiplicities, basis)
+    basis = sigma.copy()
+    basis[:, probes] = (np.take(sigma, probes, axis=1) @ dft) / np.sqrt(n)
+    return basis

@@ -43,11 +43,6 @@ def random_state(dim, rng):
     return v / np.linalg.norm(v)
 
 
-def observable_matrix(decomp):
-    """The observable of a spectral decomposition, sum of a_i |b_i><b_i|."""
-    return (decomp.basis * decomp.eigenvalues) @ decomp.basis.conj().T
-
-
 def projectors(decomp):
     """The eigenprojectors P_k = B_k B_k^H of a spectral decomposition."""
     return tuple(projector_from_vectors(group) for group in decomp.eigenbasis)
@@ -108,16 +103,14 @@ class KrausDevice:
 
 
 def sigma_entries_in_group(
-    decomp: SpectralDecomposition, sigma: SpectralDecomposition, k: int
+    decomp: SpectralDecomposition, sigma: np.ndarray, k: int
 ) -> np.ndarray:
-    """The outcome indices of a non-degenerate sigma inside eigenspace k, ascending.
+    """The outcome indices of a column matrix sigma inside eigenspace k, ascending.
 
-    Raises ValueError if some sigma eigenvector straddles eigenspace ``k``,
+    Raises ValueError if some sigma column straddles eigenspace ``k``,
     whether it lies mostly inside it or mostly outside.
     """
-    if any(m != 1 for m in sigma.multiplicities):
-        raise ValueError("auxiliary observable must be non-degenerate")
-    amps = decomp.eigenbasis[k].conj() @ sigma.basis
+    amps = decomp.eigenbasis[k].conj() @ sigma
     weights = (amps.real**2 + amps.imag**2).sum(axis=0)
     if np.any((weights > 1e-8) & (weights < 1.0 - 1e-8)):
         raise ValueError(

@@ -156,7 +156,7 @@ def test_c4_total_spin_refinement_disturbs_stage_one():
     assert result.verdict is Verdict.NON_LUDERS
     assert result.detected_at is StageKind.SIGMA
     stage = result.evidence[0]
-    probes = set(stage.observed_first)
+    probes = {first for first, _ in stage.branch_support}
     assert len(probes) == 2
     for _, support in stage.branch_support:
         weights = dict(support)
@@ -278,8 +278,8 @@ def test_c7_second_pass_overlap_margins():
                     in_group.append(offset + j)
             offset += m
         assert probes.tolist() == in_group
-        s_vecs = [sd.eigenbasis[i][0] for i in in_group]
-        sp_vecs = [spd.eigenbasis[i][0] for i in in_group]
+        s_vecs = [sd[:, i] for i in in_group]
+        sp_vecs = [spd[:, i] for i in in_group]
         for sp in sp_vecs:
             for s in s_vecs:
                 worst = max(worst, abs(abs(np.vdot(s, sp)) - 1 / math.sqrt(n)))
@@ -289,11 +289,11 @@ def test_c7_second_pass_overlap_margins():
     spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 1))
     fidelities = []
     for i in (1, 2):
-        vec = spd.eigenbasis[i][0]
+        vec = spd[:, i]
         fidelities.append(max(abs(np.vdot(PHI_PLUS, vec))**2,
                               abs(np.vdot(PHI_MINUS, vec))**2))
-    matched = {int(np.argmax([abs(np.vdot(PHI_PLUS, spd.eigenbasis[i][0]))**2,
-                              abs(np.vdot(PHI_MINUS, spd.eigenbasis[i][0]))**2]))
+    matched = {int(np.argmax([abs(np.vdot(PHI_PLUS, spd[:, i]))**2,
+                              abs(np.vdot(PHI_MINUS, spd[:, i]))**2]))
                for i in (1, 2)}
     print(f"[criterion 7] worst overlap deviation {worst:.2e}, "
           f"phi fidelities {min(fidelities):.12f}")

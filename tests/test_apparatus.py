@@ -177,7 +177,7 @@ def test_full_von_neumann_shares_one_row_per_basis_column():
     k = d.multiplicities.index(6)
     sigma, _ = build_sigma(d)
     probes = sigma_entries_in_group(d, sigma, k)
-    table = build_sigma_prime(sigma, probes).basis.T[probes]
+    table = build_sigma_prime(sigma, probes).T[probes]
     n = len(probes)
     app = make_full_von_neumann(d)
     rows, coarse, w, post, index = app.branches(table)

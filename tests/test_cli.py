@@ -8,7 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ludercheck.cli import ScenarioFormatError, main, parse_scenario_document
+from ludercheck.cli import (
+    ScenarioFormatError,
+    build_report,
+    main,
+    parse_scenario_document,
+)
 from ludercheck.protocol import STAGE_NAMES, Mode, ProtocolConfig, discriminate
 from ludercheck.scenarios import builtin_scenarios, get_builtin, instantiate
 
@@ -178,6 +183,25 @@ def test_builtin_documents_round_trip(name):
     result = discriminate(initial, app, observable, config)
     assert result.verdict is sc.expected_verdict
     assert result.detected_at is sc.expected_detected_at
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize(
+    "name", ["s1-luders-2spin", "s2-vn-total-spin", "s3-consecutive", "s4-partial-3spin"]
+)
+def test_report_lists_first_outcomes_in_index_order(name, mode):
+    # observed_first is the reached first outcomes in ascending order, the
+    # firsts of branch_support, whatever order the trials reached them in
+    scenario = get_builtin(name)
+    observable, _, app, initial = instantiate(scenario)
+    for seed in range(10):
+        config = ProtocolConfig(mode=mode, seed=seed,
+                                target_eigenvalue=scenario.target_eigenvalue)
+        result = discriminate(initial, app, observable, config)
+        report = build_report(result, config, name, 0.0, False)
+        for stage in report["stages"]:
+            firsts = [entry["first"] for entry in stage["branch_support"]]
+            assert stage["observed_first"] == sorted(firsts) == firsts
 
 
 def test_main_list(capsys):

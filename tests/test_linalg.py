@@ -13,6 +13,8 @@ from ludercheck.linalg import (
     projector_from_vectors,
 )
 
+from ludercheck.quantum import spectral_decompose
+
 from conftest import apply_spectral_function, random_unitary
 
 
@@ -38,6 +40,22 @@ def test_predicates_on_simple_matrices():
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
     assert is_hermitian(p) and np.allclose(p @ p, p)
     assert not np.allclose((2 * p) @ (2 * p), 2 * p)
+
+
+def test_is_hermitian_is_relative_to_the_largest_entry():
+    # a rotated observable keeps a rounding-sized anti-Hermitian part, which
+    # grows with its scale as every entry does
+    q = random_unitary(8, np.random.default_rng(3))
+    a = q @ np.diag([1.0, 1, -1, -1, 2, 2, 3, 3]) @ q.conj().T
+    assert np.max(np.abs(a - a.conj().T)) > 0
+    skew = np.zeros((8, 8), dtype=complex)
+    skew[0, 1] = skew[1, 0] = 1e-6j * np.max(np.abs(a))
+    for scale in (1.0, 1e3, 1e6, 1e9, 1e12):
+        assert is_hermitian(scale * a)
+        assert spectral_decompose(scale * a).multiplicities == (2, 2, 2, 2)
+        assert not is_hermitian(scale * (a + skew))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(scale * (a + skew))
 
 
 def test_hermitian_eig_diagonal_matrix():

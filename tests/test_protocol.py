@@ -14,6 +14,7 @@ from ludercheck.apparatus import (
     make_luders,
     make_partial,
 )
+from ludercheck.cli import build_report
 from ludercheck.protocol import (
     STAGE_NAMES,
     EmptySelectionError,
@@ -268,16 +269,16 @@ def test_interleaved_sigma_labels():
     # outcomes 0-1 and 2-3, whatever the eigenvalues' spacing and scale.
     a = np.diag([1.001, 1.001, 1.0, 1.0]).astype(complex)
     d = spectral_decompose(a)
-    sigma, _ = build_sigma(d)
-    assert sigma.eigenvalues == (4.0, 3.0, 2.0, 1.0)
+    sigma, owner = build_sigma(d)
+    assert owner.tolist() == [0, 0, 1, 1]
     for k, owned in enumerate(([0, 1], [2, 3])):
         probes = sigma_entries_in_group(d, sigma, k)
         assert probes.tolist() == owned
         prime = build_sigma_prime(sigma, probes)
-        assert prime.eigenvalues == sigma.eigenvalues
+        assert prime.shape == sigma.shape
         rest = [i for i in range(4) if i not in owned]
-        assert np.array_equal(prime.basis[:, rest], sigma.basis[:, rest])
-        assert not np.allclose(prime.basis[:, owned], sigma.basis[:, owned])
+        assert np.array_equal(prime[:, rest], sigma[:, rest])
+        assert not np.allclose(prime[:, owned], sigma[:, owned])
         for app in (make_luders(d), make_full_von_neumann(d)):
             truth = classify_refinement_oracle(app.reveal_refinement(), k)
             for mode in Mode:
@@ -426,7 +427,6 @@ def test_sampled_evidence_is_pinned_for_a_fixed_seed():
     assert s2.detected_at is StageKind.SIGMA
     (sigma,) = s2.evidence
     assert (sigma.trials, sigma.mismatch_count) == (1311, 646)
-    assert sigma.observed_first == (1, 2)
     assert sigma.branch_support == (
         (1, ((1, 334 / 684), (2, 350 / 684))),
         (2, ((1, 296 / 627), (2, 331 / 627))),
@@ -435,15 +435,17 @@ def test_sampled_evidence_is_pinned_for_a_fixed_seed():
     assert s3.detected_at is StageKind.SIGMA_PRIME
     sigma, prime = s3.evidence
     assert (sigma.trials, sigma.mismatch_count) == (1311, 0)
-    assert sigma.observed_first == (2, 1)
     assert sigma.branch_support == ((1, ((1, 1.0),)), (2, ((2, 1.0),)))
     # pass two reuses all of pass one's trials
     assert (prime.trials, prime.mismatch_count) == (1311, 659)
-    assert prime.observed_first == (2, 1)
     assert prime.branch_support == (
         (1, ((1, 314 / 646), (2, 332 / 646))),
         (2, ((1, 327 / 665), (2, 338 / 665))),
     )
+    # the reports list each pass's first outcomes in index order
+    for result, want in ((s2, [[1, 2]]), (s3, [[1, 2], [1, 2]])):
+        report = build_report(result, ProtocolConfig(), "pinned", 0.0, False)
+        assert [stage["observed_first"] for stage in report["stages"]] == want
 
 
 @pytest.mark.parametrize(
@@ -641,7 +643,7 @@ def reference_exact_discriminate(initial, app, observable, target_eigenvalue):
     def run(rho, aux):
         # An outcome is the index of its auxiliary eigenvector.
         entries = [
-            (i, aux.eigenbasis[i][0])
+            (i, aux[:, i])
             for i in sigma_entries_in_group(d, aux, k).tolist()
         ]
         weights = [weight(rho, v) for _, v in entries]
@@ -689,7 +691,7 @@ def assert_exact_matches_reference(initial, app, observable, target):
     for stage, (observed, unprobed, mismatches, support) in zip(
         result.evidence, passes
     ):
-        assert stage.observed_first == observed
+        assert tuple(first for first, _ in stage.branch_support) == observed
         assert stage.unprobed == unprobed
         assert stage.mismatch_count == mismatches
         assert len(stage.branch_support) == len(support)

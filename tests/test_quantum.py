@@ -32,7 +32,6 @@ from conftest import (
     full_von_neumann,
     is_luders,
     luders_channel,
-    observable_matrix,
     projectors,
     random_density,
     random_state,
@@ -128,6 +127,13 @@ def test_spectral_decompose_groups_near_degenerate_pairs():
     d = spectral_decompose(a)
     assert d.group_count == 2
     assert d.multiplicities == (2, 1)
+    # an eigenvalue joins a group within the threshold (1e-6 here) of the
+    # group's largest member, so no group spans more than the threshold,
+    # although 0 is within it of its neighbour 0.6e-6
+    assert spectral_decompose(np.diag([1.2e-6, 0.6e-6, 0.0])).multiplicities == (2, 1)
+    # two-site total z, s1's observable: eigenvalues 2, 0, 0, -2
+    assert spectral_decompose(4e-7 * total_z()).multiplicities == (3, 1)
+    assert spectral_decompose(2e-7 * total_z()).multiplicities == (4,)
 
 
 @pytest.mark.parametrize("offset", [1e7, 1e12])
@@ -187,16 +193,11 @@ def test_canonical_basis_depends_on_the_eigenprojectors_only(spectrum):
     assert d1.multiplicities == d2.multiplicities
     for g1, g2 in zip(d1.eigenbasis, d2.eigenbasis):
         assert np.max(np.abs(np.array(g1) - np.array(g2))) <= 1e-9
-    (sd1, _), (sd2, _) = build_sigma(d1), build_sigma(d2)
-    sigma1, sigma2 = observable_matrix(sd1), observable_matrix(sd2)
+    (sigma1, _), (sigma2, _) = build_sigma(d1), build_sigma(d2)
     assert np.max(np.abs(sigma1 - sigma2)) <= 1e-9
     k = next(i for i, n in enumerate(d1.multiplicities) if n >= 2)
-    prime1 = observable_matrix(
-        build_sigma_prime(sd1, sigma_entries_in_group(d1, sd1, k))
-    )
-    prime2 = observable_matrix(
-        build_sigma_prime(sd2, sigma_entries_in_group(d2, sd2, k))
-    )
+    prime1 = build_sigma_prime(sigma1, sigma_entries_in_group(d1, sigma1, k))
+    prime2 = build_sigma_prime(sigma2, sigma_entries_in_group(d2, sigma2, k))
     assert np.max(np.abs(prime1 - prime2)) <= 1e-9
 
 
@@ -420,11 +421,11 @@ def test_luders_channel_equals_branch_sum():
 
 
 def test_measure_pure_collapses_and_renormalizes():
-    # one draw over measure_pure's branches picks the outcome the Lüders
-    # apparatus reduces to with the same draw
+    # one draw over the Lüders apparatus's branches picks the outcome its
+    # sampled measurement reduces to with the same draw
     d = spectral_decompose(total_z())
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    rows, outcomes, weights, _, _ = measure_pure(d, psi[None, :])
+    rows, outcomes, weights, _, _ = make_luders(d).branches(psi[None, :])
     assert rows.tolist() == [0, 0]
     assert [d.eigenvalues[k] for k in outcomes] == [2.0, 0.0]
     assert weights == pytest.approx([0.5, 0.5])
@@ -437,27 +438,29 @@ def test_measure_pure_collapses_and_renormalizes():
     assert np.isclose(np.linalg.norm(post[0]), 1.0)
     if d.eigenvalues[reduced[0]] == 0.0:
         assert abs(np.vdot(PLUS_MINUS, post[0])) == pytest.approx(1.0)
-    # a non-degenerate observable's reduced states are its eigenvectors
+    # measured in a basis, outcome i is column i and its reduced state
     sigma, _ = build_sigma(d)
-    rows, outcomes, _, table, index = measure_pure(sigma, psi[None, :])
-    assert np.array_equal(table[index], sigma.basis.T[outcomes])
+    rows, outcomes, weights, table, index = measure_pure(sigma, psi[None, :])
+    assert rows.tolist() == [0, 0] and outcomes.tolist() == [0, 1]
+    assert weights == pytest.approx([0.5, 0.5])
+    assert np.array_equal(table[index], sigma.T[outcomes])
 
 
-def test_measure_pure_of_a_degenerate_observable_reduces_by_luders(rng):
-    # a degenerate decomposition's branches are the Lüders apparatus's: the
-    # same rows, outcomes and weights, and each reduced state the renormalised
-    # eigenspace projection, up to a global phase
+def test_luders_branches_of_a_degenerate_observable_are_the_projections(rng):
+    # the Lüders apparatus's branches are the eigenspace reductions: each
+    # row's reached eigenspaces in order, their Born weights, and each
+    # reduced state the renormalised eigenspace projection, up to a global
+    # phase
     u = random_unitary(8, rng)
     d = spectral_decompose((u * np.array([3.0, 3, 3, 3, 1, 1, 1, -2])) @ u.conj().T)
     states = np.array([random_state(8, rng) for _ in range(3)])
-    rows, outcomes, w, table, post_index = measure_pure(d, states)
-    want = make_luders(d).branches(states)
-    assert np.array_equal(rows, want[0]) and np.array_equal(outcomes, want[1])
-    assert np.allclose(w, want[2], rtol=0, atol=1e-12)
-    post, luders = table[post_index], want[3][want[4]]
-    overlap = np.abs(np.sum(post.conj() * luders, axis=1))
-    assert np.allclose(overlap, 1.0, rtol=0, atol=1e-12)
+    rows, outcomes, w, table, post_index = make_luders(d).branches(states)
+    post = table[post_index]
     p = projectors(d)
+    born = np.array([[np.linalg.norm(pk @ v) ** 2 for pk in p] for v in states])
+    assert np.array_equal(rows, np.repeat(np.arange(3), 3))
+    assert np.array_equal(outcomes, np.tile(np.arange(3), 3))
+    assert np.allclose(w, born.ravel(), rtol=0, atol=1e-12)
     for row, k, v in zip(rows, outcomes, post):
         reduced = p[k] @ states[row]
         phase = np.vdot(v, reduced) / np.linalg.norm(reduced)
@@ -466,10 +469,11 @@ def test_measure_pure_of_a_degenerate_observable_reduces_by_luders(rng):
 
 def test_measure_pure_statistics(rng):
     d = spectral_decompose(total_z())
+    sigma, owner = build_sigma(d)
     psi = (PLUS_MINUS + PLUS_PLUS) / SQ2
-    rows, outcomes, weights, _, _ = measure_pure(d, psi[None, :])
+    rows, outcomes, weights, _, _ = measure_pure(sigma, psi[None, :])
     pick = pick_branches(rows, weights, np.zeros(2000, dtype=int), rng.random(2000))
-    labels = np.take(d.eigenvalues, outcomes[pick])
+    labels = np.take(d.eigenvalues, owner[outcomes[pick]])
     assert np.mean(labels == 2.0) == pytest.approx(0.5, abs=0.05)
 
 
@@ -737,16 +741,14 @@ def test_refinement_rejects_a_non_unitary_basis():
 
 def test_build_sigma_labels_and_commutation():
     d = spectral_decompose(total_z())
-    sd, owner = build_sigma(d)
-    sigma = observable_matrix(sd)
-    # outcome i is base column i, eigenspace after eigenspace; the
-    # eigenvalues are placeholders that keep them distinct and descending
-    assert sd.eigenvalues == (4.0, 3.0, 2.0, 1.0)
-    assert all(n == 1 for n in sd.multiplicities)
-    assert np.array_equal(sd.basis, d.basis)
+    sigma, owner = build_sigma(d)
+    # outcome i is base column i, eigenspace after eigenspace
+    assert np.array_equal(sigma, d.basis)
     assert owner.tolist() == [0, 1, 1, 2]
+    # every column is an eigenvector of the base observable, of its owner's
+    # eigenvalue, so sigma commutes with it
     a = total_z()
-    assert np.allclose(sigma @ a, a @ sigma, atol=1e-12)
+    assert np.allclose(a @ sigma, sigma * np.take(d.eigenvalues, owner), atol=1e-12)
 
 
 def test_build_sigma_eigenvectors_refine_base():
@@ -754,10 +756,11 @@ def test_build_sigma_eigenvectors_refine_base():
     u = random_unitary(4, rng)
     a = u @ np.diag([1.0, 1.0, -1.0, -1.0]) @ u.conj().T
     d = spectral_decompose(a)
-    sd, _ = build_sigma(d)
-    sigma = observable_matrix(sd)
-    assert np.allclose(sigma @ a, a @ sigma, atol=1e-9)
-    assert sd.group_count == 4
+    sigma, owner = build_sigma(d)
+    assert np.allclose(a @ sigma, sigma * np.take(d.eigenvalues, owner), atol=1e-9)
+    # four orthonormal columns: a maximal refinement
+    assert sigma.shape == (4, 4)
+    assert np.allclose(sigma.conj().T @ sigma, np.eye(4), atol=1e-12)
 
 
 def test_sigma_entries_in_group_and_straddling_vectors():
@@ -765,7 +768,6 @@ def test_sigma_entries_in_group_and_straddling_vectors():
     sigma, _ = build_sigma(d)
     inside = sigma_entries_in_group(d, sigma, 1)
     assert inside.tolist() == [1, 2]
-    assert [sigma.eigenvalues[i] for i in inside] == list(sigma.eigenvalues[1:3])
     # Fourier mixtures of |++>, |+->, |-+> have weight 2/3 in eigenspace 1
     # and 1/3 in eigenspace 0: mostly inside and mostly outside straddle.
     omega = np.exp(2j * np.pi / 3)
@@ -801,18 +803,18 @@ def test_build_sigma_owner_matches_the_overlap_reference(name):
 
 def test_build_sigma_prime_mixes_within_target_group():
     d = spectral_decompose(total_z())
-    sd, _ = build_sigma(d)
-    sigma = observable_matrix(sd)
+    sd, owner = build_sigma(d)
     spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 1))
-    sp = observable_matrix(spd)
-    # same outcomes, same behaviour outside the target eigenspace
-    assert spd.eigenvalues == sd.eigenvalues
-    assert np.array_equal(spd.basis[:, [0, 3]], sd.basis[:, [0, 3]])
+    # same outcomes, same columns outside the target eigenspace
+    assert spd.shape == sd.shape
+    assert np.array_equal(spd[:, [0, 3]], sd[:, [0, 3]])
+    # the mixed columns stay in the eigenspace, so sigma-prime commutes with
+    # the base observable, but they are not sigma's columns
     a = total_z()
-    assert np.allclose(sp @ a, a @ sp, atol=1e-12)
-    assert np.linalg.norm(sp @ sigma - sigma @ sp) > 0.1
+    assert np.allclose(a @ spd, spd * np.take(d.eigenvalues, owner), atol=1e-12)
+    assert np.linalg.norm(np.abs(sd.conj().T @ spd) - np.eye(4)) > 0.1
     # each sigma-prime vector of outcomes 1 and 2 overlaps both sigma vectors
-    overlaps = np.abs(sd.basis[:, 1:3].conj().T @ spd.basis[:, 1:3])
+    overlaps = np.abs(sd[:, 1:3].conj().T @ spd[:, 1:3])
     assert np.allclose(overlaps, 1 / SQ2, rtol=0.0, atol=1e-9)
 
 
@@ -821,10 +823,8 @@ def test_build_sigma_prime_dft_weights_follow_group_size():
     d = spectral_decompose(a)
     sd, _ = build_sigma(d)
     spd = build_sigma_prime(sd, sigma_entries_in_group(d, sd, 0))
-    group_labels = {sd.eigenvalues[i] for i in range(3)}
-    for w, vec in zip(spd.eigenvalues, spd.eigenbasis):
-        if w in group_labels:
-            assert np.allclose(np.abs(vec[0][:3]), 1 / np.sqrt(3), atol=1e-9)
+    assert np.allclose(np.abs(spd[:3, :3]), 1 / np.sqrt(3), atol=1e-9)
+    assert np.array_equal(spd[:, 3], sd[:, 3])
 
 
 def test_build_sigma_prime_rejects_non_degenerate_group():
@@ -909,16 +909,12 @@ def test_build_sigma_commutes_for_random_observables():
             vals = np.round(vals)
             a = (vecs * vals) @ vecs.conj().T
         d = spectral_decompose(a)
-        sd, _ = build_sigma(d)
-        sigma = observable_matrix(sd)
-        scale = max(1.0, np.linalg.norm(a)) * max(1.0, np.linalg.norm(sigma))
-        assert np.max(np.abs(sigma @ a - a @ sigma)) <= 1e-10 * scale
-        assert all(n == 1 for n in sd.multiplicities)
-        # descending labels over a column permutation of the base basis
-        assert list(sd.eigenvalues) == sorted(sd.eigenvalues, reverse=True)
-        assert sorted(v.tobytes() for v in sd.basis.T) == sorted(
-            v.tobytes() for v in d.basis.T
-        )
+        sigma, owner = build_sigma(d)
+        # every column an eigenvector of its owner's eigenvalue
+        residual = a @ sigma - sigma * np.take(d.eigenvalues, owner)
+        assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.linalg.norm(a))
+        # outcome i is base column i, so no column is left out or repeated
+        assert np.array_equal(sigma, d.basis)
 
 
 def test_spectral_reassembly_at_larger_dimensions():
